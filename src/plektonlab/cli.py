@@ -19,7 +19,7 @@ from .cones import SeparationError, WindingError, relative_winding
 from .report import ERROR, FAIL, PASS, Report
 from .scenes import SceneError, load_scene
 from .sectors import ModelError, load_model, validate_model
-from .suites import SUITES, run_suite
+from .suites import SUITES, run_suite, sweep_scale
 
 USAGE_EXIT = 2
 
@@ -90,9 +90,10 @@ def cmd_winding(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    sweep_scale()  # reject a bad PLEKTONLAB_SWEEP before any suite runs
     model = load_model(args.model) if args.model else None
     scene = load_scene(args.scene) if args.scene else None
-    report = run_suite(args.suite, model, scene, args.seed, parallel=args.parallel)
+    report = run_suite(args.suite, model, scene, args.seed)
     return _emit(report, args.format)
 
 
@@ -122,8 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--scene", default=None)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
-    p_ver.add_argument("--parallel", action="store_true",
-                       help="run independent suites concurrently (suite=all)")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

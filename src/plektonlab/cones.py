@@ -25,14 +25,10 @@ from .minkowski import (
     ETA,
     LIFT_TOL,
     TWO_PI,
-    CoveringLorentz,
     CoveringPoincare,
     LiftError,
     MVec3,
     _as_poincare,
-    _SymExp,
-    _sym_boost_part,
-    _sym_log,
     minkowski_inner,
     minkowski_norm2,
     reflect_vector,
@@ -516,50 +512,18 @@ def relative_winding_scan(c2: ConePath, c1: ConePath, lo: int = -5, hi: int = 5)
 # group action and reflection
 # ---------------------------------------------------------------------------
 
-def _continue_vector_angles(lorentz: CoveringLorentz, vecs: list[np.ndarray],
-                            starts: list[float]) -> list[float]:
-    """Continue the spatial angles of transported rays along the canonical
-    path of ``lorentz``, starting from the given lifted values."""
-    theta = lorentz.angle
-    b = _sym_log(_sym_boost_part(lorentz.matrix))
-    bnorm = float(np.abs(b).max())
-    ex = _SymExp(b)
-    steps = max(8, int(abs(theta) / 0.5) + 1, int(bnorm / 0.1) + 1)
-    arr = np.stack(vecs, axis=1)  # 3 x k
-    prev = None
-    for _ in range(24):
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        lifted = np.array(starts, dtype=float)
-        prev_ang = None
-        ok = True
-        for t in ts:
-            m = rotation_matrix(t * theta).m @ ex(t)
-            w = m @ arr
-            ang = np.arctan2(w[2], w[1])
-            if prev_ang is None:
-                prev_ang = ang
-                continue
-            d = ang - prev_ang
-            d = (d + math.pi) % TWO_PI - math.pi
-            if np.abs(d).max() >= math.pi / 4.0:
-                ok = False
-                break
-            lifted += d
-            prev_ang = ang
-        if ok:
-            if prev is not None and np.abs(lifted - prev).max() <= 1e-12:
-                return [float(x) for x in lifted]
-            prev = lifted.copy()
-        steps *= 2
-    raise LiftError("direction-angle continuation did not stabilise")
-
-
 def act(g, path: ConePath) -> ConePath:
     """Natural action of the covering Poincare group on path classes.
 
-    The apex and boundary data transform by the matrix part; the lifted arc
-    endpoints are continued along the canonical one-parameter path of g, so
-    rotations by 2 pi n shift the arc by 2 pi n rather than acting trivially.
+    The apex and boundary data transform by the matrix part.  Each lifted
+    arc end alpha moves in closed form to alpha + theta plus the turn of its
+    ray, with theta the lifted angle of g.  For a ray at spatial angle beta,
+    g r(beta) lifts to theta + beta and factors as R(theta + beta) B' with B'
+    a pure boost; B' never turns a space-like ray through pi, so the turn is
+    the principal angle of B' r(-beta) ray, measured from the ray's own angle
+    and therefore independent of the frame the arc is expressed in.  A pure
+    rotation shifts the arc by exactly its lifted angle, so rotations by
+    2 pi n shift the arc by 2 pi n rather than acting trivially.
     """
     p = _as_poincare(g)
     lam = p.lorentz.matrix
@@ -571,11 +535,13 @@ def act(g, path: ConePath) -> ConePath:
         arc = path.arc.shifted(p.lorentz.angle)
         return ConePath(apex, arc, path.kind, normals, corners)
 
-    west = path.corners[0].as_array()
-    east = path.corners[1].as_array()
-    lo, hi = _continue_vector_angles(
-        p.lorentz, [west, east], [path.arc.alpha_minus, path.arc.alpha_plus]
-    )
+    rays = np.stack([path.corners[0].as_array(), path.corners[1].as_array()])
+    moved = rays @ lam.m.T
+    turn = (np.arctan2(moved[:, 2], moved[:, 1]) - np.arctan2(rays[:, 2], rays[:, 1])
+            - p.lorentz.angle)
+    turn = np.remainder(turn + math.pi, TWO_PI) - math.pi
+    ends = np.array([path.arc.alpha_minus, path.arc.alpha_plus])
+    lo, hi = (ends + p.lorentz.angle + turn).tolist()
     if path.kind == KIND_WEDGE:
         if abs((hi - lo) - math.pi) > LIFT_TOL:
             raise LiftError("wedge arc endpoints drifted apart under transport")

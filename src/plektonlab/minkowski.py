@@ -7,10 +7,13 @@ Conventions used throughout the package:
   with ``R`` a spatial rotation and ``B`` a symmetric positive boost (the
   polar decomposition);
 * an element of the universal covering group is the matrix together with the
-  polar rotation angle lifted to the real line.  Products are lifted by
-  continuation of the polar angle along a canonical one-parameter path of the
-  second factor, so rotations by multiples of 2*pi stay distinct from the
-  identity.
+  polar rotation angle lifted to the real line, so rotations by multiples of
+  2*pi stay distinct from the identity.  Lifts are computed in closed form:
+  over SU(1,1) ~ SO(2,1)_0 the lifted angle is twice the lifted argument of
+  alpha, and the product law of the cover (V. Bargmann, Ann. Math. 48 (1947)
+  568) gives the lift of a product from the lifts and boost factors of its
+  factors.  Path continuation survives only as the independent oracle in
+  ``plektonlab.continuation``.
 
 Exact integers and phases never pass through the float matrices; only the
 matrices themselves and the lifted angles are floating point.
@@ -38,7 +41,8 @@ _SMALL_BOOST_EPS = 1e-6
 
 
 class LiftError(RuntimeError):
-    """Continuation of a lifted angle failed to stabilise."""
+    """A lifted angle could not be determined (continuation failed to
+    stabilise, or transported wedge ends drifted apart)."""
 
 
 def wrap_angle(x: float) -> float:
@@ -128,8 +132,10 @@ class LorentzMatrix:
         return LorentzMatrix(self.m @ other.m)
 
     def inverse(self) -> "LorentzMatrix":
-        # L^-1 = eta L^T eta for Lorentz matrices
-        return LorentzMatrix(ETA @ self.m.T @ ETA)
+        # L^-1 = eta L^T eta for Lorentz matrices.  Its columns are the rows
+        # of L, which may meet the metric less closely than the columns that
+        # validated L, so the inverse is renormalised like a product.
+        return LorentzMatrix(_renormalize(ETA @ self.m.T @ ETA))
 
     def apply(self, v: MVec3) -> MVec3:
         return MVec3.from_array(self.m @ v.as_array())
@@ -171,23 +177,6 @@ def _sym_boost_part(L: LorentzMatrix) -> np.ndarray:
     """The symmetric positive factor B with L = R(theta(L)) @ B."""
     theta = _polar_angle_raw(L.m)
     return rotation_matrix(-theta).m @ L.m
-
-
-def _sym_log(B: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(B)
-    if np.any(w <= 0.0):
-        raise ValueError("boost factor is not positive definite")
-    return V @ np.diag(np.log(w)) @ V.T
-
-
-class _SymExp:
-    """Reusable exp(t*b) for a fixed symmetric generator b."""
-
-    def __init__(self, b: np.ndarray) -> None:
-        self.w, self.V = np.linalg.eigh(b)
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.V @ np.diag(np.exp(t * self.w)) @ self.V.T
 
 
 @dataclass(frozen=True)
@@ -260,91 +249,40 @@ def cover_translation(a: MVec3) -> CoveringPoincare:
     return CoveringPoincare(a, CoveringLorentz.identity())
 
 
-def canonical_path(g: CoveringLorentz):
-    """Path t -> Lambda(t), t in [0, 1], from the identity to g.matrix whose
-    polar-angle lift runs from 0 to g.angle.
-
-    The path is R(t * angle) @ exp(t * log(B)) with B the boost factor.
-    """
-    b = _sym_log(_sym_boost_part(g.matrix))
-    ex = _SymExp(b)
-    theta = g.angle
-
-    def path(t: float) -> np.ndarray:
-        return rotation_matrix(t * theta).m @ ex(t)
-
-    return path
-
-
-def continue_polar_angle(path_fn, start: float, *, initial_steps: int = 16,
-                         max_steps: int = 1 << 20) -> float:
-    """Continue the polar rotation angle along ``path_fn`` starting at the
-    lifted value ``start`` (which must project onto the angle of path_fn(0)).
-
-    Steps are halved until every increment is below pi/4 and the endpoint is
-    stable; raises LiftError if the subdivision underflows.
-    """
-    steps = initial_steps
-    prev_end = None
-    while steps <= max_steps:
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        angs = [_polar_angle_raw(np.asarray(path_fn(t))) for t in ts]
-        end = start
-        ok = True
-        for k in range(steps):
-            d = wrap_angle(angs[k + 1] - angs[k])
-            if abs(d) >= math.pi / 4.0:
-                ok = False
-                break
-            end += d
-        if ok:
-            if prev_end is not None and abs(end - prev_end) <= 1e-12 * max(1.0, abs(end)):
-                return end
-            prev_end = end
-        steps *= 2
-    raise LiftError("polar-angle continuation did not stabilise (step-size underflow)")
-
-
 def _renormalize(m: np.ndarray) -> np.ndarray:
-    """Minkowski Gram-Schmidt on the columns; keeps accumulated float drift
-    out of long composition chains so products stay Lorentz to 1e-12."""
-    def inner(u, v):
-        return u[0] * v[0] - u[1] * v[1] - u[2] * v[2]
+    """One first-order Lorentz orthogonalisation step m (1 - eta E / 2), with
+    E = m^T eta m - eta.  It keeps accumulated float drift out of long
+    composition chains so products stay Lorentz to 1e-12.  Unlike Gram-Schmidt
+    on the columns it does not push the row residual m eta m^T - eta up to
+    eps |m|^4, so eta m^T eta stays an accurate inverse."""
+    return m - 0.5 * m @ ETA @ (m.T @ ETA @ m - ETA)
 
-    c0, c1, c2 = m[:, 0], m[:, 1], m[:, 2]
-    n0 = inner(c0, c0)
-    if n0 <= 0.0:
-        # the timelike column has degenerated to null in floats
-        raise ValueError("boost too extreme to renormalise in double precision")
-    u0 = c0 / math.sqrt(n0)
-    u1 = c1 - inner(c1, u0) * u0
-    n1 = -inner(u1, u1)
-    u2 = c2 - inner(c2, u0) * u0
-    if n1 <= 0.0:
-        raise ValueError("boost too extreme to renormalise in double precision")
-    u1 = u1 / math.sqrt(n1)
-    u2 = u2 + inner(u2, u1) * u1
-    n2 = -inner(u2, u2)
-    if n2 <= 0.0:
-        raise ValueError("boost too extreme to renormalise in double precision")
-    u2 = u2 / math.sqrt(n2)
-    return np.stack([u0, u1, u2], axis=1)
+
+def _lift_product(theta1, m1, theta2, m2):
+    """Lifted polar angle of the product of covering elements (theta1, m1)
+    and (theta2, m2); vectorised over leading axes.
+
+    With gamma = (L01 + i L02) / (1 + L00), the ratio beta / alpha of the
+    SU(1,1) element over L, the product law of the cover is
+
+        theta_12 = theta_1 + theta_2 + 2 arg(1 + gamma_1 conj(gamma_2) e^{-i theta_2}).
+
+    |gamma| < 1, so the argument stays in (-pi/2, pi/2) and needs no path.
+    """
+    g1 = (m1[..., 0, 1] + 1j * m1[..., 0, 2]) / (1.0 + m1[..., 0, 0])
+    g2 = (m2[..., 0, 1] - 1j * m2[..., 0, 2]) / (1.0 + m2[..., 0, 0])
+    return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
 
 
 def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
     m = LorentzMatrix(_renormalize(g1.matrix.m @ g2.matrix.m))
-    # If either factor is a pure rotation the lift is exactly additive.
-    if g1.is_pure_rotation() or g2.is_pure_rotation():
-        return CoveringLorentz(m, g1.angle + g2.angle)
-    p2 = canonical_path(g2)
-    m1 = g1.matrix.m
-
-    lifted = continue_polar_angle(lambda t: m1 @ p2(t), g1.angle)
-    return CoveringLorentz(m, lifted)
+    theta = _lift_product(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m)
+    return CoveringLorentz(m, float(theta))
 
 
 def cover_compose(g1, g2):
-    """Product in the universal cover.
+    """Product in the universal cover; the lift follows the closed-form
+    product law of `_lift_product`.
 
     Accepts CoveringLorentz or CoveringPoincare arguments; the result is a
     CoveringPoincare unless both inputs are CoveringLorentz.
@@ -366,18 +304,12 @@ def _as_poincare(g) -> CoveringPoincare:
 
 
 def cover_inverse(g):
-    """Inverse in the universal cover."""
+    """Inverse in the universal cover; the lifted angle is negated."""
     if isinstance(g, CoveringPoincare):
         inv_l = cover_inverse(g.lorentz)
         return CoveringPoincare(inv_l.matrix.apply(-g.translation), inv_l)
-    minv = g.matrix.inverse()
-    if g.is_pure_rotation():
-        return CoveringLorentz(minv, -g.angle)
-    # reversed path Lambda^-1 P(1-t) runs from the identity to Lambda^-1
-    p = canonical_path(g)
-    m = minv.m
-    lifted = continue_polar_angle(lambda t: m @ p(1.0 - t), 0.0)
-    return CoveringLorentz(minv, lifted)
+    # u^-1 has alpha -> conj(alpha), so the lift is negated
+    return CoveringLorentz(g.matrix.inverse(), -g.angle)
 
 
 _J_MAT = np.diag([-1.0, -1.0, 1.0])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import cones, fields, minkowski, wigner
+from . import cones, continuation, fields, minkowski, wigner
 from .cones import (
     ConePath,
     ReferenceFrame,
@@ -42,10 +42,16 @@ SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 
 
 def sweep_scale() -> float:
+    """The PLEKTONLAB_SWEEP factor, at least 0.05 (default 1.0); raises
+    ValueError unless it is a finite number."""
+    raw = os.environ.get("PLEKTONLAB_SWEEP", "1.0")
     try:
-        return max(0.05, float(os.environ.get("PLEKTONLAB_SWEEP", "1.0")))
+        scale = float(raw)
     except ValueError:
-        return 1.0
+        scale = math.nan
+    if not math.isfinite(scale):
+        raise ValueError(f"PLEKTONLAB_SWEEP must be a finite number, got {raw!r}")
+    return max(0.05, scale)
 
 
 def _n(base: int) -> int:
@@ -237,14 +243,14 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
         c2, c1 = random_separated_pair(rng)
         g = random_cover_element(rng, translations=False)
         moved = cones.act(g, c1)
-        dense = cones._continue_vector_angles(
+        dense = continuation.ray_angles(
             g, [c1.corners[0].as_array(), c1.corners[1].as_array()],
             [c1.arc.alpha_minus, c1.arc.alpha_plus],
         )
         worst = max(worst, abs(moved.arc.alpha_minus - dense[0]),
                     abs(moved.arc.alpha_plus - dense[1]))
     rep.add_outcome("arc-transport-continuation", worst <= 1e-9, residual=worst,
-                    note="endpoint transport against dense continuation")
+                    note="closed-form endpoint transport against path continuation")
     return rep
 
 
@@ -620,11 +626,20 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
                     note="invariant-measure quadrature norm")
 
     g = random_cover_element(rng, translations=False)
-    coarse = wigner.wigner_rotation(g, pts, initial_steps=64)
-    fine = wigner.wigner_rotation(g, pts, initial_steps=128)
+    coarse = continuation.wigner_angles(g, pts, initial_steps=64)
+    fine = continuation.wigner_angles(g, pts, initial_steps=128)
     worst = float(np.abs(coarse - fine).max())
     rep.add_outcome("continuation-step-independence", worst < 1e-10, residual=worst,
                     note="halving the step changes the lift below 1e-10")
+
+    n_orc = _n(4)
+    worst = 0.0
+    for _ in range(n_orc):
+        g = random_cover_element(rng, translations=False)
+        dense = continuation.wigner_angles(g, pts)
+        worst = max(worst, float(np.abs(wigner.wigner_rotation(g, pts) - dense).max()))
+    rep.add_outcome("wigner-continuation-oracle", worst < 1e-9, residual=worst,
+                    note=f"closed form against path continuation, {n_orc} random elements")
 
     eig = sector_phase(model, 1).to_complex()
     rot = wigner.apply_rep(minkowski.ZERO_VEC, cover_rotation(2.0 * math.pi),
@@ -661,21 +676,12 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, model: AnyonModel | None, scene, seed: int,
-              parallel: bool = False) -> Report:
+def run_suite(name: str, model: AnyonModel | None, scene, seed: int) -> Report:
     if name == "all":
-        names = [s for s in SUITES if s != "all"]
         rep = Report(command="verify", suite="all", seed=seed)
-        if parallel:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(names)) as pool:
-                futures = [pool.submit(run_suite, n, model, scene, seed) for n in names]
-                parts = [f.result() for f in futures]
-        else:
-            parts = [run_suite(n, model, scene, seed) for n in names]
-        for part in parts:
-            rep.extend(part)
+        for n in SUITES:
+            if n != "all":
+                rep.extend(run_suite(n, model, scene, seed))
         return rep
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -2,10 +2,10 @@
 
 The representation acts on momentum-space wave functions over the mass shell
 as (U(a, g) psi)(p) = exp(i s Omega(g, p)) exp(i a.p) psi(L^-1 p), where the
-Wigner rotation Omega is the lifted angle of B_{Lp}^-1 L B_p, continued from
-the identity along the canonical path of the covering element.  The standard
-boost B_p is the pure (symmetric positive) boost; the cocycle depends on
-this convention.
+Wigner rotation Omega is the lifted angle of B_{Lp}^-1 g B_p in the universal
+cover, computed in closed form by the product law of `minkowski` with the
+standard boosts at lift 0.  The standard boost B_p is the pure (symmetric
+positive) boost; the cocycle depends on this convention.
 
 Wave functions are closed-form objects (finite Gaussian combinations with
 lazily stacked group actions) evaluated pointwise on batches of shell
@@ -19,15 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import (
-    CoveringLorentz,
-    LiftError,
-    MVec3,
-    _SymExp,
-    _sym_boost_part,
-    _sym_log,
-    rotation_matrix,
-)
+from .minkowski import CoveringLorentz, MVec3, _lift_product
 
 TWO_PI = 2.0 * math.pi
 
@@ -93,50 +85,20 @@ def _boost_inverse(b: np.ndarray) -> np.ndarray:
     return eta @ b @ eta
 
 
-def wigner_rotation(g: CoveringLorentz, p, *, initial_steps: int | None = None) -> np.ndarray:
-    """Lifted angle Omega(g, p) of B_{Lp}^-1 L B_p, continued along the
-    canonical path of g from Omega(identity, p) = 0.
+def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:
+    """Lifted angle Omega(g, p) of B_{Lp}^-1 g B_p, in closed form for all
+    shell points at once: the lift of g B_p, then of B_{Lp}^-1 times it.
 
     Accepts a MassShellPoint or an (..., 3) array of shell points; returns
     the matching array of lifted angles (a scalar for a single point).
     """
     pts = _as_points(p)
     scalar = isinstance(p, MassShellPoint) or np.asarray(p).ndim == 1
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    theta = g.angle
-    b = _sym_log(_sym_boost_part(g.matrix))
-    ex = _SymExp(b)
-    bnorm = float(np.abs(b).max())
+    m = g.matrix.m
     bp = standard_boost(pts)
-
-    steps = initial_steps or max(16, int(abs(theta) / 0.4) + 1, int(bnorm / 0.1) + 1)
-    prev = None
-    for _ in range(22):
-        ts = np.linspace(0.0, 1.0, steps + 1)
-        lifted = np.zeros(len(pts))
-        prev_ang = None
-        ok = True
-        for t in ts:
-            lam = rotation_matrix(t * theta).m @ ex(t)
-            lp = pts @ lam.T
-            w = np.einsum("...ij,jk,...kl->...il", _boost_inverse(standard_boost(lp)), lam, bp)
-            ang = np.arctan2(w[..., 2, 1], w[..., 1, 1])
-            if prev_ang is None:
-                prev_ang = ang
-                continue
-            d = (ang - prev_ang + math.pi) % TWO_PI - math.pi
-            if np.abs(d).max() >= math.pi / 4.0:
-                ok = False
-                break
-            lifted += d
-            prev_ang = ang
-        if ok:
-            if prev is not None and np.abs(lifted - prev).max() <= 1e-11:
-                return float(lifted[0]) if scalar else lifted
-            prev = lifted.copy()
-        steps *= 2
-    raise LiftError("Wigner rotation continuation did not stabilise")
+    theta_gbp = _lift_product(g.angle, m, 0.0, bp)
+    lifted = _lift_product(0.0, _boost_inverse(standard_boost(pts @ m.T)), theta_gbp, m @ bp)
+    return float(lifted) if scalar else lifted
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from plektonlab.cli import main
 from tests.conftest import ASSETS
 
@@ -151,6 +153,16 @@ def test_verify_all_smoke(capsys):
     assert {"winding-antisymmetry", "exchange-involution",
             "twisted-locality-commutator", "cpt-involution",
             "pseudo-tomita-involution", "wigner-cocycle"} <= names
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_verify_rejects_bad_sweep_scale(value, monkeypatch, capsys):
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", value)
+    code, out, err = run(capsys, "verify", "--suite", "twist",
+                         "--model", str(ASSETS / "z3_anyon.json"), "--seed", "7")
+    assert code == 2
+    assert out == ""
+    assert "PLEKTONLAB_SWEEP" in err and repr(value) in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -237,13 +237,13 @@ def test_act_identity_and_full_rotation():
 
 
 def test_act_boost_matches_dense_transport():
-    from plektonlab.cones import _continue_vector_angles
+    from plektonlab.continuation import ray_angles
 
     rng = np.random.default_rng(10)
     c = cone_path(MVec3(0, 0, 0), 0.0, 0.2)
     g = cover_boost1(0.7)
     moved = act(g, c)
-    dense = _continue_vector_angles(
+    dense = ray_angles(
         g, [c.corners[0].as_array(), c.corners[1].as_array()],
         [c.arc.alpha_minus, c.arc.alpha_plus])
     assert moved.arc.alpha_minus == pytest.approx(dense[0], abs=1e-9)
@@ -254,6 +254,17 @@ def test_act_boost_matches_dense_transport():
         wrapped = math.atan2(corner.x2, corner.x1)
         assert math.cos(wrapped) == pytest.approx(math.cos(lifted), abs=1e-12)
         assert math.sin(wrapped) == pytest.approx(math.sin(lifted), abs=1e-12)
+
+
+def test_act_commutes_with_rebase():
+    c = cone_path(MVec3(0, 0, 0), 0.0, 0.2)
+    f0 = ReferenceFrame()
+    f1 = ReferenceFrame(f0.reference_angle + 1.0)
+    g = cover_boost1(0.7)
+    a = act(g, rebase(c, f0, f1))
+    b = rebase(act(g, c), f0, f1)
+    assert a.arc.alpha_minus == pytest.approx(b.arc.alpha_minus, abs=1e-12)
+    assert a.arc.alpha_plus == pytest.approx(b.arc.alpha_plus, abs=1e-12)
 
 
 def test_act_preserves_wedge_width():

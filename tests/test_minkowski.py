@@ -101,18 +101,15 @@ def test_rotation_conjugates_boost():
 
 
 def test_compose_matches_fine_step_oracle():
-    # continuation endpoint against a forced fine subdivision
-    from plektonlab.minkowski import canonical_path, continue_polar_angle
+    # closed-form lift against continuation with a forced fine subdivision
+    from plektonlab.continuation import compose_angle
 
     rng = np.random.default_rng(42)
     for _ in range(4):
         g1 = rnd_element(rng, translations=False)
         g2 = rnd_element(rng, translations=False)
         prod = cover_compose(g1, g2)
-        path = canonical_path(g2)
-        m1 = g1.matrix.m
-        dense = continue_polar_angle(lambda s: m1 @ path(s), g1.angle,
-                                     initial_steps=2048)
+        dense = compose_angle(g1, g2, initial_steps=2048)
         assert prod.angle == pytest.approx(dense, abs=1e-9)
 
 
@@ -156,6 +153,18 @@ def test_inverse():
         assert e.is_close(CoveringPoincare.identity(), 1e-9)
 
 
+def test_inverse_at_rapidity_5():
+    # the rows of this matrix miss the metric by more than MAT_TOL unless
+    # the inverse is renormalised
+    g = cover_compose(cover_rotation(5.0),
+                      cover_compose(cover_boost1(5.0), cover_rotation(1.0)))
+    inv = cover_inverse(g)
+    assert inv.angle == -g.angle
+    scale = float(np.abs(g.matrix.m).max()) ** 2
+    assert np.abs(inv.matrix.m @ g.matrix.m - np.eye(3)).max() <= 1e-12 * scale
+    assert cover_compose(g, inv).angle == pytest.approx(0.0, abs=1e-9)
+
+
 def test_reflect_examples():
     r = reflect_conjugate(cover_rotation(0.9))
     assert r.is_close(cover_rotation(-0.9), 1e-14)
@@ -178,14 +187,15 @@ def test_metric_preserved_over_deep_chains():
 
 
 def test_lift_failure_surfaces():
-    from plektonlab.minkowski import LiftError, continue_polar_angle
+    from plektonlab.continuation import continue_angles
+    from plektonlab.minkowski import LiftError
 
     # a discontinuous path keeps a large angle jump at every subdivision
     def broken(t):
-        return rotation_matrix(0.0 if t < 0.5 else 3.0).m
+        return [0.0 if t < 0.5 else 3.0]
 
     with pytest.raises(LiftError):
-        continue_polar_angle(broken, 0.0, initial_steps=2, max_steps=1024)
+        continue_angles(broken, [0.0], initial_steps=2, max_steps=1024)
 
 
 def test_reflect_involution_and_automorphism():

@@ -154,12 +154,15 @@ def test_j_relations(z3):
 
 
 def test_step_size_independence():
+    from plektonlab.continuation import wigner_angles
+
     rng = np.random.default_rng(8)
     pts = sample_shell(1.0, rng, 10)
     g = rnd_lorentz(rng)
-    coarse = wigner_rotation(g, pts, initial_steps=64)
-    fine = wigner_rotation(g, pts, initial_steps=128)
+    coarse = wigner_angles(g, pts, initial_steps=64)
+    fine = wigner_angles(g, pts, initial_steps=128)
     assert np.abs(coarse - fine).max() < 1e-10
+    assert np.abs(wigner_rotation(g, pts) - fine).max() < 1e-9
 
 
 def test_shell_points_helper():
