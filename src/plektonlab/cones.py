@@ -16,6 +16,7 @@ orientation-preserving group action):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +33,6 @@ from .minkowski import (
     minkowski_inner,
     minkowski_norm2,
     reflect_vector,
-    rotation_matrix,
     wrap_angle,
 )
 
@@ -41,9 +41,16 @@ KIND_WEDGE = "wedge"
 KIND_CONE_COMPLEMENT = "cone-complement"
 
 ARC_TOL = 1e-9
-# dimensionless margins for the causal-separation certificate
+# Dimensionless margins for the causal-separation certificate.  A best
+# violation <= _SEP_ZERO counts as contact (separated), one >= _SEP_AMBIGUOUS
+# as a causal pair, and one in between raises SeparationError.  Vectors whose
+# largest component is <= _SEP_DEGENERATE (apex differences, spatial parts,
+# candidate covectors) are treated as zero, and a candidate counts as inside
+# the light cone down to a Minkowski square of -_SEP_NAPPE_SLACK.
 _SEP_ZERO = 1e-10
 _SEP_AMBIGUOUS = 1e-7
+_SEP_DEGENERATE = 1e-14
+_SEP_NAPPE_SLACK = 1e-9
 
 
 class SeparationError(ValueError):
@@ -174,15 +181,29 @@ class ConePath:
     def translated(self, a: MVec3) -> "ConePath":
         return replace(self, apex=self.apex + a)
 
+    @functools.cached_property
+    def closure_rays(self) -> np.ndarray:
+        """Generators of the closed region's recession cone as a read-only
+        (k, 3) array; a wedge's closure also holds the full lines through its
+        west and east rays."""
+        rays = [v.as_array() for v in self.corners]
+        if self.kind == KIND_WEDGE:
+            west, east, up, down = rays
+            rays = [up, down, west, east, -west, -east]
+        out = np.array(rays)
+        out.setflags(write=False)
+        return out
+
 
 def _spatial(angle: float) -> MVec3:
     return MVec3(0.0, math.cos(angle), math.sin(angle))
 
 
 def _wedge_normals(center: float) -> tuple[MVec3, MVec3]:
-    # standard wedge W1 (center 0): <l, x> > 0 for l = (-1,-1,0) and (1,-1,0)
-    r = rotation_matrix(center)
-    return (r.apply(MVec3(-1.0, -1.0, 0.0)), r.apply(MVec3(1.0, -1.0, 0.0)))
+    # standard wedge W1 (center 0): <l, x> > 0 for l = (-1,-1,0) and (1,-1,0),
+    # rotated by center
+    c, s = math.cos(center), math.sin(center)
+    return (MVec3(-1.0, -c, -s), MVec3(1.0, -c, -s))
 
 
 def wedge_path(apex: MVec3 = MVec3(0.0, 0.0, 0.0), center_angle: float = 0.0,
@@ -245,59 +266,72 @@ def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
 # causal separation
 # ---------------------------------------------------------------------------
 
-def _closure_generators(c: ConePath) -> list[np.ndarray]:
-    if c.kind == KIND_WEDGE:
-        west, east, up, down = (v.as_array() for v in c.corners)
-        return [up, down, west, east, -west, -east]
-    return [v.as_array() for v in c.corners]
-
-
 _MINK_DIAG = np.array([1.0, -1.0, -1.0])
 
 
-def _nappe_certificate(rows: np.ndarray, sign: float) -> float:
-    """Best (smallest) normalised violation over candidate separating
-    covectors w in the closed future (sign=+1) or past (sign=-1) cone.
+@functools.lru_cache(maxsize=8)
+def _row_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # a pair of regions has 8 to 13 constraint rows
+    iu, ju = np.triu_indices(n, k=1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
-    Returns a value <= 0 when some w certifies that the open difference set
-    avoids the nappe, > 0 otherwise.  Candidates are the extreme-ray types
-    of the dual feasibility cone: pairwise Minkowski cross products of the
-    constraints, per-constraint light-like tangents and minimisers, and the
-    nappe axis.
+
+def _certificate(rows: np.ndarray) -> tuple[float, float]:
+    """Best (smallest) normalised violations over candidate separating
+    covectors w in the closed future and in the closed past cone.
+
+    A value <= 0 means some w certifies that the open difference set avoids
+    that nappe, > 0 that none does.  Candidates are the extreme-ray types of
+    the dual feasibility cone: pairwise Minkowski cross products of the
+    constraints and their negatives (shared by both nappes), and per nappe
+    the axis and each constraint's light-like tangent and minimisers.
     """
-    iu, ju = np.triu_indices(len(rows), k=1)
-    crosses = np.cross(rows[iu], rows[ju]) * _MINK_DIAG
-    parts = [crosses, -crosses, np.array([[sign, 0.0, 0.0]])]
+    iu, ju = _row_pairs(len(rows))
+    a, b = rows[iu].T, rows[ju].T
+    crosses = np.array([a[1] * b[2] - a[2] * b[1], -(a[2] * b[0] - a[0] * b[2]),
+                        -(a[0] * b[1] - a[1] * b[0])]).T
 
     r = np.hypot(rows[:, 1], rows[:, 2])
-    mask = r > 1e-14
-    if np.any(mask):
-        ux = rows[mask, 1] / r[mask]
-        uy = rows[mask, 2] / r[mask]
-        col = np.full(ux.shape, sign)
-        parts.append(np.stack([col, ux, uy], axis=1))
-        t = sign * rows[mask, 0] / r[mask]
-        tm = np.abs(t) <= 1.0
-        if np.any(tm):
-            ang = np.arccos(np.clip(t[tm], -1.0, 1.0))
-            base = np.arctan2(uy[tm], ux[tm])
-            for psi in (base + ang, base - ang):
-                parts.append(np.stack(
-                    [np.full(psi.shape, sign), np.cos(psi), np.sin(psi)], axis=1))
+    live = r > _SEP_DEGENERATE
+    r = r[live]
+    ux, uy, t = rows[live, 1] / r, rows[live, 2] / r, rows[live, 0] / r
+    hit = np.abs(t) <= 1.0
+    t = np.clip(t[hit], -1.0, 1.0)
+    base = np.arctan2(uy[hit], ux[hit])
+    # minimiser angles base + ang and base - ang, with ang = arccos(sign t)
+    # for the future and then the past nappe
+    ang = np.arccos(np.concatenate([t, -t]))
+    psi = np.concatenate([base, base, base, base]) + np.concatenate([ang, -ang])
+    # per-nappe candidates (axis, tangents, minimisers); sign is the nappe,
+    # +1 future and -1 past, and 0 marks a cross product, whose negative is
+    # a candidate too
+    sign = np.concatenate([[1.0, -1.0], np.repeat([1.0, -1.0], len(r)),
+                           np.repeat([1.0, -1.0, 1.0, -1.0], len(t))])
+    x = np.concatenate([[0.0, 0.0], ux, ux, np.cos(psi)])
+    y = np.concatenate([[0.0, 0.0], uy, uy, np.sin(psi)])
+    cand = np.concatenate([crosses, np.array([sign, x, y]).T])
+    nappe = np.concatenate([np.zeros(len(crosses)), sign])
 
-    cand = np.vstack(parts)
     scale = np.abs(cand).max(axis=1)
-    keep = scale > 1e-14
+    keep = scale > _SEP_DEGENERATE
     cand = cand[keep] / scale[keep, None]
-    in_nappe = (sign * cand[:, 0] >= -_SEP_ZERO) & (
-        cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -1e-9
-    )
-    cand = cand[in_nappe]
-    if len(cand) == 0:
-        return math.inf
+    nappe = nappe[keep]
     values = (cand * _MINK_DIAG) @ rows.T / np.abs(rows).max(axis=1)[None, :]
-    violations = np.maximum(values.max(axis=1), 0.0)
-    return float(violations.min())
+    # the violation of -w is max(-min(values), 0)
+    viol = np.maximum(values.max(axis=1), 0.0)
+    viol_neg = np.maximum(-values.min(axis=1), 0.0)
+
+    inside = cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -_SEP_NAPPE_SLACK
+    up = inside & (cand[:, 0] >= -_SEP_ZERO)
+    down = inside & (-cand[:, 0] >= -_SEP_ZERO)
+    cross = nappe == 0.0
+    future = min(viol.min(where=up & (nappe >= 0.0), initial=math.inf),
+                 viol_neg.min(where=down & cross, initial=math.inf))
+    past = min(viol.min(where=down & (nappe <= 0.0), initial=math.inf),
+               viol_neg.min(where=up & cross, initial=math.inf))
+    return float(future), float(past)
 
 
 def causally_separated(c1: ConePath, c2: ConePath) -> bool:
@@ -306,7 +340,8 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
     Decided on the polyhedral data: the open difference set d + cone(G) with
     G the closure rays of C1 and the negated rays of C2 must avoid both
     nappes of the light cone; each avoidance is certified by a covector in
-    the dual nappe.  Near-grazing configurations raise SeparationError.
+    the dual nappe.  Near-grazing configurations raise SeparationError, the
+    future nappe's margin first.
     """
     for c in (c1, c2):
         if c.kind == KIND_CONE_COMPLEMENT:
@@ -314,21 +349,16 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
         if c.arc.width <= ARC_TOL:
             raise SeparationError("degenerate (empty-interior) cone")
     d = (c1.apex - c2.apex).as_array()
-    rows = [g for g in _closure_generators(c1)]
-    rows += [-g for g in _closure_generators(c2)]
-    if np.abs(d).max() > 1e-14:
-        rows.append(d)
-    rows = np.stack(rows)
-
-    verdicts = []
-    for sign in (1.0, -1.0):
-        viol = _nappe_certificate(rows, sign)
+    rows = [c1.closure_rays, -c2.closure_rays]
+    if np.abs(d).max() > _SEP_DEGENERATE:
+        rows.append(d[None, :])
+    violations = _certificate(np.concatenate(rows))
+    for viol in violations:
         if _SEP_ZERO < viol < _SEP_AMBIGUOUS:
             raise SeparationError(
                 f"separation undecidable within tolerance (margin {viol:.3e})"
             )
-        verdicts.append(viol <= _SEP_ZERO)
-    return verdicts[0] and verdicts[1]
+    return all(viol <= _SEP_ZERO for viol in violations)
 
 
 def _simplex_grid(parts: int, total: int) -> np.ndarray:
@@ -347,7 +377,7 @@ def _simplex_grid(parts: int, total: int) -> np.ndarray:
 
 def _direction_samples(c: ConePath, resolution: int, rng=None) -> np.ndarray:
     """Space-like vectors sampled densely across the direction set of c."""
-    gens = np.stack(_closure_generators(c))
+    gens = c.closure_rays
     w = _simplex_grid(len(gens), resolution)
     if rng is not None:
         w = np.vstack([w, rng.dirichlet(np.ones(len(gens)), size=len(w))])
@@ -497,11 +527,7 @@ def relative_winding_scan(c2: ConePath, c1: ConePath, lo: int = -5, hi: int = 5)
     """
     hits = []
     for n in range(lo, hi + 1):
-        try:
-            ok = _arc_below(c1, c2, TWO_PI * n) and _arc_below(c2, c1, -TWO_PI * (n + 1))
-        except WindingError:
-            raise
-        if ok:
+        if _arc_below(c1, c2, TWO_PI * n) and _arc_below(c2, c1, -TWO_PI * (n + 1)):
             hits.append(n)
     if len(hits) != 1:
         raise WindingError(f"definition scan found {len(hits)} candidates in [{lo}, {hi}]")

@@ -17,7 +17,8 @@ import numpy as np
 from .fields import FieldWord, FieldSymbol, adjoint, angular_order, exchange
 from .sectors import AnyonModel
 
-MAX_DIMENSION = 4096
+# Z_4 with 5 sites; one more site would build 268 MB matrices
+MAX_DIMENSION = 1024
 
 
 class OracleError(ValueError):

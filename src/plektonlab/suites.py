@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
@@ -677,6 +679,12 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, model: AnyonModel | None, scene, seed: int) -> Report:
+    """Run one suite, or every suite for "all".
+
+    An exception raised inside a suite becomes an error row named
+    "<suite>-aborted" (its traceback goes to stderr) and the remaining
+    suites still run; an unknown suite name raises ValueError.
+    """
     if name == "all":
         rep = Report(command="verify", suite="all", seed=seed)
         for n in SUITES:
@@ -688,5 +696,10 @@ def run_suite(name: str, model: AnyonModel | None, scene, seed: int) -> Report:
     rep = Report(command="verify", suite=name, seed=seed)
     if name != "geometry" and not model_suite_guard(model, rep):
         return rep
-    rep.extend(_SUITE_FUNCS[name](model, scene, seed))
+    try:
+        rep.extend(_SUITE_FUNCS[name](model, scene, seed))
+    except Exception as exc:
+        # one failing suite is an error row, not the end of the run
+        traceback.print_exc(file=sys.stderr)
+        rep.add(f"{name}-aborted", ERROR, note=f"{type(exc).__name__}: {exc}")
     return rep

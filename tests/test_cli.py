@@ -168,3 +168,34 @@ def test_verify_rejects_bad_sweep_scale(value, monkeypatch, capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["verify", "--suite", "nope"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_verify_isolates_a_suite_that_raises(monkeypatch, capsys):
+    from plektonlab import suites
+    from plektonlab.cones import SeparationError
+
+    def raising(exc):
+        def suite(model, scene, seed):
+            raise exc
+        return suite
+
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.05")
+    monkeypatch.setitem(suites._SUITE_FUNCS, "braid",
+                        raising(SeparationError("grazing pair")))
+    monkeypatch.setitem(suites._SUITE_FUNCS, "cpt",
+                        raising(RuntimeError("failed to generate a separated pair")))
+    code, out, err = run(capsys, "verify", "--suite", "all",
+                         "--model", str(ASSETS / "z3_anyon.json"),
+                         "--seed", "4", "--format", "json")
+    assert code == 1
+    assert "Traceback" in err
+    doc = json.loads(out)
+    # the geometry, twist, tomita and wigner suites still ran and passed
+    passed = {c["name"] for c in doc["checks"] if c["status"] == "pass"}
+    assert {"winding-antisymmetry", "twisted-locality-commutator",
+            "pseudo-tomita-involution", "wigner-cocycle"} <= passed
+    assert [c for c in doc["checks"] if c["status"] != "pass"] == [
+        {"name": "braid-aborted", "status": "error", "note": "SeparationError: grazing pair"},
+        {"name": "cpt-aborted", "status": "error",
+         "note": "RuntimeError: failed to generate a separated pair"},
+    ]

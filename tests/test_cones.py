@@ -11,6 +11,7 @@ from plektonlab.cones import (
     SeparationError,
     SpacelikeDirection,
     WindingError,
+    _certificate,
     accumulated_angle,
     act,
     causally_separated,
@@ -129,6 +130,59 @@ def test_separation_agrees_with_sampling_oracle():
             assert minkowski_norm2(x - y) >= 0.0
         checked += 1
     assert checked > 900
+
+
+def _one_nappe_certificate(rows, sign):
+    """Reference: the certificate for one nappe (sign +1 future, -1 past),
+    with each candidate family built and filtered separately."""
+    iu, ju = np.triu_indices(len(rows), k=1)
+    crosses = np.cross(rows[iu], rows[ju]) * np.array([1.0, -1.0, -1.0])
+    parts = [crosses, -crosses, np.array([[sign, 0.0, 0.0]])]
+    r = np.hypot(rows[:, 1], rows[:, 2])
+    mask = r > 1e-14
+    ux, uy = rows[mask, 1] / r[mask], rows[mask, 2] / r[mask]
+    parts.append(np.stack([np.full(ux.shape, sign), ux, uy], axis=1))
+    t = sign * rows[mask, 0] / r[mask]
+    tm = np.abs(t) <= 1.0
+    ang = np.arccos(np.clip(t[tm], -1.0, 1.0))
+    base = np.arctan2(uy[tm], ux[tm])
+    for psi in (base + ang, base - ang):
+        parts.append(np.stack([np.full(psi.shape, sign), np.cos(psi), np.sin(psi)], axis=1))
+    cand = np.vstack(parts)
+    scale = np.abs(cand).max(axis=1)
+    cand = cand[scale > 1e-14] / scale[scale > 1e-14, None]
+    cand = cand[(sign * cand[:, 0] >= -1e-10)
+                & (cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -1e-9)]
+    if len(cand) == 0:
+        return math.inf
+    values = (cand * np.array([1.0, -1.0, -1.0])) @ rows.T / np.abs(rows).max(axis=1)
+    return float(np.maximum(values.max(axis=1), 0.0).min())
+
+
+def test_certificate_matches_one_nappe_reference():
+    # the one-pass certificate performs the reference's arithmetic, so the
+    # violations agree exactly, for cones, wedges, moved and translated pairs
+    rng = np.random.default_rng(31)
+
+    def region():
+        apex = MVec3(*rng.normal(0, 0.4, 3))
+        center = rng.uniform(-math.pi, math.pi)
+        if rng.random() < 0.3:
+            return wedge_path(apex, center)
+        return cone_path(apex, center, rng.uniform(0.05, 1.4))
+
+    for k in range(400):
+        c1, c2 = region(), region()
+        if k % 3 == 1:
+            g = rnd_cover(rng)
+            c1, c2 = act(g, c1), act(g, c2)
+        elif k % 3 == 2:
+            c2 = c1.translated(MVec3(*rng.normal(0, 1.0, 3)))
+        d = (c1.apex - c2.apex).as_array()
+        rows = np.concatenate([c1.closure_rays, -c2.closure_rays]
+                              + ([d[None, :]] if np.abs(d).max() > 1e-14 else []))
+        assert _certificate(rows) == (_one_nappe_certificate(rows, 1.0),
+                                      _one_nappe_certificate(rows, -1.0))
 
 
 def test_separation_rejects_complements():

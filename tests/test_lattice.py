@@ -78,12 +78,14 @@ def test_oracle_covers_both_winding_orientations(z3):
     assert lattice_oracle(z3, ascending).ok
 
 
-def test_oracle_rejections(z3, boson):
+def test_oracle_rejections(z3, boson, semion):
     locs = fan(2)
     with pytest.raises(OracleError, match="Z_N"):
         lattice_oracle(boson, FieldWord.of(FieldSymbol(1, I, locs[0])))
     with pytest.raises(OracleError, match="overflow"):
         ClockShiftLattice(z3, 9)
+    with pytest.raises(OracleError, match="overflow"):
+        ClockShiftLattice(semion, 6)
     word = FieldWord.of(FieldSymbol(1, ObservableWord.symbol("A"), locs[0]))
     with pytest.raises(OracleError, match="observable"):
         lattice_oracle(z3, word)
