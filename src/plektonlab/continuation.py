@@ -17,11 +17,17 @@ from .minkowski import (
     TWO_PI,
     CoveringLorentz,
     LiftError,
+    LorentzMatrix,
     _polar_angle_raw,
-    _sym_boost_part,
     rotation_matrix,
 )
 from .wigner import _boost_inverse, standard_boost
+
+
+def _sym_boost_part(L: LorentzMatrix) -> np.ndarray:
+    """The symmetric positive factor B with L = R(theta(L)) @ B."""
+    theta = _polar_angle_raw(L.m)
+    return rotation_matrix(-theta).m @ L.m
 
 
 def canonical_path(g: CoveringLorentz):

@@ -418,7 +418,7 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
 # CPT conjugation
 # ---------------------------------------------------------------------------
 
-def _cpt_winding(model: AnyonModel, frame: ReferenceFrame) -> int:
+def _cpt_winding(frame: ReferenceFrame) -> int:
     we = standard_wedge_path(frame)
     jwe = reflect_path(we, frame)
     return relative_winding(we, jwe, check_separation=False)
@@ -432,7 +432,7 @@ def cpt_conjugate_graded(g: GradedOperator, model: AnyonModel,
     gauge; Z is the twist built on the standard wedge path and its
     reflection.  Applying the map twice is the identity.
     """
-    n = _cpt_winding(model, frame)
+    n = _cpt_winding(frame)
     h = model.omega_sqrt.turns
     c = g.shift
     k = 2 * n + 1

@@ -173,12 +173,6 @@ def polar_rotation_angle(L: LorentzMatrix) -> float:
     return _polar_angle_raw(L.m)
 
 
-def _sym_boost_part(L: LorentzMatrix) -> np.ndarray:
-    """The symmetric positive factor B with L = R(theta(L)) @ B."""
-    theta = _polar_angle_raw(L.m)
-    return rotation_matrix(-theta).m @ L.m
-
-
 @dataclass(frozen=True)
 class CoveringLorentz:
     """Element of the universal cover: matrix plus lifted polar rotation angle."""
@@ -201,8 +195,10 @@ class CoveringLorentz:
     def identity() -> "CoveringLorentz":
         return CoveringLorentz(LorentzMatrix.identity(), 0.0)
 
-    def is_pure_rotation(self, tol: float = _PURE_ROTATION_EPS) -> bool:
-        return bool(np.abs(_sym_boost_part(self.matrix) - np.eye(3)).max() <= tol)
+    def is_pure_rotation(self) -> bool:
+        # row 0 of L = R(theta) B is row 0 of B, (cosh t, sinh t n)
+        m = self.matrix.m
+        return bool(max(abs(m[0, 1]), abs(m[0, 2])) <= _PURE_ROTATION_EPS)
 
     def is_close(self, other: "CoveringLorentz", tol: float = LIFT_TOL) -> bool:
         return self.matrix.is_close(other.matrix, max(tol, MAT_TOL)) and abs(

@@ -19,9 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import CoveringLorentz, MVec3, _lift_product
-
-TWO_PI = 2.0 * math.pi
+from .minkowski import ETA, TWO_PI, CoveringLorentz, MVec3, _lift_product
 
 
 @dataclass(frozen=True)
@@ -81,8 +79,7 @@ def standard_boost(p) -> np.ndarray:
 
 
 def _boost_inverse(b: np.ndarray) -> np.ndarray:
-    eta = np.diag([1.0, -1.0, -1.0])
-    return eta @ b @ eta
+    return ETA @ b @ ETA
 
 
 def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:

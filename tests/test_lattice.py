@@ -3,9 +3,10 @@ import pytest
 
 from plektonlab.cones import cone_path
 from plektonlab.fields import FieldSymbol, FieldWord, ObservableWord
+import plektonlab.lattice
 from plektonlab.lattice import ClockShiftLattice, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
-from plektonlab.sectors import r_phase
+from plektonlab.sectors import CyclotomicPhase, r_phase
 
 I = ObservableWord.identity()
 
@@ -57,6 +58,60 @@ def test_oracle_word_report(z3):
     assert rep.adjoint_residual < 1e-12
 
 
+def _dense_string_operators(model, n_sites):
+    """The string operators U_1 ... U_{j-1} V_j as dense matrices, each site
+    operator embedded by explicit Kronecker products with identities."""
+    n = model.group_order
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    u = np.linalg.matrix_power(clock, int(model.omega.turns * n))
+    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+
+    def embed(op, site):
+        out = np.eye(1, dtype=complex)
+        for k in range(n_sites):
+            out = np.kron(out, op if k == site else np.eye(n))
+        return out
+
+    ops = []
+    for j in range(n_sites):
+        m = embed(shift, j)
+        for k in range(j):
+            m = embed(u, k) @ m
+        ops.append(m)
+    return ops
+
+
+def _dense_power(a, c):
+    return np.linalg.matrix_power(a if c >= 0 else a.conj().T, abs(c))
+
+
+@pytest.mark.parametrize("model_name", ["fermion", "z3"])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_tensor_factors_match_dense_reference(request, model_name, n_sites):
+    model = request.getfixturevalue(model_name)
+    lat = ClockShiftLattice(model, n_sites)
+    ops = _dense_string_operators(model, n_sites)
+    loc = fan(1)[0]
+    for j in range(n_sites):
+        assert np.abs(lat.site_operator(j) - ops[j]).max() < 1e-12
+        for c in range(-2, 3):
+            got = lat.symbol_matrix(FieldSymbol(c, I, loc), j)
+            assert np.abs(got - _dense_power(ops[j], c)).max() < 1e-12
+    rng = np.random.default_rng(31 + 10 * n_sites + model.group_order)
+    for _ in range(6):
+        length = int(rng.integers(1, 6))
+        charges = [int(c) for c in rng.integers(-2, 3, length)]
+        sites = [int(s) for s in rng.integers(0, n_sites, length)]
+        coeff = CyclotomicPhase.from_pair(int(rng.integers(0, 6)), 6)
+        word = FieldWord.of(*(FieldSymbol(c, I, loc) for c in charges), coeff=coeff)
+        want = coeff.to_complex() * np.eye(lat.dimension)
+        for c, s in zip(charges, sites):
+            want = want @ _dense_power(ops[s], c)
+        assert np.abs(lat.word_matrix(word, sites) - want).max() < 1e-12
+    with pytest.raises(IndexError):
+        lat.site_operator(n_sites)
+
+
 def test_fusion_matches_matrix_product(z3):
     loc = fan(1)[0]
     lat = ClockShiftLattice(z3, 1)
@@ -89,3 +144,29 @@ def test_oracle_rejections(z3, boson, semion):
     word = FieldWord.of(FieldSymbol(1, ObservableWord.symbol("A"), locs[0]))
     with pytest.raises(OracleError, match="observable"):
         lattice_oracle(z3, word)
+
+
+def _four_factor_word():
+    return FieldWord.of(*(FieldSymbol(c, I, loc)
+                          for c, loc in zip((1, 2, -1, 1), fan(4))))
+
+
+def test_oracle_detects_wrong_exchange_coefficient(z3, monkeypatch):
+    exchange = plektonlab.lattice.exchange
+    third = CyclotomicPhase.from_pair(1, 3)
+
+    def off_by_a_third(word, i, model):
+        swapped = exchange(word, i, model)
+        return FieldWord(swapped.coeff * third, swapped.factors)
+
+    monkeypatch.setattr(plektonlab.lattice, "exchange", off_by_a_third)
+    rep = lattice_oracle(z3, _four_factor_word())
+    assert rep.exchange_residual > 1
+    assert not rep.ok
+
+
+def test_oracle_detects_wrong_adjoint(z3, monkeypatch):
+    monkeypatch.setattr(plektonlab.lattice, "adjoint", lambda sym: sym)
+    rep = lattice_oracle(z3, _four_factor_word())
+    assert rep.adjoint_residual >= 1
+    assert not rep.ok

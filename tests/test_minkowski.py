@@ -145,6 +145,32 @@ def test_center_commutes():
         assert right.angle == pytest.approx(left.angle, abs=1e-9)
 
 
+def test_pure_rotation_matches_boost_factor_reference():
+    # reference: the boost factor R(-theta) L of the polar decomposition is
+    # the identity to within 1e-12
+    def reference(g):
+        b = rotation_matrix(-polar_rotation_angle(g.matrix)).m @ g.matrix.m
+        return bool(np.abs(b - np.eye(3)).max() <= 1e-12)
+
+    rng = np.random.default_rng(12)
+
+    def turned_boost(t):
+        return cover_compose(cover_rotation(rng.uniform(-7, 7)),
+                             cover_compose(cover_boost1(t), cover_rotation(rng.uniform(-7, 7))))
+
+    cases = {True: [], False: []}
+    for _ in range(40):
+        chain = cover_rotation(rng.uniform(-20, 20))
+        for _ in range(5):
+            chain = cover_compose(chain, cover_rotation(rng.uniform(-20, 20)))
+        cases[True] += [chain, turned_boost(1e-13 * rng.choice((-1, 1)))]
+        cases[False] += [turned_boost(1e-11 * rng.choice((-1, 1))),
+                         rnd_element(rng, translations=False)]
+    for expected, elements in cases.items():
+        for g in elements:
+            assert g.is_pure_rotation() == reference(g) == expected
+
+
 def test_inverse():
     rng = np.random.default_rng(6)
     for _ in range(15):
