@@ -7,7 +7,9 @@ the localisations, so pairwise windings lie in {-1, 0} and the matrix
 algebra reproduces every exchange and adjoint identity of the symbolic
 layer to machine precision.  Products are taken site by site in N x N
 factors, and each side of an identity is one Kronecker product of the site
-products, compared as a dense N^L x N^L matrix (N^L <= 1024).
+products, compared as a dense N^L x N^L matrix (N^L <= 1024).  The oracle
+writes the two sides into two arrays allocated once per call, so its memory
+is the same for any charges and order of the word.
 """
 
 from __future__ import annotations
@@ -35,6 +37,26 @@ def _clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n):
         shift[(k + 1) % n, k] = 1.0
     return clock, shift
+
+
+def _kron(factors: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """reduce(np.kron, factors), with the last product written into ``out``
+    when it is given."""
+    head = reduce(np.kron, factors[:-1], np.ones((1, 1), dtype=complex))
+    m, n = len(head), len(factors[-1])
+    if out is None:
+        out = np.empty((m * n, m * n), dtype=complex)
+    np.multiply(head[:, None, :, None], factors[-1][None, :, None, :],
+                out=out.reshape(m, n, m, n))
+    return out
+
+
+def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Max-norm distance |a - b|, computed in the storage of b, which it
+    overwrites."""
+    np.subtract(a, b, out=b)
+    np.abs(b, out=b)
+    return float(b.real.max())
 
 
 def _charge(sym: FieldSymbol) -> int:
@@ -83,16 +105,22 @@ class ClockShiftLattice:
         return [u] * site + [v] + [np.eye(len(u), dtype=complex)] * (self.n_sites - site - 1)
 
     def site_operator(self, j: int) -> np.ndarray:
-        return reduce(np.kron, self._factors(j, 1))
+        return _kron(self._factors(j, 1))
 
-    def symbol_matrix(self, sym: FieldSymbol, site: int) -> np.ndarray:
-        return reduce(np.kron, self._factors(site, _charge(sym)))
+    # ``out``, when given, is a complex d x d array that receives the matrix
+    # and is returned, as for a numpy ufunc
+    def symbol_matrix(self, sym: FieldSymbol, site: int, *,
+                      out: np.ndarray | None = None) -> np.ndarray:
+        return _kron(self._factors(site, _charge(sym)), out)
 
-    def word_matrix(self, word: FieldWord, sites: list[int]) -> np.ndarray:
+    def word_matrix(self, word: FieldWord, sites: list[int], *,
+                    out: np.ndarray | None = None) -> np.ndarray:
         per_site = [np.eye(self.model.group_order, dtype=complex)] * self.n_sites
         for sym, site in zip(word.factors, sites):
             per_site = [p @ f for p, f in zip(per_site, self._factors(site, _charge(sym)))]
-        return word.coeff.to_complex() * reduce(np.kron, per_site)
+        out = _kron(per_site, out)
+        out *= word.coeff.to_complex()
+        return out
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:
@@ -130,22 +158,25 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
         sites = _sites_by_angle(word)
     lat = ClockShiftLattice(model, max(len(word.factors), 1))
 
-    unswapped = lat.word_matrix(word, sites)
+    d = lat.dimension
+    lhs, rhs = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
+    lat.word_matrix(word, sites, out=lhs)
     exch_res = 0.0
     checks = 0
     for i in range(len(word.factors) - 1):
         swapped = exchange(word, i, model)
         new_sites = list(sites)
         new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
-        rhs = lat.word_matrix(swapped, new_sites)
-        exch_res = max(exch_res, float(np.abs(unswapped - rhs).max()))
+        lat.word_matrix(swapped, new_sites, out=rhs)
+        exch_res = max(exch_res, _max_distance(lhs, rhs))
         checks += 1
 
     adj_res = 0.0
+    # max |S(adjoint(sym)) - S(sym)^dagger| = max |conj(S(adjoint(sym)))^T - S(sym)|
     for sym, site in zip(word.factors, sites):
-        lhs = lat.symbol_matrix(adjoint(sym), site)
-        rhs = lat.symbol_matrix(sym, site).conj().T
-        adj_res = max(adj_res, float(np.abs(lhs - rhs).max()))
+        lat.symbol_matrix(adjoint(sym), site, out=lhs)
+        lat.symbol_matrix(sym, site, out=rhs)
+        adj_res = max(adj_res, _max_distance(np.conjugate(lhs, out=lhs).T, rhs))
         checks += 1
 
     return LatticeReport(lat.dimension, exch_res, adj_res, checks)

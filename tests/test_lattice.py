@@ -170,3 +170,72 @@ def test_oracle_detects_wrong_adjoint(z3, monkeypatch):
     rep = lattice_oracle(z3, _four_factor_word())
     assert rep.adjoint_residual >= 1
     assert not rep.ok
+
+
+def test_out_buffer_receives_the_fresh_matrix(z3):
+    lat = ClockShiftLattice(z3, 4)
+    word = _four_factor_word()
+    sites = [2, 0, 3, 1]
+    buf = np.full((lat.dimension, lat.dimension), np.nan, dtype=complex)
+    assert lat.word_matrix(word, sites, out=buf) is buf
+    assert np.array_equal(buf, lat.word_matrix(word, sites))
+    sym = word.factors[2]
+    assert lat.symbol_matrix(sym, 3, out=buf) is buf
+    assert np.array_equal(buf, lat.symbol_matrix(sym, 3))
+
+
+def _dense_residuals(model, word, sites):
+    """Both residuals from freshly allocated dense sides, as
+    max |A - B| over the entries."""
+    from plektonlab.fields import adjoint, exchange
+
+    lat = ClockShiftLattice(model, len(word.factors))
+    unswapped = lat.word_matrix(word, sites)
+    exch = 0.0
+    for i in range(len(word.factors) - 1):
+        new_sites = list(sites)
+        new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
+        rhs = lat.word_matrix(exchange(word, i, model), new_sites)
+        exch = max(exch, float(np.abs(unswapped - rhs).max()))
+    adj = max(float(np.abs(lat.symbol_matrix(adjoint(sym), s)
+                           - lat.symbol_matrix(sym, s).conj().T).max())
+              for sym, s in zip(word.factors, sites))
+    return exch, adj
+
+
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+def test_oracle_residuals_equal_dense_sides(z3, monkeypatch, mutation):
+    # the mutations make both residuals nonzero in turn, so the equality is
+    # checked on values other than rounding noise
+    if mutation == "exchange":
+        exchange = plektonlab.lattice.exchange
+        third = CyclotomicPhase.from_pair(1, 3)
+        wrong = lambda word, i, model: FieldWord(
+            exchange(word, i, model).coeff * third, exchange(word, i, model).factors)
+        monkeypatch.setattr(plektonlab.lattice, "exchange", wrong)
+        monkeypatch.setattr(plektonlab.fields, "exchange", wrong)
+    elif mutation == "adjoint":
+        monkeypatch.setattr(plektonlab.lattice, "adjoint", lambda sym: sym)
+        monkeypatch.setattr(plektonlab.fields, "adjoint", lambda sym: sym)
+    word = _four_factor_word()
+    sites = [1, 3, 0, 2]
+    rep = lattice_oracle(z3, word, sites)
+    assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(z3, word, sites)
+
+
+def test_oracle_holds_two_dense_sides(z3):
+    # one d x d complex side is 16 d^2 bytes; the oracle keeps two and small
+    # site factors, whatever the charges and the order of the word
+    import tracemalloc
+
+    side = 16 * 3 ** 10
+    peaks = []
+    for charges, locs in (((1, 2, 1, 2, 1), fan(5)), ((-1, -2, 1, -2, -1), fan(5)[::-1])):
+        word = FieldWord.of(*(FieldSymbol(c, I, loc) for c, loc in zip(charges, locs)))
+        tracemalloc.start()
+        try:
+            assert lattice_oracle(z3, word).ok
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(2 * side <= p < 2.5 * side for p in peaks), peaks
