@@ -41,6 +41,9 @@ KIND_WEDGE = "wedge"
 KIND_CONE_COMPLEMENT = "cone-complement"
 
 ARC_TOL = 1e-9
+# Slacks of `path_within_wedge` and `ReferenceFrame.is_reflection_invariant`.
+_WEDGE_TOL = 1e-9
+_REFLECTION_TOL = 1e-12
 # Dimensionless margins for the causal-separation certificate.  A best
 # violation <= _SEP_ZERO counts as contact (separated), one >= _SEP_AMBIGUOUS
 # as a causal pair, and one in between raises SeparationError.  Vectors whose
@@ -124,8 +127,8 @@ class ReferenceFrame:
 
     reference_angle: float = math.pi / 2.0
 
-    def is_reflection_invariant(self, tol: float = 1e-12) -> bool:
-        return abs(wrap_angle(2.0 * self.reference_angle - math.pi)) <= tol
+    def is_reflection_invariant(self) -> bool:
+        return abs(wrap_angle(2.0 * self.reference_angle - math.pi)) <= _REFLECTION_TOL
 
     def reflection_constant(self) -> float:
         """c such that the lifted reflection is angle -> c - angle."""
@@ -502,14 +505,20 @@ def precedes(c1: ConePath, c2: ConePath) -> bool:
     return _arc_below(c1, c2)
 
 
-def relative_winding(c2: ConePath, c1: ConePath, *, check_separation: bool = True) -> int:
+def relative_winding(c2: ConePath, c1: ConePath) -> int:
     """The unique n with r(2 pi n) . c1 < c2 < r(2 pi (n+1)) . c1.
 
-    Computed in closed form from the arcs and then verified against both
+    Decides causal separation first (SeparationError unless separated), then
+    computes n in closed form from the arcs and verifies it against both
     defining inequalities; raises WindingError when no integer passes.
     """
-    if check_separation and not causally_separated(c1, c2):
+    if not causally_separated(c1, c2):
         raise SeparationError("relative winding requires causally separated regions")
+    return _winding(c2, c1)
+
+
+def _winding(c2: ConePath, c1: ConePath) -> int:
+    """`relative_winding` for a pair whose separation is already decided."""
     gap = c2.arc.alpha_minus - c1.arc.alpha_plus
     n = math.floor((gap + ARC_TOL) / TWO_PI)
     if not _arc_below(c1, c2, TWO_PI * n):
@@ -519,18 +528,18 @@ def relative_winding(c2: ConePath, c1: ConePath, *, check_separation: bool = Tru
     return n
 
 
-def relative_winding_scan(c2: ConePath, c1: ConePath, lo: int = -5, hi: int = 5) -> int:
-    """Definition-based oracle: scan integers against both inequalities.
+def relative_winding_scan(c2: ConePath, c1: ConePath) -> int:
+    """Definition-based oracle: scan n in [-5, 5] against both inequalities.
 
     Independent of the closed-form floor computation; raises WindingError
     unless exactly one candidate passes.
     """
     hits = []
-    for n in range(lo, hi + 1):
+    for n in range(-5, 6):
         if _arc_below(c1, c2, TWO_PI * n) and _arc_below(c2, c1, -TWO_PI * (n + 1)):
             hits.append(n)
     if len(hits) != 1:
-        raise WindingError(f"definition scan found {len(hits)} candidates in [{lo}, {hi}]")
+        raise WindingError(f"definition scan found {len(hits)} candidates in [-5, 5]")
     return hits[0]
 
 
@@ -604,23 +613,23 @@ def rebase(path: ConePath, old_frame: ReferenceFrame, new_frame: ReferenceFrame)
     return replace(path, arc=path.arc.shifted(offset))
 
 
-def path_within_wedge(path: ConePath, wedge: ConePath, tol: float = 1e-9) -> bool:
+def path_within_wedge(path: ConePath, wedge: ConePath) -> bool:
     """Whether a path class sits inside a wedge path (region and sheet)."""
     if wedge.kind != KIND_WEDGE:
         raise ValueError("containment target must be a wedge path")
-    if path.same_path(wedge, tol):
+    if path.same_path(wedge, _WEDGE_TOL):
         return True
     if path.kind != KIND_CONE:
         return False
-    if path.arc.alpha_minus < wedge.arc.alpha_minus - tol:
+    if path.arc.alpha_minus < wedge.arc.alpha_minus - _WEDGE_TOL:
         return False
-    if path.arc.alpha_plus > wedge.arc.alpha_plus + tol:
+    if path.arc.alpha_plus > wedge.arc.alpha_plus + _WEDGE_TOL:
         return False
     rel = path.apex - wedge.apex
     for n in wedge.normals:
-        if minkowski_inner(n, rel) < -tol:
+        if minkowski_inner(n, rel) < -_WEDGE_TOL:
             return False
         for corner in path.corners:
-            if minkowski_inner(n, corner) < -tol:
+            if minkowski_inner(n, corner) < -_WEDGE_TOL:
                 return False
     return True

@@ -21,6 +21,7 @@ from .cones import (
     ConePath,
     ReferenceFrame,
     DEFAULT_FRAME,
+    _winding,
     causally_separated,
     path_within_wedge,
     reflect_path,
@@ -192,10 +193,14 @@ def exchange(w: FieldWord, i: int, model: AnyonModel) -> FieldWord:
         raise ValueError("cannot exchange a delocalized symbol")
     if not causally_separated(left.loc, right.loc):
         raise ValueError("exchange requires causally separated localisations")
-    n = relative_winding(left.loc, right.loc, check_separation=False)
-    phase = r_phase(model, right.charge, left.charge, n)
-    factors = w.factors[:i] + (right, left) + w.factors[i + 2:]
-    return FieldWord(w.coeff * phase, factors)
+    return _exchange(w, i, model)
+
+
+def _exchange(w: FieldWord, i: int, model: AnyonModel) -> FieldWord:
+    """`exchange` for localised factors whose separation is already decided."""
+    left, right = w.factors[i], w.factors[i + 1]
+    phase = r_phase(model, right.charge, left.charge, _winding(left.loc, right.loc))
+    return FieldWord(w.coeff * phase, w.factors[:i] + (right, left) + w.factors[i + 2:])
 
 
 def normal_form(w: FieldWord, order: tuple[int, ...], model: AnyonModel) -> FieldWord:
@@ -313,7 +318,7 @@ def twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
     c2path, c1path = pair
     if not causally_separated(c2path, c1path):
         raise ValueError("twist requires causally separated paths")
-    n = relative_winding(c2path, c1path, check_separation=False)
+    n = _winding(c2path, c1path)
     h = model.omega_sqrt.turns
     c = sym.charge
     k = 2 * n + 1
@@ -421,7 +426,7 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
 def _cpt_winding(frame: ReferenceFrame) -> int:
     we = standard_wedge_path(frame)
     jwe = reflect_path(we, frame)
-    return relative_winding(we, jwe, check_separation=False)
+    return _winding(we, jwe)
 
 
 def cpt_conjugate_graded(g: GradedOperator, model: AnyonModel,

@@ -185,12 +185,11 @@ def apply_j(psi: WaveFunction) -> WaveFunction:
 # quadrature and verification sweeps
 # ---------------------------------------------------------------------------
 
-def shell_norm2(psi: WaveFunction, mass: float, *, half_width: float = 8.0,
-                order: int = 96) -> float:
+def shell_norm2(psi: WaveFunction, mass: float) -> float:
     """Squared norm under d^2 p / (2 omega(p)) by tensor Gauss-Legendre."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    x = nodes * half_width
-    w = weights * half_width
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    x = nodes * 8.0
+    w = weights * 8.0
     p1, p2 = np.meshgrid(x, x, indexing="ij")
     spatial = np.stack([p1.ravel(), p2.ravel()], axis=-1)
     pts = shell_points(mass, spatial)
@@ -200,9 +199,8 @@ def shell_norm2(psi: WaveFunction, mass: float, *, half_width: float = 8.0,
     return float(np.sum(vals * measure * w2))
 
 
-def sample_shell(mass: float, rng: np.random.Generator, n: int,
-                 pmax: float = 2.5) -> np.ndarray:
-    spatial = rng.uniform(-pmax, pmax, size=(n, 2))
+def sample_shell(mass: float, rng: np.random.Generator, n: int) -> np.ndarray:
+    spatial = rng.uniform(-2.5, 2.5, size=(n, 2))
     return shell_points(mass, spatial)
 
 
@@ -217,16 +215,16 @@ def verify_cocycle(g1: CoveringLorentz, g2: CoveringLorentz, pts: np.ndarray) ->
 
 
 def verify_j_relations(g: CoveringLorentz, spin: float, psi: WaveFunction,
-                       pts: np.ndarray, translation: MVec3 | None = None) -> dict:
+                       pts: np.ndarray) -> dict:
     """Residuals of the reflection relations on sampled shell points:
 
     (i)   U(j) U(g) U(j) = U(j g j)
-    (ii)  U(j) U(x) U(j) = U(j x)
+    (ii)  U(j) U(x) U(j) = U(j x), for x = (0.4, -0.3, 0.2)
     (iii) U(r(2 pi)) psi = exp(2 pi i s) psi
     """
     from .minkowski import ZERO_VEC, cover_rotation, reflect_conjugate, reflect_vector
 
-    x = translation if translation is not None else MVec3(0.4, -0.3, 0.2)
+    x = MVec3(0.4, -0.3, 0.2)
 
     lhs = apply_j(apply_rep(ZERO_VEC, g, spin, apply_j(psi)))
     rhs = apply_rep(ZERO_VEC, reflect_conjugate(g), spin, psi)
