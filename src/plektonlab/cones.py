@@ -24,7 +24,6 @@ import numpy as np
 
 from .minkowski import (
     ETA,
-    LIFT_TOL,
     TWO_PI,
     CoveringPoincare,
     LiftError,
@@ -35,25 +34,14 @@ from .minkowski import (
     reflect_vector,
     wrap_angle,
 )
+from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_CONTACT,
+                         ORACLE_RATIO_FLOOR, ORACLE_RECESSION_MARGIN, ORACLE_SINGULAR_DET,
+                         ORACLE_SPACELIKE, ORACLE_ZERO_SAMPLE, REFLECTION_TOL, SEP_AMBIGUOUS,
+                         SEP_DEGENERATE, SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
 
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
 KIND_CONE_COMPLEMENT = "cone-complement"
-
-ARC_TOL = 1e-9
-# Slacks of `path_within_wedge` and `ReferenceFrame.is_reflection_invariant`.
-_WEDGE_TOL = 1e-9
-_REFLECTION_TOL = 1e-12
-# Dimensionless margins for the causal-separation certificate.  A best
-# violation <= _SEP_ZERO counts as contact (separated), one >= _SEP_AMBIGUOUS
-# as a causal pair, and one in between raises SeparationError.  Vectors whose
-# largest component is <= _SEP_DEGENERATE (apex differences, spatial parts,
-# candidate covectors) are treated as zero, and a candidate counts as inside
-# the light cone down to a Minkowski square of -_SEP_NAPPE_SLACK.
-_SEP_ZERO = 1e-10
-_SEP_AMBIGUOUS = 1e-7
-_SEP_DEGENERATE = 1e-14
-_SEP_NAPPE_SLACK = 1e-9
 
 
 class SeparationError(ValueError):
@@ -72,7 +60,7 @@ class SpacelikeDirection:
 
     def __post_init__(self) -> None:
         n2 = minkowski_norm2(self.e)
-        if abs(n2 + 1.0) > 1e-9:
+        if abs(n2 + 1.0) > NORM2_TOL:
             raise ValueError(f"direction is not space-like unit (e.e = {n2})")
 
 
@@ -128,7 +116,7 @@ class ReferenceFrame:
     reference_angle: float = math.pi / 2.0
 
     def is_reflection_invariant(self) -> bool:
-        return abs(wrap_angle(2.0 * self.reference_angle - math.pi)) <= _REFLECTION_TOL
+        return abs(wrap_angle(2.0 * self.reference_angle - math.pi)) <= REFLECTION_TOL
 
     def reflection_constant(self) -> float:
         """c such that the lifted reflection is angle -> c - angle."""
@@ -167,7 +155,7 @@ class ConePath:
         elif self.arc.width > math.pi - ARC_TOL:
             raise ValueError("cone arcs must have width strictly below pi")
         for n in self.normals:
-            if abs(minkowski_norm2(n)) > 1e-9:
+            if abs(minkowski_norm2(n)) > NORM2_TOL:
                 raise ValueError("boundary normals must be light-like")
 
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:
@@ -232,7 +220,7 @@ def cone_path(apex: MVec3, center_angle: float, half_opening: float,
     extreme rays, two at the angular endpoints and two at the rapidity
     extremes +-artanh(sin(half_opening)).
     """
-    if not (0.0 < half_opening < math.pi / 2.0 - 1e-12):
+    if not (0.0 < half_opening < math.pi / 2.0 - HALF_OPENING_MARGIN):
         raise ValueError("half_opening must lie in (0, pi/2)")
     if kind not in (KIND_CONE, KIND_CONE_COMPLEMENT):
         raise ValueError("cone_path builds cones or cone-complements")
@@ -260,7 +248,7 @@ def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
         lo = -math.pi / 2.0 + TWO_PI * n
         hi = math.pi / 2.0 + TWO_PI * n
         dist = max(lo - mu, mu - hi, 0.0)
-        if best is None or dist < best[0] - 1e-15:
+        if best is None or dist < best[0] - SHEET_TIE:
             best = (dist, n)
     return wedge_path(MVec3(0.0, 0.0, 0.0), 0.0, sheet=best[1])
 
@@ -297,7 +285,7 @@ def _certificate(rows: np.ndarray) -> tuple[float, float]:
                         -(a[0] * b[1] - a[1] * b[0])]).T
 
     r = np.hypot(rows[:, 1], rows[:, 2])
-    live = r > _SEP_DEGENERATE
+    live = r > SEP_DEGENERATE
     r = r[live]
     ux, uy, t = rows[live, 1] / r, rows[live, 2] / r, rows[live, 0] / r
     hit = np.abs(t) <= 1.0
@@ -318,7 +306,7 @@ def _certificate(rows: np.ndarray) -> tuple[float, float]:
     nappe = np.concatenate([np.zeros(len(crosses)), sign])
 
     scale = np.abs(cand).max(axis=1)
-    keep = scale > _SEP_DEGENERATE
+    keep = scale > SEP_DEGENERATE
     cand = cand[keep] / scale[keep, None]
     nappe = nappe[keep]
     values = (cand * _MINK_DIAG) @ rows.T / np.abs(rows).max(axis=1)[None, :]
@@ -326,9 +314,9 @@ def _certificate(rows: np.ndarray) -> tuple[float, float]:
     viol = np.maximum(values.max(axis=1), 0.0)
     viol_neg = np.maximum(-values.min(axis=1), 0.0)
 
-    inside = cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -_SEP_NAPPE_SLACK
-    up = inside & (cand[:, 0] >= -_SEP_ZERO)
-    down = inside & (-cand[:, 0] >= -_SEP_ZERO)
+    inside = cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -SEP_NAPPE_SLACK
+    up = inside & (cand[:, 0] >= -SEP_ZERO)
+    down = inside & (-cand[:, 0] >= -SEP_ZERO)
     cross = nappe == 0.0
     future = min(viol.min(where=up & (nappe >= 0.0), initial=math.inf),
                  viol_neg.min(where=down & cross, initial=math.inf))
@@ -353,15 +341,15 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
             raise SeparationError("degenerate (empty-interior) cone")
     d = (c1.apex - c2.apex).as_array()
     rows = [c1.closure_rays, -c2.closure_rays]
-    if np.abs(d).max() > _SEP_DEGENERATE:
+    if np.abs(d).max() > SEP_DEGENERATE:
         rows.append(d[None, :])
     violations = _certificate(np.concatenate(rows))
     for viol in violations:
-        if _SEP_ZERO < viol < _SEP_AMBIGUOUS:
+        if SEP_ZERO < viol < SEP_AMBIGUOUS:
             raise SeparationError(
                 f"separation undecidable within tolerance (margin {viol:.3e})"
             )
-    return all(viol <= _SEP_ZERO for viol in violations)
+    return all(viol <= SEP_ZERO for viol in violations)
 
 
 def _simplex_grid(parts: int, total: int) -> np.ndarray:
@@ -378,23 +366,21 @@ def _simplex_grid(parts: int, total: int) -> np.ndarray:
     return np.array(out, dtype=float) / total
 
 
-def _direction_samples(c: ConePath, resolution: int, rng=None) -> np.ndarray:
+def _direction_samples(c: ConePath, resolution: int) -> np.ndarray:
     """Space-like vectors sampled densely across the direction set of c."""
     gens = c.closure_rays
     w = _simplex_grid(len(gens), resolution)
-    if rng is not None:
-        w = np.vstack([w, rng.dirichlet(np.ones(len(gens)), size=len(w))])
     # nudge off the light-like boundary and away from cancelling ray pairs
     w = w + 1e-3
     pts = w @ gens
     scale = np.abs(pts).max(axis=1)
-    keep = scale > 1e-9
+    keep = scale > ORACLE_ZERO_SAMPLE
     pts = pts[keep] / scale[keep, None]
     mink = pts[:, 0] ** 2 - pts[:, 1] ** 2 - pts[:, 2] ** 2
-    return pts[mink < -1e-9]
+    return pts[mink < -ORACLE_SPACELIKE]
 
 
-def find_causal_pair(c1: ConePath, c2: ConePath, rng=None, resolution: int = 5):
+def find_causal_pair(c1: ConePath, c2: ConePath, resolution: int = 5):
     """Dense-sampling sign oracle: search for x in C1, y in C2 with
     (x-y)^2 >= 0.
 
@@ -404,8 +390,8 @@ def find_causal_pair(c1: ConePath, c2: ConePath, rng=None, resolution: int = 5):
     Returns a violating (x, y) pair or None.  Independent of the certificate
     search in `causally_separated`.
     """
-    E = _direction_samples(c1, resolution, rng)
-    F = _direction_samples(c2, resolution, rng)
+    E = _direction_samples(c1, resolution)
+    F = _direction_samples(c2, resolution)
     d = (c1.apex - c2.apex).as_array()
 
     def mdot(u, v):
@@ -420,38 +406,22 @@ def find_causal_pair(c1: ConePath, c2: ConePath, rng=None, resolution: int = 5):
 
     # recession causal: c strictly below -sqrt(a b) means r e - r' f reaches
     # the open interior of the light cone (equality is the grazing ray e = f)
-    rec = c < -np.sqrt(a * b) - 1e-12
+    rec = c < -np.sqrt(a * b) - ORACLE_RECESSION_MARGIN
     if np.any(rec):
         i, j = np.argwhere(rec)[0]
         t = c[i, j] / a[i, 0]  # ratio r/r' maximising the quadratic part
-        r, rp = 1e6 * max(t, 1e-6), 1e6
+        r, rp = 1e6 * max(t, ORACLE_RATIO_FLOOR), 1e6
         x = c1.apex.as_array() + r * E[i]
         y = c2.apex.as_array() + rp * F[j]
         return MVec3.from_array(x), MVec3.from_array(y)
 
-    best = np.full(c.shape, dd)
-    r_best = np.zeros(c.shape)
-    rp_best = np.zeros(c.shape)
-
     # edge r' = 0: maximum at r = -de/a when nonnegative
     r_edge = np.where(de >= 0.0, -de / a, 0.0) + np.zeros_like(c)
-    v_edge = dd + 2.0 * r_edge * de + r_edge**2 * a
-    upd = v_edge > best
-    best = np.where(upd, v_edge, best)
-    r_best = np.where(upd, r_edge, r_best)
-    rp_best = np.where(upd, 0.0, rp_best)
-
     # edge r = 0: maximum at r' = df/b when nonnegative
     rp_edge = np.where(df <= 0.0, df / b, 0.0) + np.zeros_like(c)
-    v_edge = dd - 2.0 * rp_edge * df + rp_edge**2 * b
-    upd = v_edge > best
-    best = np.where(upd, v_edge, best)
-    r_best = np.where(upd, 0.0, r_best)
-    rp_best = np.where(upd, rp_edge, rp_best)
-
     # interior critical point of the (negative-definite) quadratic
     det = a * b - c**2
-    safe = np.abs(det) > 1e-14
+    safe = np.abs(det) > ORACLE_SINGULAR_DET
     with np.errstate(divide="ignore", invalid="ignore"):
         r_in = np.where(safe, (-de * b + c * df) / det, 0.0)
         rp_in = np.where(safe, (a * df - c * de) / det, 0.0)
@@ -459,14 +429,19 @@ def find_causal_pair(c1: ConePath, c2: ConePath, rng=None, resolution: int = 5):
     v_in = dd + 2.0 * r_in * de - 2.0 * rp_in * df + r_in**2 * a + rp_in**2 * b \
         - 2.0 * r_in * rp_in * c
     v_in = np.where(feas, v_in, -np.inf)
-    upd = v_in > best
-    best = np.where(upd, v_in, best)
-    r_best = np.where(upd, r_in, r_best)
-    rp_best = np.where(upd, rp_in, rp_best)
+
+    # keep the best candidate (value, r, r') per direction pair, in this order
+    best, r_best, rp_best = np.full(c.shape, dd), np.zeros(c.shape), np.zeros(c.shape)
+    for v, r, rp in ((dd + 2.0 * r_edge * de + r_edge**2 * a, r_edge, 0.0),
+                     (dd - 2.0 * rp_edge * df + rp_edge**2 * b, 0.0, rp_edge),
+                     (v_in, r_in, rp_in)):
+        upd = v > best
+        best, r_best, rp_best = (np.where(upd, v, best), np.where(upd, r, r_best),
+                                 np.where(upd, rp, rp_best))
 
     # the regions are open: a supremum of exactly zero is boundary contact
     # (apexes or grazing rays), not a causal pair
-    strict = 1e-9 * max(1.0, float(np.abs(d).max()) ** 2)
+    strict = ORACLE_CONTACT * max(1.0, float(np.abs(d).max()) ** 2)
     i, j = np.unravel_index(int(np.argmax(best)), best.shape)
     if best[i, j] > strict:
         x = c1.apex.as_array() + r_best[i, j] * E[i]
@@ -617,19 +592,19 @@ def path_within_wedge(path: ConePath, wedge: ConePath) -> bool:
     """Whether a path class sits inside a wedge path (region and sheet)."""
     if wedge.kind != KIND_WEDGE:
         raise ValueError("containment target must be a wedge path")
-    if path.same_path(wedge, _WEDGE_TOL):
+    if path.same_path(wedge, WEDGE_TOL):
         return True
     if path.kind != KIND_CONE:
         return False
-    if path.arc.alpha_minus < wedge.arc.alpha_minus - _WEDGE_TOL:
+    if path.arc.alpha_minus < wedge.arc.alpha_minus - WEDGE_TOL:
         return False
-    if path.arc.alpha_plus > wedge.arc.alpha_plus + _WEDGE_TOL:
+    if path.arc.alpha_plus > wedge.arc.alpha_plus + WEDGE_TOL:
         return False
     rel = path.apex - wedge.apex
     for n in wedge.normals:
-        if minkowski_inner(n, rel) < -_WEDGE_TOL:
+        if minkowski_inner(n, rel) < -WEDGE_TOL:
             return False
         for corner in path.corners:
-            if minkowski_inner(n, corner) < -_WEDGE_TOL:
+            if minkowski_inner(n, corner) < -WEDGE_TOL:
                 return False
     return True

@@ -21,6 +21,7 @@ from .minkowski import (
     _polar_angle_raw,
     rotation_matrix,
 )
+from .tolerances import CONTINUATION_RTOL
 from .wigner import _boost_inverse, standard_boost
 
 
@@ -66,7 +67,7 @@ def continue_angles(angles_at, starts, *, initial_steps: int = 16,
         d = np.remainder(np.diff(raw, axis=0) + math.pi, TWO_PI) - math.pi
         if np.abs(d).max() < math.pi / 4.0:
             end = start + d.sum(axis=0)
-            if prev is not None and np.abs(end - prev).max() <= 1e-12 * max(
+            if prev is not None and np.abs(end - prev).max() <= CONTINUATION_RTOL * max(
                     1.0, float(np.abs(end).max())):
                 return end
             prev = end

@@ -28,7 +28,7 @@ from .cones import (
     relative_winding,
     standard_wedge_path,
 )
-from .sectors import ONE, AnyonModel, CyclotomicPhase, r_phase, sector_phase
+from .sectors import ONE, AnyonModel, CyclotomicPhase, _load_json, r_phase, sector_phase
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +474,7 @@ def parse_obs_label(label: str) -> ObservableWord:
 def load_word(filename, scene) -> FieldWord:
     """Word file: {"coeff": {"k","M"}?, "factors": [{"charge", "obs", "path"}]}
     with path ids resolved against a scene."""
-    import json
-
-    with open(filename, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{filename}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from None
+    doc = _load_json(filename, ValueError)
     if not isinstance(doc, dict) or not isinstance(doc.get("factors"), list):
         raise ValueError(f"{filename}: word file must contain a 'factors' array")
     coeff = ONE

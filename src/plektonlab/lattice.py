@@ -21,6 +21,7 @@ import numpy as np
 
 from .fields import FieldWord, FieldSymbol, adjoint, angular_order, exchange
 from .sectors import AnyonModel
+from .tolerances import LATTICE_TOL
 
 # Z_4 with 5 sites; one more site would build 268 MB matrices
 MAX_DIMENSION = 1024
@@ -140,7 +141,7 @@ class LatticeReport:
 
     @property
     def ok(self) -> bool:
-        return self.exchange_residual < 1e-12 and self.adjoint_residual < 1e-12
+        return self.exchange_residual < LATTICE_TOL and self.adjoint_residual < LATTICE_TOL
 
 
 def lattice_oracle(model: AnyonModel, word: FieldWord,

@@ -26,18 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import (DET_TOL, LIFT_TOL, MAT_TOL, ORTHOCHRONOUS_TOL, POLAR_BRANCH_BOOST,
+                         PROJECTION_ATOL, PROJECTION_RTOL, PURE_ROTATION_BOOST)
+
 ETA = np.diag([1.0, -1.0, -1.0])
 ETA.setflags(write=False)
 
-MAT_TOL = 1e-12
-LIFT_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
-
-# boost magnitude below which a covering element counts as a pure rotation
-_PURE_ROTATION_EPS = 1e-12
-# spatial-row magnitude below which the polar angle falls back to the
-# rotation-block formula (both branches are then accurate to ~1e-12)
-_SMALL_BOOST_EPS = 1e-6
 
 
 class LiftError(RuntimeError):
@@ -116,9 +111,9 @@ class LorentzMatrix:
         err = np.abs(m.T @ ETA @ m - ETA).max()
         if err > MAT_TOL * scale:
             raise ValueError(f"matrix does not preserve the metric (residual {err:.3e})")
-        if abs(np.linalg.det(m) - 1.0) > 1e-9 * scale:
+        if abs(np.linalg.det(m) - 1.0) > DET_TOL * scale:
             raise ValueError("matrix is not proper (det != 1)")
-        if m[0, 0] < 1.0 - 1e-9:
+        if m[0, 0] < 1.0 - ORTHOCHRONOUS_TOL:
             raise ValueError("matrix is not orthochronous (L00 < 1)")
         m = m.copy()
         m.setflags(write=False)
@@ -163,7 +158,7 @@ def _polar_angle_raw(m: np.ndarray) -> float:
     # column 0 is R applied to it, so theta is the angle between the two
     # spatial pairs.  Falls back to the rotation block for tiny boosts.
     r = math.hypot(m[0, 1], m[0, 2])
-    if r > _SMALL_BOOST_EPS:
+    if r > POLAR_BRANCH_BOOST:
         return wrap_angle(math.atan2(m[2, 0], m[1, 0]) - math.atan2(m[0, 2], m[0, 1]))
     return math.atan2(m[2, 1], m[1, 1])
 
@@ -185,7 +180,7 @@ class CoveringLorentz:
         # the polar angle of a float matrix is determined only up to
         # eps * cond(boost)^2, so the check loosens for extreme boosts
         scale = max(1.0, float(np.abs(self.matrix.m).max()) ** 2)
-        tol = max(1e-6, 1e-13 * scale)
+        tol = max(PROJECTION_ATOL, PROJECTION_RTOL * scale)
         if abs(wrap_angle(self.angle - base)) > tol:
             raise ValueError(
                 f"lifted angle {self.angle} does not project to the polar angle {base}"
@@ -198,7 +193,7 @@ class CoveringLorentz:
     def is_pure_rotation(self) -> bool:
         # row 0 of L = R(theta) B is row 0 of B, (cosh t, sinh t n)
         m = self.matrix.m
-        return bool(max(abs(m[0, 1]), abs(m[0, 2])) <= _PURE_ROTATION_EPS)
+        return bool(max(abs(m[0, 1]), abs(m[0, 2])) <= PURE_ROTATION_BOOST)
 
     def is_close(self, other: "CoveringLorentz", tol: float = LIFT_TOL) -> bool:
         return self.matrix.is_close(other.matrix, max(tol, MAT_TOL)) and abs(

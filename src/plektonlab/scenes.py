@@ -12,12 +12,11 @@ Format (JSON):
     }
 
 ``kind`` is one of "cone", "wedge", "cone-complement"; wedges may omit
-``half_opening`` (it is pi/2 by definition).
+``half_opening`` (it is pi/2 by definition).  Every number must be finite.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -31,6 +30,8 @@ from .cones import (
     wedge_path,
 )
 from .minkowski import MVec3
+from .sectors import _load_json
+from .tolerances import WEDGE_HALF_OPENING_TOL
 
 
 class SceneError(ValueError):
@@ -49,37 +50,41 @@ class Scene:
         return list(self.paths)
 
 
+def _finite(value, name: str) -> float:
+    """float(value); SceneError naming the field unless that is a finite number."""
+    x = float(value) if isinstance(value, (int, float, str)) else math.nan
+    if not math.isfinite(x):
+        raise SceneError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _build_entry(entry: dict, index: int) -> tuple[str, ConePath]:
-    where = f"cones[{index}]"
-    if not isinstance(entry, dict):
-        raise SceneError(f"{where}: expected an object")
+    """The id and path of one entry; every error names the entry."""
     try:
-        cid = entry["id"]
-        apex_raw = entry["apex"]
-        center = float(entry["center_angle"])
+        if not isinstance(entry, dict):
+            raise SceneError("expected an object")
+        cid, apex_raw, center = entry["id"], entry["apex"], entry["center_angle"]
+        if not isinstance(cid, str) or not cid:
+            raise SceneError("id must be a non-empty string")
+        if not (isinstance(apex_raw, list) and len(apex_raw) == 3):
+            raise SceneError("apex must be a 3-element array")
+        apex = MVec3(*(_finite(x, f"apex[{k}]") for k, x in enumerate(apex_raw)))
+        center = _finite(center, "center_angle")
+        sheet = int(_finite(entry.get("sheet", 0), "sheet"))
+        kind = entry.get("kind", KIND_CONE)
+        if kind not in (KIND_CONE, KIND_WEDGE, KIND_CONE_COMPLEMENT):
+            raise SceneError(f"unknown kind {kind!r}")
+        if kind == KIND_WEDGE:
+            half = _finite(entry.get("half_opening", math.pi / 2.0), "half_opening")
+            if abs(half - math.pi / 2.0) > WEDGE_HALF_OPENING_TOL:
+                raise SceneError("wedges have half_opening pi/2")
+            return cid, wedge_path(apex, center, sheet)
+        half = _finite(entry["half_opening"], "half_opening")
+        return cid, cone_path(apex, center, half, sheet, kind=kind)
     except KeyError as exc:
-        raise SceneError(f"{where}: missing field {exc.args[0]!r}") from None
-    if not isinstance(cid, str) or not cid:
-        raise SceneError(f"{where}: id must be a non-empty string")
-    if not (isinstance(apex_raw, list) and len(apex_raw) == 3):
-        raise SceneError(f"{where}: apex must be a 3-element array")
-    apex = MVec3(*(float(x) for x in apex_raw))
-    sheet = int(entry.get("sheet", 0))
-    kind = entry.get("kind", KIND_CONE)
-    if kind not in (KIND_CONE, KIND_WEDGE, KIND_CONE_COMPLEMENT):
-        raise SceneError(f"{where}: unknown kind {kind!r}")
-    if kind == KIND_WEDGE:
-        half = float(entry.get("half_opening", math.pi / 2.0))
-        if abs(half - math.pi / 2.0) > 1e-9:
-            raise SceneError(f"{where}: wedges have half_opening pi/2")
-        return cid, wedge_path(apex, center, sheet)
-    try:
-        half = float(entry["half_opening"])
-    except KeyError:
-        raise SceneError(f"{where}: missing field 'half_opening'") from None
-    if not (0.0 < half < math.pi / 2.0):
-        raise SceneError(f"{where}: half_opening must lie in (0, pi/2)")
-    return cid, cone_path(apex, center, half, sheet, kind=kind)
+        raise SceneError(f"cones[{index}]: missing field {exc.args[0]!r}") from None
+    except ValueError as exc:
+        raise SceneError(f"cones[{index}]: {exc}") from None
 
 
 def parse_scene(doc: dict) -> Scene:
@@ -88,7 +93,8 @@ def parse_scene(doc: dict) -> Scene:
     frame_doc = doc.get("frame", {})
     if not isinstance(frame_doc, dict):
         raise SceneError("frame must be an object")
-    frame = ReferenceFrame(float(frame_doc.get("reference_angle", math.pi / 2.0)))
+    frame = ReferenceFrame(_finite(frame_doc.get("reference_angle", math.pi / 2.0),
+                                   "frame: reference_angle"))
     cones = doc.get("cones")
     if not isinstance(cones, list):
         raise SceneError("scene must contain a 'cones' array")
@@ -102,14 +108,7 @@ def parse_scene(doc: dict) -> Scene:
 
 
 def load_scene(filename) -> Scene:
-    with open(filename, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneError(
-            f"{filename}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+    doc = _load_json(filename, SceneError)
     try:
         return parse_scene(doc)
     except SceneError as exc:

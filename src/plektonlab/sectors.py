@@ -185,10 +185,17 @@ class ModelError(ValueError):
     """Model file failed validation."""
 
 
+def _integer(value, where: str) -> int:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ModelError(f"{where} must be a finite number, got {value!r}")
+    return int(value)
+
+
 def _phase_from_doc(doc, where: str) -> CyclotomicPhase:
     if not (isinstance(doc, dict) and "k" in doc and "M" in doc):
         raise ModelError(f"{where}: expected an object with fields 'k' and 'M'")
-    return CyclotomicPhase.from_pair(int(doc["k"]), int(doc["M"]))
+    return CyclotomicPhase.from_pair(_integer(doc["k"], f"{where}.k"),
+                                     _integer(doc["M"], f"{where}.M"))
 
 
 def parse_model(doc: dict) -> AnyonModel:
@@ -198,7 +205,7 @@ def parse_model(doc: dict) -> AnyonModel:
     if group == "Z":
         order = None
     elif isinstance(group, dict) and "ZN" in group:
-        order = int(group["ZN"])
+        order = _integer(group["ZN"], "group.ZN")
         if order <= 0:
             raise ModelError("ZN order must be positive")
     else:
@@ -208,27 +215,30 @@ def parse_model(doc: dict) -> AnyonModel:
     spin_doc = doc.get("spin")
     if not (isinstance(spin_doc, dict) and "p" in spin_doc and "q" in spin_doc):
         raise ModelError("spin: expected an object with fields 'p' and 'q'")
-    spin = Fraction(int(spin_doc["p"]), int(spin_doc["q"]))
+    spin = Fraction(_integer(spin_doc["p"], "spin.p"), _integer(spin_doc["q"], "spin.q"))
     mass = doc.get("mass")
     if mass is not None:
         mass = float(mass)
-        if mass <= 0.0:
-            raise ModelError("mass must be positive")
+        if not 0.0 < mass < math.inf:
+            raise ModelError(f"mass must be a finite positive number, got {mass!r}")
     try:
         return AnyonModel(order, omega, omega_sqrt, spin, mass)
     except ValueError as exc:
         raise ModelError(str(exc)) from None
 
 
-def load_model(filename) -> AnyonModel:
+def _load_json(filename, error: type[ValueError]):
+    """The JSON document in a file; a syntax error raises ``error`` naming its line."""
     with open(filename, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(
-            f"{filename}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from None
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error(f"{filename}: invalid JSON at line {exc.lineno}, "
+                        f"column {exc.colno}: {exc.msg}") from None
+
+
+def load_model(filename) -> AnyonModel:
+    doc = _load_json(filename, ModelError)
     try:
         return parse_model(doc)
     except ModelError as exc:

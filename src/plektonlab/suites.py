@@ -39,6 +39,8 @@ from .sectors import (
     twist_phase,
     validate_model,
 )
+from .tolerances import (LIFT_TOL, ORIENTATION_TOL, REFLECTION_RELATION_TOL,
+                         ROTATION_EIGENVALUE_TOL, STEP_INDEPENDENCE_TOL, UNITARITY_TOL)
 
 SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 
@@ -237,7 +239,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
         fwd = cones.accumulated_angle(pts)
         bwd = cones.accumulated_angle([minkowski.reflect_vector(p) for p in pts])
         worst = max(worst, abs(fwd + bwd))
-    rep.add_outcome("reflection-reverses-orientation", worst <= 1e-12, residual=worst,
+    rep.add_outcome("reflection-reverses-orientation", worst <= ORIENTATION_TOL, residual=worst,
                     note="accumulated angle of j-image negates")
 
     worst = 0.0
@@ -251,7 +253,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
         )
         worst = max(worst, abs(moved.arc.alpha_minus - dense[0]),
                     abs(moved.arc.alpha_plus - dense[1]))
-    rep.add_outcome("arc-transport-continuation", worst <= 1e-9, residual=worst,
+    rep.add_outcome("arc-transport-continuation", worst <= LIFT_TOL, residual=worst,
                     note="closed-form endpoint transport against path continuation")
     return rep
 
@@ -594,7 +596,7 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
         g1 = random_cover_element(rng, translations=False)
         g2 = random_cover_element(rng, translations=False)
         worst = max(worst, wigner.verify_cocycle(g1, g2, pts))
-    rep.add_outcome("wigner-cocycle", worst < 1e-9, residual=worst,
+    rep.add_outcome("wigner-cocycle", worst < LIFT_TOL, residual=worst,
                     note=f"{n_coc} random pairs, 12 shell points each")
 
     psi = wigner.GaussianSum((1.0, 0.4 - 0.3j), ((0.4, -0.2), (-0.3, 0.5)), (1.0, 1.6))
@@ -604,7 +606,7 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
         rot = wigner.apply_rep(minkowski.ZERO_VEC, cover_rotation(2.0 * math.pi), s, psi)
         expected = np.exp(2j * math.pi * s) * psi.evaluate(pts)
         worst = max(worst, float(np.abs(rot.evaluate(pts) - expected).max()))
-    rep.add_outcome("rotation-2pi-eigenvalue", worst < 1e-9, residual=worst,
+    rep.add_outcome("rotation-2pi-eigenvalue", worst < ROTATION_EIGENVALUE_TOL, residual=worst,
                     exact=f"spins {spins}", note="U(r(2 pi)) psi = exp(2 pi i s) psi")
 
     worst = 0.0
@@ -612,7 +614,7 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
         g = random_cover_element(rng, translations=False)
         res = wigner.verify_j_relations(g, float(model.spin), psi, pts)
         worst = max(worst, *res.values())
-    rep.add_outcome("reflection-relations", worst < 1e-8, residual=worst,
+    rep.add_outcome("reflection-relations", worst < REFLECTION_RELATION_TOL, residual=worst,
                     note="U(j)U(g)U(j) = U(jgj) and translation covariance")
 
     n0 = wigner.shell_norm2(psi, mass)
@@ -622,15 +624,15 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
         a = MVec3(*rng.normal(0.0, 0.3, 3))
         n1 = wigner.shell_norm2(wigner.apply_rep(a, g, float(model.spin), psi), mass)
         worst = max(worst, abs(n1 - n0) / n0)
-    rep.add_outcome("unitarity", worst < 1e-6, residual=worst,
+    rep.add_outcome("unitarity", worst < UNITARITY_TOL, residual=worst,
                     note="invariant-measure quadrature norm")
 
     g = random_cover_element(rng, translations=False)
     coarse = continuation.wigner_angles(g, pts, initial_steps=64)
     fine = continuation.wigner_angles(g, pts, initial_steps=128)
     worst = float(np.abs(coarse - fine).max())
-    rep.add_outcome("continuation-step-independence", worst < 1e-10, residual=worst,
-                    note="halving the step changes the lift below 1e-10")
+    rep.add_outcome("continuation-step-independence", worst < STEP_INDEPENDENCE_TOL,
+                    residual=worst, note="halving the step changes the lift below 1e-10")
 
     n_orc = _n(4)
     worst = 0.0
@@ -638,15 +640,15 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
         g = random_cover_element(rng, translations=False)
         dense = continuation.wigner_angles(g, pts)
         worst = max(worst, float(np.abs(wigner.wigner_rotation(g, pts) - dense).max()))
-    rep.add_outcome("wigner-continuation-oracle", worst < 1e-9, residual=worst,
+    rep.add_outcome("wigner-continuation-oracle", worst < LIFT_TOL, residual=worst,
                     note=f"closed form against path continuation, {n_orc} random elements")
 
     eig = sector_phase(model, 1).to_complex()
     rot = wigner.apply_rep(minkowski.ZERO_VEC, cover_rotation(2.0 * math.pi),
                            float(model.spin), psi)
     worst = float(np.abs(rot.evaluate(pts) - eig * psi.evaluate(pts)).max())
-    rep.add_outcome("spin-statistics-cross-check", worst < 1e-9, residual=worst,
-                    exact=str(sector_phase(model, 1)),
+    rep.add_outcome("spin-statistics-cross-check", worst < ROTATION_EIGENVALUE_TOL,
+                    residual=worst, exact=str(sector_phase(model, 1)),
                     note="sector phase equals the 2 pi rotation eigenvalue")
     return rep
 

@@ -1,0 +1,44 @@
+"""Every floating-point threshold of plektonlab, one name per bounded quantity.
+
+They decide validity checks, separation and winding verdicts, branches of closed
+forms and whether a `verify` row passes; strict or not is decided where each is used.
+"""
+
+# Lorentz matrices and the universal cover (minkowski)
+MAT_TOL = 1e-12  # |L^T eta L - eta| per max(1, |L|^2); default matrix-entry closeness
+DET_TOL = 1e-9  # |det L - 1| per max(1, |L|^2)
+ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1
+LIFT_TOL = 1e-9  # difference of two lifted angles that still counts as agreement
+PROJECTION_ATOL = 1e-6  # floor of |lifted angle - polar angle| mod 2 pi ...
+PROJECTION_RTOL = 1e-13  # ... and its growth per unit of max(1, |L|^2)
+PURE_ROTATION_BOOST = 1e-12  # max(|L01|, |L02|) up to which an element is a pure rotation
+POLAR_BRANCH_BOOST = 1e-6  # |(L01, L02)| up to which theta reads the rotation block (~1e-12)
+# Directions, arcs and regions (cones, scenes)
+NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions and light-like normals
+ARC_TOL = 1e-9  # lifted-arc endpoint comparisons and arc widths
+HALF_OPENING_MARGIN = 1e-12  # how far below pi/2 a cone's half-opening must stay
+WEDGE_HALF_OPENING_TOL = 1e-9  # |half_opening - pi/2| accepted for a wedge in a scene file
+WEDGE_TOL = 1e-9  # slack of path_within_wedge on arcs, apex and corners
+REFLECTION_TOL = 1e-12  # |wrap(2 mu - pi)| up to which a reference angle mu is j-invariant
+SHEET_TIE = 1e-15  # margin by which a later sheet must be closer in standard_wedge_path
+# Separation certificate (cones): <= SEP_ZERO separated, >= SEP_AMBIGUOUS causal, else raises
+SEP_ZERO = 1e-10  # dimensionless violation read as contact
+SEP_AMBIGUOUS = 1e-7  # dimensionless violation read as a causal pair
+SEP_DEGENERATE = 1e-14  # largest component up to which a vector counts as zero
+SEP_NAPPE_SLACK = 1e-9  # Minkowski square down to -this still lies in the light cone
+# Dense-sampling oracle (cones.find_causal_pair), kept apart from the certificate
+ORACLE_ZERO_SAMPLE = 1e-9  # largest component up to which a sampled direction is zero
+ORACLE_SPACELIKE = 1e-9  # a normalised sample is space-like below Minkowski square -this
+ORACLE_RECESSION_MARGIN = 1e-12  # how far e.f must fall below -sqrt(e.e f.f) for a causal ray
+ORACLE_RATIO_FLOOR = 1e-6  # smallest ratio r/r' of a recession witness
+ORACLE_SINGULAR_DET = 1e-14  # |det| up to which the radial quadratic has no critical point
+ORACLE_CONTACT = 1e-9  # sup (x - y)^2 per max(1, |apex difference|^2) read as contact
+# Oracles of the closed forms (continuation, lattice)
+CONTINUATION_RTOL = 1e-12  # endpoint change between step counts per max(1, |endpoint|)
+LATTICE_TOL = 1e-12  # max-norm distance between the matrix sides of a lattice identity
+# Pass bounds of verify rows (suites); rows comparing lifted angles use LIFT_TOL
+ORIENTATION_TOL = 1e-12  # reflection-reverses-orientation: |forward + backward| angle
+ROTATION_EIGENVALUE_TOL = 1e-9  # |U(r(2 pi)) psi - phase psi| on shell points
+REFLECTION_RELATION_TOL = 1e-8  # reflection-relations: U(j) relation residuals
+UNITARITY_TOL = 1e-6  # unitarity: relative change of the shell norm
+STEP_INDEPENDENCE_TOL = 1e-10  # continuation-step-independence: lift change at half the step

@@ -1,0 +1,72 @@
+"""Scene and model files: every number must be finite, and a bad value is a
+usage error (exit 2) whose message names the entry or field."""
+
+import json
+import math
+
+import pytest
+
+from plektonlab.cli import main
+from tests.conftest import ASSETS
+
+
+def _scene(first: dict, frame: dict | None = None) -> dict:
+    doc = {"cones": [
+        {"id": "A", "apex": [0, 0, 0], "center_angle": 0.0, "half_opening": 0.3, **first},
+        {"id": "B", "apex": [0, 0, 0], "center_angle": 3.0, "half_opening": 0.3},
+    ]}
+    if frame is not None:
+        doc["frame"] = frame
+    return doc
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_scene({"apex": [math.nan, 0, 0]}), "cones[0]: apex[0] must be a finite number"),
+    (_scene({"apex": [0, 0, -math.inf]}), "cones[0]: apex[2] must be a finite number"),
+    (_scene({"center_angle": math.inf}), "cones[0]: center_angle must be a finite number"),
+    (_scene({"center_angle": "-Infinity"}), "cones[0]: center_angle must be a finite number"),
+    (_scene({"sheet": math.inf}), "cones[0]: sheet must be a finite number"),
+    (_scene({"half_opening": math.nan}), "cones[0]: half_opening must be a finite number"),
+    (_scene({"kind": "wedge", "half_opening": math.nan}),
+     "cones[0]: half_opening must be a finite number"),
+    (_scene({}, frame={"reference_angle": math.nan}), "reference_angle must be a finite number"),
+    (_scene({"half_opening": 0.0}), "cones[0]: half_opening must lie in (0, pi/2)"),
+    (_scene({"half_opening": math.pi / 2.0}), "cones[0]: half_opening must lie in (0, pi/2)"),
+])
+def test_scene_rejects_bad_numbers(tmp_path, capsys, doc, named):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity as JSON tokens
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert named in err
+
+
+def test_scene_rejects_an_overflowing_literal(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene({"center_angle": 123.0})).replace("123.0", "1e999"))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert "cones[0]: center_angle must be a finite number" in err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"mass": math.nan}, "mass must be a finite positive number"),
+    ({"mass": math.inf}, "mass must be a finite positive number"),
+    ({"group": {"ZN": math.inf}}, "group.ZN must be a finite number"),
+    ({"omega": {"k": math.nan, "M": 3}}, "omega.k must be a finite number"),
+    ({"spin": {"p": 1, "q": -math.inf}}, "spin.q must be a finite number"),
+])
+def test_model_rejects_non_finite_numbers(tmp_path, capsys, change, named):
+    doc = json.loads((ASSETS / "z3_anyon.json").read_text())
+    doc.update(change)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["model-validate"], ["verify", "--suite", "wigner", "--seed", "1"]):
+        code, err = _run(capsys, *argv, "--model", str(path))
+        assert code == 2
+        assert named in err
