@@ -28,7 +28,8 @@ from .cones import (
     relative_winding,
     standard_wedge_path,
 )
-from .sectors import ONE, AnyonModel, CyclotomicPhase, _load_json, r_phase, sector_phase
+from .sectors import (ONE, AnyonModel, CyclotomicPhase, _integer, _load_json,
+                      _phase_from_doc, r_phase, sector_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +480,13 @@ def load_word(filename, scene) -> FieldWord:
         raise ValueError(f"{filename}: word file must contain a 'factors' array")
     coeff = ONE
     if "coeff" in doc:
-        coeff = CyclotomicPhase.from_pair(int(doc["coeff"]["k"]), int(doc["coeff"]["M"]))
+        coeff = _phase_from_doc(doc["coeff"], f"{filename}: coeff")
     factors = []
     for i, entry in enumerate(doc["factors"]):
-        try:
-            charge = int(entry["charge"])
-            path_id = entry["path"]
-        except (KeyError, TypeError):
-            raise ValueError(f"{filename}: factors[{i}] needs 'charge' and 'path'") from None
+        if not (isinstance(entry, dict) and "charge" in entry and "path" in entry):
+            raise ValueError(f"{filename}: factors[{i}] needs 'charge' and 'path'")
+        charge = _integer(entry["charge"], f"{filename}: factors[{i}].charge")
+        path_id = entry["path"]
         if path_id not in scene.paths:
             raise ValueError(f"{filename}: factors[{i}] references unknown path {path_id!r}")
         obs = parse_obs_label(str(entry.get("obs", "1")))

@@ -7,15 +7,14 @@ the localisations, so pairwise windings lie in {-1, 0} and the matrix
 algebra reproduces every exchange and adjoint identity of the symbolic
 layer to machine precision.  Products are taken site by site in N x N
 factors, and each side of an identity is one Kronecker product of the site
-products, compared as a dense N^L x N^L matrix (N^L <= 1024).  The oracle
-writes the two sides into two arrays allocated once per call, so its memory
-is the same for any charges and order of the word.
+products.  U and V are monomial (one nonzero per row and column), so that
+product is held as a row index and a value per column, d = N^L of each
+(N^L <= 1024), and the sides are compared in O(d) time and memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -23,8 +22,13 @@ from .fields import FieldWord, FieldSymbol, adjoint, angular_order, exchange
 from .sectors import AnyonModel
 from .tolerances import LATTICE_TOL
 
-# Z_4 with 5 sites; one more site would build 268 MB matrices
+# Z_4 with 5 sites; one more site would make the dense public builders
+# (site_operator, symbol_matrix, word_matrix) return 268 MB matrices
 MAX_DIMENSION = 1024
+
+# a matrix with one nonzero in each row and column, as (row index per column,
+# value per column)
+Monomial = tuple[np.ndarray, np.ndarray]
 
 
 class OracleError(ValueError):
@@ -40,24 +44,43 @@ def _clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
     return clock, shift
 
 
-def _kron(factors: list[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """reduce(np.kron, factors), with the last product written into ``out``
-    when it is given."""
-    head = reduce(np.kron, factors[:-1], np.ones((1, 1), dtype=complex))
-    m, n = len(head), len(factors[-1])
+def _monomial(factors: list[np.ndarray]) -> Monomial:
+    """reduce(np.kron, factors) in monomial form; values are multiplied left to
+    right from 1, as np.kron does, so each is bitwise the entry it gives."""
+    rows, vals = np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)
+    for f in factors:
+        nonzero = f != 0
+        if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
+            raise OracleError("site product is not monomial: it needs exactly one "
+                              "nonzero in each row and column")
+        r = nonzero.argmax(axis=0)
+        rows = (rows[:, None] * len(f) + r).ravel()
+        vals = (vals[:, None] * f[r, np.arange(len(f))]).ravel()
+    return rows, vals
+
+
+def _dense(mono: Monomial, out: np.ndarray | None = None) -> np.ndarray:
+    """The monomial matrix scattered into zeros, in ``out`` when it is given."""
+    rows, vals = mono
     if out is None:
-        out = np.empty((m * n, m * n), dtype=complex)
-    np.multiply(head[:, None, :, None], factors[-1][None, :, None, :],
-                out=out.reshape(m, n, m, n))
+        out = np.empty((len(rows), len(rows)), dtype=complex)
+    out.fill(0)
+    out[rows, np.arange(len(rows))] = vals
     return out
 
 
-def _max_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-norm distance |a - b|, computed in the storage of b, which it
-    overwrites."""
-    np.subtract(a, b, out=b)
-    np.abs(b, out=b)
-    return float(b.real.max())
+def _distance(a: Monomial, b: Monomial) -> float:
+    """Max-norm distance |a - b|; a - b is 0 outside the nonzeros of a and b."""
+    (ra, va), (rb, vb) = a, b
+    apart = np.maximum(np.abs(va), np.abs(vb))
+    return float(np.where(ra == rb, np.abs(va - vb), apart).max())
+
+
+def _dagger(mono: Monomial) -> Monomial:
+    """The conjugate transpose: the inverse row map with conjugated values."""
+    rows, vals = mono
+    inverse = np.argsort(rows)
+    return inverse, vals[inverse].conj()
 
 
 def _charge(sym: FieldSymbol) -> int:
@@ -105,23 +128,28 @@ class ClockShiftLattice:
         u, v = (np.linalg.matrix_power(m, abs(charge)) for m in (u, v))
         return [u] * site + [v] + [np.eye(len(u), dtype=complex)] * (self.n_sites - site - 1)
 
+    def _symbol(self, sym: FieldSymbol, site: int) -> Monomial:
+        return _monomial(self._factors(site, _charge(sym)))
+
+    def _word(self, word: FieldWord, sites: list[int]) -> Monomial:
+        per_site = [np.eye(self.model.group_order, dtype=complex)] * self.n_sites
+        for sym, site in zip(word.factors, sites):
+            per_site = [p @ f for p, f in zip(per_site, self._factors(site, _charge(sym)))]
+        rows, vals = _monomial(per_site)
+        return rows, vals * word.coeff.to_complex()
+
     def site_operator(self, j: int) -> np.ndarray:
-        return _kron(self._factors(j, 1))
+        return _dense(_monomial(self._factors(j, 1)))
 
     # ``out``, when given, is a complex d x d array that receives the matrix
     # and is returned, as for a numpy ufunc
     def symbol_matrix(self, sym: FieldSymbol, site: int, *,
                       out: np.ndarray | None = None) -> np.ndarray:
-        return _kron(self._factors(site, _charge(sym)), out)
+        return _dense(self._symbol(sym, site), out)
 
     def word_matrix(self, word: FieldWord, sites: list[int], *,
                     out: np.ndarray | None = None) -> np.ndarray:
-        per_site = [np.eye(self.model.group_order, dtype=complex)] * self.n_sites
-        for sym, site in zip(word.factors, sites):
-            per_site = [p @ f for p, f in zip(per_site, self._factors(site, _charge(sym)))]
-        out = _kron(per_site, out)
-        out *= word.coeff.to_complex()
-        return out
+        return _dense(self._word(word, sites), out)
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:
@@ -159,25 +187,21 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
         sites = _sites_by_angle(word)
     lat = ClockShiftLattice(model, max(len(word.factors), 1))
 
-    d = lat.dimension
-    lhs, rhs = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
-    lat.word_matrix(word, sites, out=lhs)
+    unswapped = lat._word(word, sites)
     exch_res = 0.0
     checks = 0
     for i in range(len(word.factors) - 1):
         swapped = exchange(word, i, model)
         new_sites = list(sites)
         new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
-        lat.word_matrix(swapped, new_sites, out=rhs)
-        exch_res = max(exch_res, _max_distance(lhs, rhs))
+        exch_res = max(exch_res, _distance(unswapped, lat._word(swapped, new_sites)))
         checks += 1
 
     adj_res = 0.0
-    # max |S(adjoint(sym)) - S(sym)^dagger| = max |conj(S(adjoint(sym)))^T - S(sym)|
+    # max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
     for sym, site in zip(word.factors, sites):
-        lat.symbol_matrix(adjoint(sym), site, out=lhs)
-        lat.symbol_matrix(sym, site, out=rhs)
-        adj_res = max(adj_res, _max_distance(np.conjugate(lhs, out=lhs).T, rhs))
+        adj_res = max(adj_res, _distance(_dagger(lat._symbol(adjoint(sym), site)),
+                                         lat._symbol(sym, site)))
         checks += 1
 
     return LatticeReport(lat.dimension, exch_res, adj_res, checks)

@@ -65,10 +65,6 @@ class MVec3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x0, self.x1, self.x2])
 
-    @property
-    def components(self) -> tuple[float, float, float]:
-        return (self.x0, self.x1, self.x2)
-
     def __add__(self, other: "MVec3") -> "MVec3":
         return MVec3(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
 

@@ -30,7 +30,7 @@ from .cones import (
     wedge_path,
 )
 from .minkowski import MVec3
-from .sectors import _load_json
+from .sectors import _integer, _load_json
 from .tolerances import WEDGE_HALF_OPENING_TOL
 
 
@@ -70,7 +70,7 @@ def _build_entry(entry: dict, index: int) -> tuple[str, ConePath]:
             raise SceneError("apex must be a 3-element array")
         apex = MVec3(*(_finite(x, f"apex[{k}]") for k, x in enumerate(apex_raw)))
         center = _finite(center, "center_angle")
-        sheet = int(_finite(entry.get("sheet", 0), "sheet"))
+        sheet = _integer(entry.get("sheet", 0), "sheet")
         kind = entry.get("kind", KIND_CONE)
         if kind not in (KIND_CONE, KIND_WEDGE, KIND_CONE_COMPLEMENT):
             raise SceneError(f"unknown kind {kind!r}")

@@ -186,8 +186,12 @@ class ModelError(ValueError):
 
 
 def _integer(value, where: str) -> int:
+    """The integer a JSON number field holds; ModelError naming the field for
+    a boolean, a string, a non-finite number or a fractional part."""
     if isinstance(value, float) and not math.isfinite(value):
         raise ModelError(f"{where} must be a finite number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ModelError(f"{where} must be an integer, got {value!r}")
     return int(value)
 
 

@@ -1,11 +1,12 @@
-"""The seed-7 product run against a committed report, byte for byte."""
+"""The product commands against committed reports, byte for byte."""
 
 from pathlib import Path
 
 from plektonlab.cli import main
 from tests.conftest import ASSETS
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "verify_all_seed7.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "verify_all_seed7.json"
 
 
 def test_verify_all_seed7_matches_golden_report(monkeypatch, capsys):
@@ -17,3 +18,15 @@ def test_verify_all_seed7_matches_golden_report(monkeypatch, capsys):
                  "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_winding_fan_matches_golden_report(capsys):
+    # a fan of 12 cones in the causal complement of one wedge; K06 and K07
+    # overlap, so their two rows are errors and the command exits 1.
+    # regenerate with: plektonlab winding --scene tests/golden/winding_fan.json
+    #   --format json
+    code = main(["winding", "--scene", str(GOLDEN_DIR / "winding_fan.json"),
+                 "--format", "json"])
+    assert code == 1
+    golden = (GOLDEN_DIR / "winding_fan_report.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

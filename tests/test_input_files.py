@@ -1,12 +1,16 @@
-"""Scene and model files: every number must be finite, and a bad value is a
-usage error (exit 2) whose message names the entry or field."""
+"""Scene, model and word files: every number must be finite, every integer
+field must hold an integer, and a bad value is a usage error (exit 2) or a
+ValueError whose message names the entry or field."""
 
 import json
 import math
+import re
 
 import pytest
 
 from plektonlab.cli import main
+from plektonlab.fields import load_word
+from plektonlab.scenes import load_scene
 from tests.conftest import ASSETS
 
 
@@ -70,3 +74,51 @@ def test_model_rejects_non_finite_numbers(tmp_path, capsys, change, named):
         code, err = _run(capsys, *argv, "--model", str(path))
         assert code == 2
         assert named in err
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"group": {"ZN": 3.5}}, "group.ZN must be an integer, got 3.5"),
+    ({"group": {"ZN": True}}, "group.ZN must be an integer, got True"),
+    ({"omega": {"k": 1.9, "M": 3}}, "omega.k must be an integer, got 1.9"),
+])
+def test_model_rejects_non_integer_fields(tmp_path, capsys, change, named):
+    doc = json.loads((ASSETS / "z3_anyon.json").read_text())
+    doc.update(change)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["model-validate"], ["verify", "--suite", "wigner", "--seed", "1"]):
+        code, err = _run(capsys, *argv, "--model", str(path))
+        assert code == 2
+        assert named in err
+
+
+def test_scene_rejects_a_fractional_sheet(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene({"sheet": 1.5})))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert "cones[0]: sheet must be an integer, got 1.5" in err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("charge", 1.5, "factors[0].charge must be an integer, got 1.5"),
+    ("charge", True, "factors[0].charge must be an integer, got True"),
+    ("charge", "2", "factors[0].charge must be an integer, got '2'"),
+    ("charge", math.inf, "factors[0].charge must be a finite number, got inf"),
+    ("charge", math.nan, "factors[0].charge must be a finite number, got nan"),
+    ("k", 0.5, "coeff.k must be an integer, got 0.5"),
+    ("M", 2.5, "coeff.M must be an integer, got 2.5"),
+])
+def test_word_rejects_bad_integer_fields(tmp_path, field, value, named):
+    doc = json.loads((ASSETS / "example_word.json").read_text())
+    if field == "charge":
+        doc["factors"][0]["charge"] = value
+    else:
+        doc["coeff"][field] = value
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(doc))
+    scene = load_scene(ASSETS / "antipodal_scene.json")
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_word(path, scene)
+    # the shipped word loads
+    assert len(load_word(ASSETS / "example_word.json", scene).factors) == 2

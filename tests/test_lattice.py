@@ -1,3 +1,6 @@
+from fractions import Fraction
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from plektonlab.fields import FieldSymbol, FieldWord, ObservableWord
 import plektonlab.lattice
 from plektonlab.lattice import ClockShiftLattice, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
-from plektonlab.sectors import CyclotomicPhase, r_phase
+from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
 
 I = ObservableWord.identity()
 
@@ -184,21 +187,34 @@ def test_out_buffer_receives_the_fresh_matrix(z3):
     assert np.array_equal(buf, lat.symbol_matrix(sym, 3))
 
 
+def _kron_side(lat, charges, sites, coeff=1.0):
+    """One side as a dense matrix: the per-site products of the symbols'
+    site factors, then np.kron over the sites, then the coefficient."""
+    per_site = [np.eye(lat.model.group_order, dtype=complex)] * lat.n_sites
+    for c, s in zip(charges, sites):
+        per_site = [p @ f for p, f in zip(per_site, lat._factors(s, c))]
+    return reduce(np.kron, per_site, np.ones((1, 1), dtype=complex)) * coeff
+
+
 def _dense_residuals(model, word, sites):
-    """Both residuals from freshly allocated dense sides, as
+    """Both residuals from dense sides built here with np.kron, as
     max |A - B| over the entries."""
     from plektonlab.fields import adjoint, exchange
 
     lat = ClockShiftLattice(model, len(word.factors))
-    unswapped = lat.word_matrix(word, sites)
+
+    def side(w, s):
+        return _kron_side(lat, [sym.charge for sym in w.factors], s, w.coeff.to_complex())
+
+    unswapped = side(word, sites)
     exch = 0.0
     for i in range(len(word.factors) - 1):
         new_sites = list(sites)
         new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
-        rhs = lat.word_matrix(exchange(word, i, model), new_sites)
+        rhs = side(exchange(word, i, model), new_sites)
         exch = max(exch, float(np.abs(unswapped - rhs).max()))
-    adj = max(float(np.abs(lat.symbol_matrix(adjoint(sym), s)
-                           - lat.symbol_matrix(sym, s).conj().T).max())
+    adj = max(float(np.abs(_kron_side(lat, [adjoint(sym).charge], [s])
+                           - _kron_side(lat, [sym.charge], [s]).conj().T).max())
               for sym, s in zip(word.factors, sites))
     return exch, adj
 
@@ -223,9 +239,9 @@ def test_oracle_residuals_equal_dense_sides(z3, monkeypatch, mutation):
     assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(z3, word, sites)
 
 
-def test_oracle_holds_two_dense_sides(z3):
-    # one d x d complex side is 16 d^2 bytes; the oracle keeps two and small
-    # site factors, whatever the charges and the order of the word
+def test_oracle_holds_no_dense_side(z3):
+    # one d x d complex side is 16 d^2 bytes; the oracle keeps each side as a
+    # row index and a value per column, whatever the charges and the order
     import tracemalloc
 
     side = 16 * 3 ** 10
@@ -238,4 +254,52 @@ def test_oracle_holds_two_dense_sides(z3):
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert all(2 * side <= p < 2.5 * side for p in peaks), peaks
+    assert all(p < 0.1 * side for p in peaks), peaks
+
+
+# omega = 1/N turns, spin 1/N and a square root of omega for each Z_N
+_ROOTS = {2: (1, 4), 3: (2, 3), 4: (1, 8), 5: (3, 5)}
+
+
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+@pytest.mark.parametrize("n_group, length", [(2, 6), (3, 6), (4, 5), (5, 4)])
+def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, length,
+                                                       mutation):
+    # the largest word admitted for each N: d = 64, 729, 1024 and 625
+    model = AnyonModel(n_group, CyclotomicPhase(Fraction(1, n_group)),
+                       CyclotomicPhase.from_pair(*_ROOTS[n_group]), Fraction(1, n_group))
+    if mutation == "exchange":
+        exchange = plektonlab.lattice.exchange
+        third = CyclotomicPhase.from_pair(1, 3)
+        wrong = lambda word, i, model: FieldWord(
+            exchange(word, i, model).coeff * third, exchange(word, i, model).factors)
+        monkeypatch.setattr(plektonlab.lattice, "exchange", wrong)
+        monkeypatch.setattr(plektonlab.fields, "exchange", wrong)
+    elif mutation == "adjoint":
+        monkeypatch.setattr(plektonlab.lattice, "adjoint", lambda sym: sym)
+        monkeypatch.setattr(plektonlab.fields, "adjoint", lambda sym: sym)
+    rng = np.random.default_rng(1000 * n_group + length)
+    charges = [int(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], length)]
+    cones = fan(length)
+    locs = [cones[k] for k in rng.permutation(length)]
+    word = FieldWord.of(*(FieldSymbol(c, I, loc) for c, loc in zip(charges, locs)),
+                        coeff=CyclotomicPhase.from_pair(int(rng.integers(0, 6)), 6))
+    sites = plektonlab.lattice._sites_by_angle(word)
+    rep = lattice_oracle(model, word)
+    assert rep.dimension == n_group ** length
+    assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(model, word, sites)
+    # the Z_2 string operators are Hermitian, so a wrong adjoint that
+    # returns its symbol unchanged is right there
+    assert rep.ok == (mutation is None or (mutation, n_group) == ("adjoint", 2))
+
+
+def test_oracle_refuses_a_site_product_that_is_not_monomial(z3, monkeypatch):
+    factors = ClockShiftLattice._factors
+
+    def smeared(self, site, charge):
+        return [f + (f != 0).T * 0.5 if k == site else f
+                for k, f in enumerate(factors(self, site, charge))]
+
+    monkeypatch.setattr(ClockShiftLattice, "_factors", smeared)
+    with pytest.raises(OracleError, match="monomial"):
+        lattice_oracle(z3, _four_factor_word())
