@@ -4,7 +4,9 @@ A region is stored as its apex, the light-like normals of its boundary
 planes, the extreme rays of its closure, and a lifted angular arc locating
 the sheet of the universal cover of the manifold of space-like directions.
 All winding-number arithmetic happens on the arcs; the rays and normals
-carry the rapidity extent and decide causal separation.
+carry the rapidity extent and decide causal separation.  The separation
+certificate runs over a stack of pairs with one candidate layout per row
+count, so each pair's violations are bitwise those of a single call.
 
 Roles of the stored extreme rays (order is fixed and preserved by the
 orientation-preserving group action):
@@ -258,71 +260,96 @@ def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
 # ---------------------------------------------------------------------------
 
 _MINK_DIAG = np.array([1.0, -1.0, -1.0])
+_NAPPE_SIGN = np.array([[1.0], [-1.0]])
 
 
 @functools.lru_cache(maxsize=8)
-def _row_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # a pair of regions has 8 to 13 constraint rows
+def _layout(n: int):
+    """Index and sign arrays of the candidates of n rows (a pair has 8 to 13)."""
     iu, ju = np.triu_indices(n, k=1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
+    ia, ib = 3 * iu[:, None], 3 * ju[:, None]
+    gathers = (ia + [1, 2, 0], ib + [2, 0, 1], ia + [2, 0, 1], ib + [1, 2, 0])
+    per_row, t_sign = np.tile(np.arange(n), 4), np.repeat([1.0, -1.0, 1.0, -1.0], n)
+    sign = np.concatenate([[1.0, -1.0], np.repeat([1.0, -1.0], n), t_sign])
+    nappe = np.concatenate([np.zeros(2 * len(iu)), sign])
+    arrays = (*gathers, per_row, t_sign, np.repeat([1.0, -1.0], 2 * n), sign,
+              np.stack([nappe >= 0.0, nappe <= 0.0]))
+    for a in arrays:  # shared by every later certificate with n rows
+        a.setflags(write=False)
+    return (len(iu), *arrays)
 
 
-def _certificate(rows: np.ndarray) -> tuple[float, float]:
+def _certificates(rows: np.ndarray) -> np.ndarray:
     """Best (smallest) normalised violations over candidate separating
-    covectors w in the closed future and in the closed past cone.
+    covectors w in the closed future and in the closed past cone, as a (P, 2)
+    array for a (P, n, 3) stack of row sets.
 
     A value <= 0 means some w certifies that the open difference set avoids
     that nappe, > 0 that none does.  Candidates are the extreme-ray types of
     the dual feasibility cone: pairwise Minkowski cross products of the
     constraints and their negatives (shared by both nappes), and per nappe
-    the axis and each constraint's light-like tangent and minimisers.
+    the axis and each constraint's light-like tangent and minimisers.  A lane
+    is NaN where its row has no spatial part or its minimiser does not exist,
+    so the layout depends only on n and no pair depends on the rest of its stack.
     """
-    iu, ju = _row_pairs(len(rows))
-    a, b = rows[iu].T, rows[ju].T
-    crosses = np.array([a[1] * b[2] - a[2] * b[1], -(a[2] * b[0] - a[0] * b[2]),
-                        -(a[0] * b[1] - a[1] * b[0])]).T
+    p, n, _ = rows.shape
+    m, ga, gb, ga2, gb2, per_row, t_sign, ang_sign, sign, nappes = _layout(n)
+    flat = rows.reshape(p, 3 * n)
+    cand = np.empty((p, 2 * m + len(sign), 3))
+    np.subtract(flat.take(ga, axis=1) * flat.take(gb, axis=1),
+                flat.take(ga2, axis=1) * flat.take(gb2, axis=1), out=cand[:, :m])
+    cand[:, :m] *= _MINK_DIAG  # the Minkowski cross product eta (v x w)
+    np.negative(cand[:, :m], out=cand[:, m:2 * m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.hypot(rows[..., 1], rows[..., 2])
+        r[r <= SEP_DEGENERATE] = np.nan
+        u = rows / r[..., None]  # (t, ux, uy) per row
+        # minimiser angles base + ang and base - ang, with ang = arccos(sign t)
+        # for the future and then the past nappe
+        psi = (np.arctan2(u[..., 2], u[..., 1]).take(per_row, axis=1)
+               + np.arccos(u[..., 0].take(per_row, axis=1) * t_sign) * ang_sign)
+        cand[:, 2 * m:, 0] = sign
+        cand[:, 2 * m:2 * m + 2, 1:] = 0.0
+        cand[:, 2 * m + 2:-4 * n, 1:] = u.take(per_row[:2 * n], axis=1)[..., 1:]
+        cand[:, -4 * n:, 1] = np.cos(psi)
+        cand[:, -4 * n:, 2] = np.sin(psi)
+        scale = np.abs(cand).max(axis=2)
+        cand /= scale[..., None]
+        values = (cand * _MINK_DIAG) @ rows.transpose(0, 2, 1)
+        values /= np.abs(rows).max(axis=2)[:, None, :]
+        viol = np.maximum(values.max(axis=2), 0.0)
+        w0 = cand[..., 0]
+        inside = (scale > SEP_DEGENERATE) & (
+            w0 ** 2 - cand[..., 1] ** 2 - cand[..., 2] ** 2 >= -SEP_NAPPE_SLACK)
+    ok = inside[:, None, :] & (w0[:, None, :] * _NAPPE_SIGN >= -SEP_ZERO) & nappes
+    return np.where(ok, viol[:, None, :], math.inf).min(axis=2)
 
-    r = np.hypot(rows[:, 1], rows[:, 2])
-    live = r > SEP_DEGENERATE
-    r = r[live]
-    ux, uy, t = rows[live, 1] / r, rows[live, 2] / r, rows[live, 0] / r
-    hit = np.abs(t) <= 1.0
-    t = np.clip(t[hit], -1.0, 1.0)
-    base = np.arctan2(uy[hit], ux[hit])
-    # minimiser angles base + ang and base - ang, with ang = arccos(sign t)
-    # for the future and then the past nappe
-    ang = np.arccos(np.concatenate([t, -t]))
-    psi = np.concatenate([base, base, base, base]) + np.concatenate([ang, -ang])
-    # per-nappe candidates (axis, tangents, minimisers); sign is the nappe,
-    # +1 future and -1 past, and 0 marks a cross product, whose negative is
-    # a candidate too
-    sign = np.concatenate([[1.0, -1.0], np.repeat([1.0, -1.0], len(r)),
-                           np.repeat([1.0, -1.0, 1.0, -1.0], len(t))])
-    x = np.concatenate([[0.0, 0.0], ux, ux, np.cos(psi)])
-    y = np.concatenate([[0.0, 0.0], uy, uy, np.sin(psi)])
-    cand = np.concatenate([crosses, np.array([sign, x, y]).T])
-    nappe = np.concatenate([np.zeros(len(crosses)), sign])
 
-    scale = np.abs(cand).max(axis=1)
-    keep = scale > SEP_DEGENERATE
-    cand = cand[keep] / scale[keep, None]
-    nappe = nappe[keep]
-    values = (cand * _MINK_DIAG) @ rows.T / np.abs(rows).max(axis=1)[None, :]
-    # the violation of -w is max(-min(values), 0)
-    viol = np.maximum(values.max(axis=1), 0.0)
-    viol_neg = np.maximum(-values.min(axis=1), 0.0)
+def _certificate(rows: np.ndarray) -> tuple[float, float]:
+    """The (future, past) violations of one row set."""
+    return tuple(_certificates(rows[None])[0].tolist())
 
-    inside = cand[:, 0] ** 2 - cand[:, 1] ** 2 - cand[:, 2] ** 2 >= -SEP_NAPPE_SLACK
-    up = inside & (cand[:, 0] >= -SEP_ZERO)
-    down = inside & (-cand[:, 0] >= -SEP_ZERO)
-    cross = nappe == 0.0
-    future = min(viol.min(where=up & (nappe >= 0.0), initial=math.inf),
-                 viol_neg.min(where=down & cross, initial=math.inf))
-    past = min(viol.min(where=down & (nappe <= 0.0), initial=math.inf),
-               viol_neg.min(where=up & cross, initial=math.inf))
-    return float(future), float(past)
+
+def _separation_rows(c1: ConePath, c2: ConePath) -> np.ndarray:
+    """Rows for C1 against C2: C1's closure rays, C2's negated, the apex gap."""
+    for c in (c1, c2):
+        if c.kind == KIND_CONE_COMPLEMENT:
+            raise SeparationError("cone-complement regions are not supported here")
+        if c.arc.width <= ARC_TOL:
+            raise SeparationError("degenerate (empty-interior) cone")
+    d = c1.apex - c2.apex
+    rows = [c1.closure_rays, -c2.closure_rays]
+    if max(abs(d.x0), abs(d.x1), abs(d.x2)) > SEP_DEGENERATE:
+        rows.append([[d.x0, d.x1, d.x2]])
+    return np.concatenate(rows)
+
+
+def _verdict(violations) -> bool:
+    """The verdict on (future, past) violations; raises in the ambiguity band."""
+    for viol in violations:
+        if SEP_ZERO < viol < SEP_AMBIGUOUS:
+            raise SeparationError(f"separation undecidable within tolerance (margin {viol:.3e})")
+    return all(viol <= SEP_ZERO for viol in violations)
 
 
 def causally_separated(c1: ConePath, c2: ConePath) -> bool:
@@ -334,22 +361,7 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
     the dual nappe.  Near-grazing configurations raise SeparationError, the
     future nappe's margin first.
     """
-    for c in (c1, c2):
-        if c.kind == KIND_CONE_COMPLEMENT:
-            raise SeparationError("cone-complement regions are not supported here")
-        if c.arc.width <= ARC_TOL:
-            raise SeparationError("degenerate (empty-interior) cone")
-    d = (c1.apex - c2.apex).as_array()
-    rows = [c1.closure_rays, -c2.closure_rays]
-    if np.abs(d).max() > SEP_DEGENERATE:
-        rows.append(d[None, :])
-    violations = _certificate(np.concatenate(rows))
-    for viol in violations:
-        if SEP_ZERO < viol < SEP_AMBIGUOUS:
-            raise SeparationError(
-                f"separation undecidable within tolerance (margin {viol:.3e})"
-            )
-    return all(viol <= SEP_ZERO for viol in violations)
+    return _verdict(_certificate(_separation_rows(c1, c2)))
 
 
 def _simplex_grid(parts: int, total: int) -> np.ndarray:

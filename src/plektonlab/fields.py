@@ -487,6 +487,8 @@ def load_word(filename, scene) -> FieldWord:
             raise ValueError(f"{filename}: factors[{i}] needs 'charge' and 'path'")
         charge = _integer(entry["charge"], f"{filename}: factors[{i}].charge")
         path_id = entry["path"]
+        if not isinstance(path_id, str):
+            raise ValueError(f"{filename}: factors[{i}].path must be a string, got {path_id!r}")
         if path_id not in scene.paths:
             raise ValueError(f"{filename}: factors[{i}] references unknown path {path_id!r}")
         obs = parse_obs_label(str(entry.get("obs", "1")))

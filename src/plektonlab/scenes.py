@@ -12,7 +12,8 @@ Format (JSON):
     }
 
 ``kind`` is one of "cone", "wedge", "cone-complement"; wedges may omit
-``half_opening`` (it is pi/2 by definition).  Every number must be finite.
+``half_opening`` (it is pi/2 by definition).  Every number must be a finite
+JSON number; a boolean or a string is rejected.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .cones import (
     wedge_path,
 )
 from .minkowski import MVec3
-from .sectors import _integer, _load_json
+from .sectors import _finite, _integer, _load_json
 from .tolerances import WEDGE_HALF_OPENING_TOL
 
 
@@ -50,14 +51,6 @@ class Scene:
         return list(self.paths)
 
 
-def _finite(value, name: str) -> float:
-    """float(value); SceneError naming the field unless that is a finite number."""
-    x = float(value) if isinstance(value, (int, float, str)) else math.nan
-    if not math.isfinite(x):
-        raise SceneError(f"{name} must be a finite number, got {value!r}")
-    return x
-
-
 def _build_entry(entry: dict, index: int) -> tuple[str, ConePath]:
     """The id and path of one entry; every error names the entry."""
     try:
@@ -68,18 +61,18 @@ def _build_entry(entry: dict, index: int) -> tuple[str, ConePath]:
             raise SceneError("id must be a non-empty string")
         if not (isinstance(apex_raw, list) and len(apex_raw) == 3):
             raise SceneError("apex must be a 3-element array")
-        apex = MVec3(*(_finite(x, f"apex[{k}]") for k, x in enumerate(apex_raw)))
-        center = _finite(center, "center_angle")
+        apex = MVec3(*(_finite(x, f"apex[{k}]", SceneError) for k, x in enumerate(apex_raw)))
+        center = _finite(center, "center_angle", SceneError)
         sheet = _integer(entry.get("sheet", 0), "sheet")
         kind = entry.get("kind", KIND_CONE)
         if kind not in (KIND_CONE, KIND_WEDGE, KIND_CONE_COMPLEMENT):
             raise SceneError(f"unknown kind {kind!r}")
         if kind == KIND_WEDGE:
-            half = _finite(entry.get("half_opening", math.pi / 2.0), "half_opening")
+            half = _finite(entry.get("half_opening", math.pi / 2.0), "half_opening", SceneError)
             if abs(half - math.pi / 2.0) > WEDGE_HALF_OPENING_TOL:
                 raise SceneError("wedges have half_opening pi/2")
             return cid, wedge_path(apex, center, sheet)
-        half = _finite(entry["half_opening"], "half_opening")
+        half = _finite(entry["half_opening"], "half_opening", SceneError)
         return cid, cone_path(apex, center, half, sheet, kind=kind)
     except KeyError as exc:
         raise SceneError(f"cones[{index}]: missing field {exc.args[0]!r}") from None
@@ -94,7 +87,7 @@ def parse_scene(doc: dict) -> Scene:
     if not isinstance(frame_doc, dict):
         raise SceneError("frame must be an object")
     frame = ReferenceFrame(_finite(frame_doc.get("reference_angle", math.pi / 2.0),
-                                   "frame: reference_angle"))
+                                   "frame: reference_angle", SceneError))
     cones = doc.get("cones")
     if not isinstance(cones, list):
         raise SceneError("scene must contain a 'cones' array")

@@ -195,6 +195,16 @@ def _integer(value, where: str) -> int:
     return int(value)
 
 
+def _finite(value, where: str, error: type[ValueError], positive: bool = False) -> float:
+    """A finite number field (above zero if ``positive``) as a float, else ``error``."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value) and (value > 0 or not positive):
+            return float(value)
+    except (TypeError, OverflowError):  # a string, array or object; an int beyond float
+        pass
+    raise error(f"{where} must be a finite{' positive' if positive else ''} number, got {value!r}")
+
+
 def _phase_from_doc(doc, where: str) -> CyclotomicPhase:
     if not (isinstance(doc, dict) and "k" in doc and "M" in doc):
         raise ModelError(f"{where}: expected an object with fields 'k' and 'M'")
@@ -222,9 +232,7 @@ def parse_model(doc: dict) -> AnyonModel:
     spin = Fraction(_integer(spin_doc["p"], "spin.p"), _integer(spin_doc["q"], "spin.q"))
     mass = doc.get("mass")
     if mass is not None:
-        mass = float(mass)
-        if not 0.0 < mass < math.inf:
-            raise ModelError(f"mass must be a finite positive number, got {mass!r}")
+        mass = _finite(mass, "mass", ModelError, positive=True)
     try:
         return AnyonModel(order, omega, omega_sqrt, spin, mass)
     except ValueError as exc:

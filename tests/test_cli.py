@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plektonlab
 from plektonlab.cli import main
 from tests.conftest import ASSETS
 
@@ -199,3 +204,13 @@ def test_verify_isolates_a_suite_that_raises(monkeypatch, capsys):
         {"name": "cpt-aborted", "status": "error",
          "note": "RuntimeError: failed to generate a separated pair"},
     ]
+
+
+def test_python_m_runs_the_cli():
+    # an uninstalled checkout runs the CLI as `python -m plektonlab`
+    env = {**os.environ, "PYTHONPATH": str(Path(plektonlab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "plektonlab", "model-validate", "--model", "assets/z3_anyon.json"],
+        cwd=ASSETS.parent, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "PASSED" in proc.stdout

@@ -12,6 +12,9 @@ from plektonlab.cones import (
     SpacelikeDirection,
     WindingError,
     _certificate,
+    _certificates,
+    _layout,
+    _separation_rows,
     accumulated_angle,
     act,
     causally_separated,
@@ -183,6 +186,43 @@ def test_certificate_matches_one_nappe_reference():
                               + ([d[None, :]] if np.abs(d).max() > 1e-14 else []))
         assert _certificate(rows) == (_one_nappe_certificate(rows, 1.0),
                                       _one_nappe_certificate(rows, -1.0))
+
+
+def test_stacked_certificates_match_single_calls():
+    # a pair's violations do not depend on the other pairs of its stack; every
+    # row count from 8 to 13: cones and wedges, shared and time-like separated
+    # apexes, pairs moved by covering elements with rapidity up to 3
+    rng = np.random.default_rng(43)
+
+    def region(apex):
+        center = rng.uniform(-math.pi, math.pi)
+        if rng.random() < 0.3:
+            return wedge_path(apex, center)
+        return cone_path(apex, center, rng.uniform(0.05, 1.4))
+
+    by_rows = {}
+    for _ in range(480):
+        apex = MVec3(*rng.normal(0, 0.4, 3))
+        c1 = region(apex)
+        c2 = region(apex if rng.random() < 0.4 else MVec3(*rng.normal(0, 0.4, 3)))
+        if rng.random() < 0.1:
+            c2 = c2.translated(c1.apex - c2.apex + MVec3(rng.normal(), 0.0, 0.0))
+        if rng.random() < 0.3:
+            g = cover_compose(cover_rotation(rng.uniform(-7, 7)), cover_compose(
+                cover_boost1(rng.uniform(-3, 3)), cover_rotation(rng.uniform(-3, 3))))
+            c1, c2 = act(g, c1), act(g, c2)
+        rows = _separation_rows(c1, c2)
+        by_rows.setdefault(len(rows), []).append(rows)
+    assert sorted(by_rows) == list(range(8, 14))
+    for group in by_rows.values():
+        stacked = [tuple(v) for v in _certificates(np.stack(group)).tolist()]
+        assert stacked == [_certificate(rows) for rows in group]
+
+
+def test_certificate_layout_is_read_only():
+    # every later certificate with n rows shares the cached layout arrays
+    for n in range(8, 14):
+        assert not any(a.flags.writeable for a in _layout(n)[1:])
 
 
 def test_separation_rejects_complements():

@@ -30,3 +30,16 @@ def test_winding_fan_matches_golden_report(capsys):
     assert code == 1
     golden = (GOLDEN_DIR / "winding_fan_report.json").read_text(encoding="utf-8")
     assert capsys.readouterr().out == golden
+
+
+def test_winding_edges_matches_golden_report(capsys):
+    # two wedges, a cone-complement, cones sharing an apex (one pair with
+    # arcs 1e-8 apart: separation undecidable, one pair sharing an arc
+    # endpoint: no winding number) and an overlapping pair; every row count
+    # from 8 to 13.  regenerate with: plektonlab winding --scene
+    #   tests/golden/winding_edges.json --format json
+    code = main(["winding", "--scene", str(GOLDEN_DIR / "winding_edges.json"),
+                 "--format", "json"])
+    assert code == 1
+    golden = (GOLDEN_DIR / "winding_edges_report.json").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

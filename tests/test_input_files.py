@@ -1,5 +1,6 @@
-"""Scene, model and word files: every number must be finite, every integer
-field must hold an integer, and a bad value is a usage error (exit 2) or a
+"""Scene, model and word files: every number must be a finite number (not a
+boolean or a string), every integer field must hold an integer, a path id must
+be a string, and a bad value is a usage error (exit 2) or a
 ValueError whose message names the entry or field."""
 
 import json
@@ -11,7 +12,9 @@ import pytest
 from plektonlab.cli import main
 from plektonlab.fields import load_word
 from plektonlab.scenes import load_scene
+from plektonlab.sectors import load_model
 from tests.conftest import ASSETS
+from tests.test_golden_report import GOLDEN_DIR
 
 
 def _scene(first: dict, frame: dict | None = None) -> dict:
@@ -122,3 +125,66 @@ def test_word_rejects_bad_integer_fields(tmp_path, field, value, named):
         load_word(path, scene)
     # the shipped word loads
     assert len(load_word(ASSETS / "example_word.json", scene).factors) == 2
+
+
+@pytest.mark.parametrize("doc, named", [
+    (_scene({"apex": [True, 0, 0]}), "cones[0]: apex[0] must be a finite number, got True"),
+    (_scene({"center_angle": False}), "cones[0]: center_angle must be a finite number, got False"),
+    (_scene({"half_opening": True}), "cones[0]: half_opening must be a finite number, got True"),
+    (_scene({"center_angle": [1]}), "cones[0]: center_angle must be a finite number, got [1]"),
+    (_scene({"center_angle": None}), "cones[0]: center_angle must be a finite number, got None"),
+    (_scene({}, frame={"reference_angle": True}),
+     "frame: reference_angle must be a finite number, got True"),
+])
+def test_scene_rejects_booleans_and_non_numbers(tmp_path, capsys, doc, named):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert named in err
+
+
+def test_scene_rejects_an_integer_beyond_float(tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene({"center_angle": 10 ** 400})))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert "cones[0]: center_angle must be a finite number" in err
+
+
+@pytest.mark.parametrize("mass, named", [
+    (True, "mass must be a finite positive number, got True"),
+    ([1], "mass must be a finite positive number, got [1]"),
+    ({"a": 1}, "mass must be a finite positive number, got {'a': 1}"),
+    ("1.0", "mass must be a finite positive number, got '1.0'"),
+    (0, "mass must be a finite positive number, got 0"),
+])
+def test_model_rejects_a_mass_that_is_not_a_positive_number(tmp_path, capsys, mass, named):
+    doc = json.loads((ASSETS / "z3_anyon.json").read_text())
+    doc["mass"] = mass
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, err = _run(capsys, "model-validate", "--model", str(path))
+    assert code == 2
+    assert named in err
+
+
+def test_shipped_assets_load():
+    for name in ("z3_anyon.json", "z2_fermion.json", "free_boson.json"):
+        load_model(ASSETS / name)
+    scene = load_scene(ASSETS / "antipodal_scene.json")
+    for name in ("winding_fan.json", "winding_edges.json"):
+        load_scene(GOLDEN_DIR / name)
+    assert len(load_word(ASSETS / "example_word.json", scene).factors) == 2
+
+
+@pytest.mark.parametrize("path_id", [["C1"], {"id": "C1"}])
+def test_word_rejects_a_path_id_that_is_not_a_string(tmp_path, path_id):
+    doc = json.loads((ASSETS / "example_word.json").read_text())
+    doc["factors"][0]["path"] = path_id
+    path = tmp_path / "word.json"
+    path.write_text(json.dumps(doc))
+    scene = load_scene(ASSETS / "antipodal_scene.json")
+    named = f"factors[0].path must be a string, got {path_id!r}"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        load_word(path, scene)
