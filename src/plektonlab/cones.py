@@ -25,7 +25,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .minkowski import (
-    ETA,
     TWO_PI,
     CoveringPoincare,
     LiftError,
@@ -549,15 +548,18 @@ def act(g, path: ConePath) -> ConePath:
     """
     p = _as_poincare(g)
     lam = p.lorentz.matrix
-    apex = p.translation + lam.apply(path.apex)
-    normals = tuple(lam.apply(n) for n in path.normals)
-    corners = tuple(lam.apply(c) for c in path.corners)
+    k = 1 + len(path.normals)
+    vecs = np.array([(v.x0, v.x1, v.x2) for v in (path.apex, *path.normals, *path.corners)])
+    # a stacked matmul is bitwise lam.m @ v per vector; vecs @ lam.m.T is not
+    images = [MVec3(*v) for v in np.matmul(lam.m, vecs[:, :, None])[:, :, 0].tolist()]
+    apex = p.translation + images[0]
+    normals, corners = tuple(images[1:k]), tuple(images[k:])
 
     if p.lorentz.is_pure_rotation():
         arc = path.arc.shifted(p.lorentz.angle)
         return ConePath(apex, arc, path.kind, normals, corners)
 
-    rays = np.stack([path.corners[0].as_array(), path.corners[1].as_array()])
+    rays = vecs[k:k + 2]
     moved = rays @ lam.m.T
     turn = (np.arctan2(moved[:, 2], moved[:, 1]) - np.arctan2(rays[:, 2], rays[:, 1])
             - p.lorentz.angle)

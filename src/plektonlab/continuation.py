@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .minkowski import (
+    ETA,
     TWO_PI,
     CoveringLorentz,
     LiftError,
@@ -22,7 +23,7 @@ from .minkowski import (
     rotation_matrix,
 )
 from .tolerances import CONTINUATION_RTOL
-from .wigner import _boost_inverse, standard_boost
+from .wigner import standard_boost
 
 
 def _sym_boost_part(L: LorentzMatrix) -> np.ndarray:
@@ -101,7 +102,7 @@ def wigner_angles(g: CoveringLorentz, pts: np.ndarray, **steps) -> np.ndarray:
 
     def angles(t):
         lam = path(t)
-        w = _boost_inverse(standard_boost(pts @ lam.T)) @ lam @ bp
+        w = ETA @ standard_boost(pts @ lam.T) @ ETA @ lam @ bp
         return np.arctan2(w[:, 2, 1], w[:, 1, 1])
 
     return continue_angles(angles, np.zeros(len(pts)), **steps)

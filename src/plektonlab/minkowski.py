@@ -31,6 +31,7 @@ from .tolerances import (DET_TOL, LIFT_TOL, MAT_TOL, ORTHOCHRONOUS_TOL, POLAR_BR
 
 ETA = np.diag([1.0, -1.0, -1.0])
 ETA.setflags(write=False)
+ETA_SIGNS = np.diag(ETA)  # read-only view: m @ ETA is m * ETA_SIGNS up to signed zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,13 +104,19 @@ class LorentzMatrix:
         m = np.asarray(m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError("Lorentz matrix must be 3x3")
-        scale = max(1.0, float(np.abs(m).max()) ** 2)
-        err = np.abs(m.T @ ETA @ m - ETA).max()
-        if err > MAT_TOL * scale:
+        size = float(np.abs(m).max())
+        if not math.isfinite(size * size):
+            raise ValueError(f"matrix entries are not finite or too large (max |L| = {size:.3e})")
+        scale = max(1.0, size ** 2)
+        # NaN fails each test; cofactor det = LAPACK's +- 1.2e-14 * scale to rapidity 6
+        err = np.abs((m.T * ETA_SIGNS) @ m - ETA).max()
+        if not err <= MAT_TOL * scale:
             raise ValueError(f"matrix does not preserve the metric (residual {err:.3e})")
-        if abs(np.linalg.det(m) - 1.0) > DET_TOL * scale:
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if not abs(det - 1.0) <= DET_TOL * scale:
             raise ValueError("matrix is not proper (det != 1)")
-        if m[0, 0] < 1.0 - ORTHOCHRONOUS_TOL:
+        if not m[0, 0] >= 1.0 - ORTHOCHRONOUS_TOL:
             raise ValueError("matrix is not orthochronous (L00 < 1)")
         m = m.copy()
         m.setflags(write=False)
@@ -125,8 +132,9 @@ class LorentzMatrix:
     def inverse(self) -> "LorentzMatrix":
         # L^-1 = eta L^T eta for Lorentz matrices.  Its columns are the rows
         # of L, which may meet the metric less closely than the columns that
-        # validated L, so the inverse is renormalised like a product.
-        return LorentzMatrix(_renormalize(ETA @ self.m.T @ ETA))
+        # validated L, so the inverse is renormalised like a product.  The
+        # + 0.0 gives exact zeros the sign that the product eta L^T eta gives.
+        return LorentzMatrix(_renormalize((self.m * ETA_SIGNS).T * ETA_SIGNS + 0.0))
 
     def apply(self, v: MVec3) -> MVec3:
         return MVec3.from_array(self.m @ v.as_array())
@@ -140,12 +148,17 @@ class LorentzMatrix:
 
 
 def rotation_matrix(theta: float) -> LorentzMatrix:
+    if not math.isfinite(theta):
+        raise ValueError(f"rotation angle {theta} is not finite")
     c, s = math.cos(theta), math.sin(theta)
     return LorentzMatrix([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def boost1_matrix(t: float) -> LorentzMatrix:
-    ch, sh = math.cosh(t), math.sinh(t)
+    try:
+        ch, sh = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        raise ValueError(f"rapidity {t} overflows a float boost") from None
     return LorentzMatrix([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -172,12 +185,14 @@ class CoveringLorentz:
     angle: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.angle):
+            raise ValueError(f"lifted angle {self.angle} is not finite")
         base = polar_rotation_angle(self.matrix)
         # the polar angle of a float matrix is determined only up to
         # eps * cond(boost)^2, so the check loosens for extreme boosts
         scale = max(1.0, float(np.abs(self.matrix.m).max()) ** 2)
         tol = max(PROJECTION_ATOL, PROJECTION_RTOL * scale)
-        if abs(wrap_angle(self.angle - base)) > tol:
+        if not abs(wrap_angle(self.angle - base)) <= tol:
             raise ValueError(
                 f"lifted angle {self.angle} does not project to the polar angle {base}"
             )
@@ -242,12 +257,12 @@ def _renormalize(m: np.ndarray) -> np.ndarray:
     composition chains so products stay Lorentz to 1e-12.  Unlike Gram-Schmidt
     on the columns it does not push the row residual m eta m^T - eta up to
     eps |m|^4, so eta m^T eta stays an accurate inverse."""
-    return m - 0.5 * m @ ETA @ (m.T @ ETA @ m - ETA)
+    return m - (0.5 * m * ETA_SIGNS) @ ((m.T * ETA_SIGNS) @ m - ETA)
 
 
-def _lift_product(theta1, m1, theta2, m2):
-    """Lifted polar angle of the product of covering elements (theta1, m1)
-    and (theta2, m2); vectorised over leading axes.
+def _lift_product(theta1, r1, theta2, r2):
+    """Lifted polar angle of the product of covering elements (theta1, L1)
+    and (theta2, L2) from row 0 alone, r1 = L1[0] and r2 = L2[0]; vectorised.
 
     With gamma = (L01 + i L02) / (1 + L00), the ratio beta / alpha of the
     SU(1,1) element over L, the product law of the cover is
@@ -256,14 +271,14 @@ def _lift_product(theta1, m1, theta2, m2):
 
     |gamma| < 1, so the argument stays in (-pi/2, pi/2) and needs no path.
     """
-    g1 = (m1[..., 0, 1] + 1j * m1[..., 0, 2]) / (1.0 + m1[..., 0, 0])
-    g2 = (m2[..., 0, 1] - 1j * m2[..., 0, 2]) / (1.0 + m2[..., 0, 0])
+    g1 = (r1[..., 1] + 1j * r1[..., 2]) / (1.0 + r1[..., 0])
+    g2 = (r2[..., 1] - 1j * r2[..., 2]) / (1.0 + r2[..., 0])
     return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
 
 
 def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
     m = LorentzMatrix(_renormalize(g1.matrix.m @ g2.matrix.m))
-    theta = _lift_product(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m)
+    theta = _lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])
     return CoveringLorentz(m, float(theta))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import ETA, TWO_PI, CoveringLorentz, MVec3, _lift_product
+from .minkowski import ETA_SIGNS, TWO_PI, CoveringLorentz, MVec3, _lift_product
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,11 @@ def _as_points(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
+def _unit(pts: np.ndarray) -> np.ndarray:
+    m = np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)
+    return pts / m[..., None]
+
+
 def standard_boost(p) -> np.ndarray:
     """Pure boost B_p with B_p (m, 0, 0) = p; batched over leading axes.
 
@@ -62,29 +67,21 @@ def standard_boost(p) -> np.ndarray:
     Wigner cocycle convention used throughout.
     """
     pts = _as_points(p)
-    scalar = pts.ndim == 1
-    if scalar:
-        pts = pts[None, :]
-    m = np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)
-    u = pts / m[..., None]
-    out = np.zeros(pts.shape[:-1] + (3, 3))
-    g = u[..., 0]
-    out[..., 0, 0] = g
-    for i in (1, 2):
-        out[..., 0, i] = u[..., i]
-        out[..., i, 0] = u[..., i]
-        for j in (1, 2):
-            out[..., i, j] = (i == j) + u[..., i] * u[..., j] / (1.0 + g)
-    return out[0] if scalar else out
-
-
-def _boost_inverse(b: np.ndarray) -> np.ndarray:
-    return ETA @ b @ ETA
+    u = _unit(pts)
+    s = u[..., 1:]
+    out = np.empty(pts.shape[:-1] + (3, 3))
+    out[..., 0, :] = u
+    out[..., 1:, 0] = s
+    out[..., 1:, 1:] = np.eye(2) + s[..., :, None] * s[..., None, :] / (1.0 + u[..., 0, None, None])
+    return out
 
 
 def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:
     """Lifted angle Omega(g, p) of B_{Lp}^-1 g B_p, in closed form for all
     shell points at once: the lift of g B_p, then of B_{Lp}^-1 times it.
+
+    The product law reads row 0 of each factor only, L[0] @ B_p of g B_p and
+    (q / m(q)) eta of B_q^-1 = eta B_q eta with q = L p, so B_{Lp} is never built.
 
     Accepts a MassShellPoint or an (..., 3) array of shell points; returns
     the matching array of lifted angles (a scalar for a single point).
@@ -93,8 +90,8 @@ def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:
     scalar = isinstance(p, MassShellPoint) or np.asarray(p).ndim == 1
     m = g.matrix.m
     bp = standard_boost(pts)
-    theta_gbp = _lift_product(g.angle, m, 0.0, bp)
-    lifted = _lift_product(0.0, _boost_inverse(standard_boost(pts @ m.T)), theta_gbp, m @ bp)
+    theta_gbp = _lift_product(g.angle, m[0], 0.0, bp[..., 0, :])
+    lifted = _lift_product(0.0, _unit(pts @ m.T) * ETA_SIGNS, theta_gbp, m[0] @ bp)
     return float(lifted) if scalar else lifted
 
 

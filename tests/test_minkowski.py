@@ -60,6 +60,40 @@ def test_non_lorentz_rejected():
         LorentzMatrix(-np.eye(3))  # not orthochronous
 
 
+def test_strong_boost_negative_controls():
+    # the determinant by cofactors must still reject at rapidity 5, where the
+    # entries reach 74 and every bound has grown by max(1, |L|^2)
+    b = cover_compose(cover_rotation(0.7),
+                      cover_compose(cover_boost1(5.0), cover_rotation(-0.7))).matrix.m
+    cases = [
+        (b @ np.diag([1.0, 1.0, -1.0]), "not proper"),
+        (-b, "not proper"),  # det(-B) = -1 in three dimensions
+        (b @ np.diag([-1.0, -1.0, 1.0]), "not orthochronous"),
+        (b + 1e-6 * np.random.default_rng(0).standard_normal((3, 3)),
+         "does not preserve the metric"),
+    ]
+    for m, message in cases:
+        with pytest.raises(ValueError, match=message):
+            LorentzMatrix(m)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LorentzMatrix(np.full((3, 3), math.nan)), "not finite"),
+    (lambda: LorentzMatrix(np.diag([math.inf, 1.0, 1.0])), "not finite"),
+    (lambda: cover_boost1(math.inf), "not finite"),
+    (lambda: cover_boost1(math.nan), "not finite"),
+    (lambda: cover_boost1(400.0), "too large"),
+    (lambda: cover_boost1(800.0), "overflows"),
+    (lambda: cover_rotation(math.nan), "not finite"),
+    (lambda: cover_rotation(-math.inf), "not finite"),
+    (lambda: CoveringLorentz(LorentzMatrix.identity(), math.nan), "not finite"),
+    (lambda: CoveringLorentz(LorentzMatrix.identity(), math.inf), "not finite"),
+])
+def test_non_finite_lorentz_data_rejected(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_rotation_cover_examples():
     g = cover_rotation(2 * math.pi)
     assert g.matrix.is_close(LorentzMatrix.identity(), 1e-15)

@@ -1,0 +1,183 @@
+"""The stacked transport layer against the per-vector and full-matrix formulas
+it replaced, kept here as references.
+
+`act`, `cover_compose`, `cover_inverse`, `standard_boost` and
+`wigner_rotation` perform the references' arithmetic on fewer or larger
+arrays, so every output must agree bit for bit, signed zeros included.
+"""
+
+import math
+
+import numpy as np
+
+from plektonlab import minkowski
+from plektonlab.cones import KIND_WEDGE, ConePath, LiftedArc, act, cone_path, wedge_path
+from plektonlab.minkowski import (
+    ETA,
+    LIFT_TOL,
+    TWO_PI,
+    CoveringPoincare,
+    LiftError,
+    MVec3,
+    cover_boost1,
+    cover_compose,
+    cover_inverse,
+    cover_rotation,
+    cover_translation,
+)
+from plektonlab.wigner import shell_points, standard_boost, wigner_rotation
+
+
+def _renormalize_chained(m):
+    return m - 0.5 * m @ ETA @ (m.T @ ETA @ m - ETA)
+
+
+def _lift_product_full(theta1, m1, theta2, m2):
+    g1 = (m1[..., 0, 1] + 1j * m1[..., 0, 2]) / (1.0 + m1[..., 0, 0])
+    g2 = (m2[..., 0, 1] - 1j * m2[..., 0, 2]) / (1.0 + m2[..., 0, 0])
+    return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
+
+
+def _standard_boost_loop(pts):
+    m = np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)
+    u = pts / m[..., None]
+    out = np.zeros(pts.shape[:-1] + (3, 3))
+    g = u[..., 0]
+    out[..., 0, 0] = g
+    for i in (1, 2):
+        out[..., 0, i] = u[..., i]
+        out[..., i, 0] = u[..., i]
+        for j in (1, 2):
+            out[..., i, j] = (i == j) + u[..., i] * u[..., j] / (1.0 + g)
+    return out
+
+
+def _wigner_full(g, pts):
+    m = g.matrix.m
+    bp = _standard_boost_loop(pts)
+    theta_gbp = _lift_product_full(g.angle, m, 0.0, bp)
+    b_inv = ETA @ _standard_boost_loop(pts @ m.T) @ ETA
+    return _lift_product_full(0.0, b_inv, theta_gbp, m @ bp)
+
+
+def _compose_full(g1, g2):
+    m = _renormalize_chained(g1.matrix.m @ g2.matrix.m)
+    return m, float(_lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m))
+
+
+def _act_per_vector(g, path):
+    p = g if isinstance(g, CoveringPoincare) else CoveringPoincare(MVec3(0.0, 0.0, 0.0), g)
+    m, theta = p.lorentz.matrix.m, p.lorentz.angle
+
+    def move(v):
+        w = m @ v.as_array()
+        return MVec3(float(w[0]), float(w[1]), float(w[2]))
+
+    apex = p.translation + move(path.apex)
+    normals = tuple(move(n) for n in path.normals)
+    corners = tuple(move(c) for c in path.corners)
+    if p.lorentz.is_pure_rotation():
+        return ConePath(apex, path.arc.shifted(theta), path.kind, normals, corners)
+    rays = np.stack([path.corners[0].as_array(), path.corners[1].as_array()])
+    moved = rays @ m.T
+    turn = np.arctan2(moved[:, 2], moved[:, 1]) - np.arctan2(rays[:, 2], rays[:, 1]) - theta
+    turn = np.remainder(turn + math.pi, TWO_PI) - math.pi
+    lo, hi = (np.array([path.arc.alpha_minus, path.arc.alpha_plus]) + theta + turn).tolist()
+    if path.kind == KIND_WEDGE:
+        if abs((hi - lo) - math.pi) > LIFT_TOL:
+            raise LiftError("wedge arc endpoints drifted apart under transport")
+        hi = lo + math.pi
+    return ConePath(apex, LiftedArc(lo, hi), path.kind, normals, corners)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.tobytes() == b.tobytes()
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def _path_bits(c):
+    vecs = (c.apex, *c.normals, *c.corners)
+    return (c.kind, np.array([c.arc.alpha_minus, c.arc.alpha_plus]).tobytes(),
+            np.array([(v.x0, v.x1, v.x2) for v in vecs]).tobytes())
+
+
+def _elements(rng, n):
+    """Boosts R(theta + psi) B1(t) R(-psi) with |t| up to 6, pure rotations
+    by 2 pi m and pure axis boosts."""
+    out = []
+    for k in range(n):
+        t = rng.uniform(-6.0, 6.0) if k % 2 else rng.uniform(-1.0, 1.0)
+        theta, psi = rng.uniform(-12.0, 12.0), rng.uniform(-math.pi, math.pi)
+        out.append(cover_compose(cover_rotation(theta + psi),
+                                 cover_compose(cover_boost1(t), cover_rotation(-psi))))
+    out += [cover_rotation(TWO_PI * m) for m in (-3, -2, -1, 1, 2, 3)]
+    out += [cover_rotation(0.0), cover_boost1(6.0), cover_boost1(-6.0)]
+    return out
+
+
+def test_act_matches_per_vector_reference():
+    rng = np.random.default_rng(101)
+    paths = [cone_path(MVec3(*rng.normal(0.0, 0.4, 3)), rng.uniform(-math.pi, math.pi),
+                       rng.uniform(0.05, 1.4), sheet=int(rng.integers(-2, 3)))
+             for _ in range(4)]
+    paths += [wedge_path(MVec3(*rng.normal(0.0, 0.4, 3)), rng.uniform(-math.pi, math.pi),
+                         sheet=int(rng.integers(-2, 3))) for _ in range(3)]
+    for k, g in enumerate(_elements(rng, 160)):
+        if k % 2:
+            g = cover_compose(cover_translation(MVec3(*rng.normal(0.0, 1.0, 3))), g)
+        for c in paths:
+            try:
+                expected = _path_bits(_act_per_vector(g, c))
+            except LiftError as exc:
+                expected = repr(exc)
+            try:
+                got = _path_bits(act(g, c))
+            except LiftError as exc:
+                got = repr(exc)
+            assert got == expected
+
+
+def test_compose_and_inverse_match_full_matrix_reference():
+    rng = np.random.default_rng(102)
+    elements = _elements(rng, 200)
+    for k, g in enumerate(elements):
+        # strong with mild partners, and each element with its own inverse
+        for h in (elements[-1 - k], cover_inverse(g)):
+            m, theta = _compose_full(g, h)
+            gh = cover_compose(g, h)
+            _assert_same_bits(gh.matrix.m, m)
+            _assert_same_bits(gh.angle, theta)
+        inv = cover_inverse(g)
+        _assert_same_bits(inv.matrix.m, _renormalize_chained(ETA @ g.matrix.m.T @ ETA))
+        _assert_same_bits(inv.angle, -g.angle)
+
+
+def test_renormalize_matches_chained_products():
+    rng = np.random.default_rng(103)
+    for g in _elements(rng, 100):
+        m = g.matrix.m
+        for x in (m, ETA @ m.T @ ETA, m + rng.normal(0.0, 1e-13, (3, 3))):
+            _assert_same_bits(minkowski._renormalize(x), _renormalize_chained(x))
+
+
+def test_standard_boost_and_wigner_match_full_matrix_reference():
+    rng = np.random.default_rng(104)
+    for g in _elements(rng, 120):
+        spatial = rng.uniform(-2.5, 2.5, (12, 2))
+        spatial[0] = 0.0  # at rest
+        spatial[1, 0] = 0.0  # on the p2 axis
+        spatial[2, 1] = 0.0  # on the p1 axis
+        pts = shell_points(rng.uniform(0.5, 2.0), spatial)
+        _assert_same_bits(standard_boost(pts), _standard_boost_loop(pts))
+        _assert_same_bits(wigner_rotation(g, pts), _wigner_full(g, pts))
+        _assert_same_bits(wigner_rotation(g, pts[0]), _wigner_full(g, pts[0]))
+
+
+def test_lift_product_reads_row_zero_only():
+    rng = np.random.default_rng(105)
+    elements = _elements(rng, 40)
+    for g1, g2 in zip(elements, elements[::-1]):
+        full = _lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m)
+        rows = minkowski._lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])
+        _assert_same_bits(rows, full)
