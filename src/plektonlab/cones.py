@@ -363,7 +363,39 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
     return _verdict(_certificate(_separation_rows(c1, c2)))
 
 
+def _cone_rays(center: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """`cone_path(apex, center, half).closure_rays` per lane, (P, 4, 3); the
+    trig runs through `math`, as there, so the rays are bitwise the path's."""
+    trig = np.array([[(math.cos(a), math.sin(a)) for a in lane]
+                     for lane in np.stack([center - half, center + half, center], 1).tolist()])
+    rays = np.zeros((len(center), 4, 3))
+    rays[:, :2, 1:] = trig[:, :2]
+    rays[:, 2:, 1:] = trig[:, 2:]
+    rays[:, 2, 0] = [math.sin(h) for h in half.tolist()]
+    rays[:, 3, 0] = -rays[:, 2, 0]
+    return rays
+
+
+def _cones_separated(apex1, center1, half1, apex2, center2, half2) -> np.ndarray:
+    """Per lane, `causally_separated(cone_path(apex1, center1, half1),
+    cone_path(apex2, center2, half2))`, False where it raises.  The rows are
+    bitwise `_separation_rows`, stacked by row count (8 without an apex gap)."""
+    gap = apex1 - apex2
+    rows = np.concatenate([_cone_rays(center1, half1), -_cone_rays(center2, half2),
+                           gap[:, None, :]], axis=1)
+    has_gap = np.abs(gap).max(axis=1) > SEP_DEGENERATE
+    viol = np.empty((len(rows), 2))
+    for lanes, n in ((has_gap, 9), (~has_gap, 8)):
+        if lanes.any():
+            viol[lanes] = _certificates(rows[lanes, :n])
+    # a margin in the ambiguity band would raise in `_verdict`: it rejects too
+    return (viol <= SEP_ZERO).all(axis=1)
+
+
+@functools.lru_cache(maxsize=8)
 def _simplex_grid(parts: int, total: int) -> np.ndarray:
+    """Weights on the simplex with denominator ``total``, as a read-only
+    (k, parts) array shared by every later call."""
     out: list[tuple[int, ...]] = []
 
     def rec(prefix, remaining, slots):
@@ -374,7 +406,9 @@ def _simplex_grid(parts: int, total: int) -> np.ndarray:
             rec(prefix + (v,), remaining - v, slots - 1)
 
     rec((), total, parts)
-    return np.array(out, dtype=float) / total
+    grid = np.array(out, dtype=float) / total
+    grid.setflags(write=False)
+    return grid
 
 
 def _direction_samples(c: ConePath, resolution: int) -> np.ndarray:

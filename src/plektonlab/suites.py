@@ -1,8 +1,12 @@
 """Property sweeps behind `plektonlab verify`.
 
-Each suite draws its configurations from a seeded generator, runs the
-module invariants at the package tolerances and reports one line per check.
-Sweep sizes scale with the PLEKTONLAB_SWEEP environment variable.
+Each suite draws its configurations from two streams of its own, seeded by
+(seed, suite index, use): one for its separated pairs and fans, one for
+everything else.  It runs the module invariants at the package tolerances
+and reports one line per check.  Each loop draws its separated pairs with
+one call: candidates come in arrays, one stacked certificate decides a
+batch, and only accepted candidates become paths.  Sweep sizes scale with
+the PLEKTONLAB_SWEEP environment variable.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 import os
 import sys
 import traceback
+from collections.abc import Iterator
 from fractions import Fraction
 
 import numpy as np
@@ -66,24 +71,53 @@ def _n(base: int) -> int:
 # random generators
 # ---------------------------------------------------------------------------
 
-def random_separated_pair(rng: np.random.Generator):
-    """A causally separated (C2, C1) pair with generic arcs and apexes."""
-    for _ in range(64):
-        d1 = rng.uniform(0.08, 0.45)
-        d2 = rng.uniform(0.08, 0.45)
-        margin = 0.15
-        base = rng.uniform(-math.pi, math.pi)
+def _streams(seed: int, suite: str) -> tuple[np.random.Generator, np.random.Generator]:
+    """The suite's own generators: one for its separated pairs and fans, one
+    for everything else.  No two suites, and no two uses, share a stream."""
+    k = SUITES.index(suite)
+    return np.random.default_rng([seed, k, 0]), np.random.default_rng([seed, k, 1])
+
+
+def random_separated_pairs(rng: np.random.Generator,
+                           count: int) -> Iterator[tuple[ConePath, ConePath]]:
+    """``count`` causally separated (C2, C1) pairs with generic arcs and apexes.
+
+    Candidates are drawn in batches, about three per missing pair and at
+    most 64, and one stacked certificate decides each batch; only accepted
+    lanes become paths.  A lane whose margin is in the ambiguity band is
+    rejected, like one that is not separated.  Pairs are yielded batch by
+    batch, so at most one batch of paths is alive (a list of 300 pairs
+    raised verify-all's peak RSS by about 1 MB).
+    """
+    margin = 0.15
+    done = 0
+    for _ in range(64 * count + 1):  # give up after 64 rounds per pair
+        if done == count:
+            return
+        k = min(64, 3 * (count - done))
+        d1 = rng.uniform(0.08, 0.45, k)
+        d2 = rng.uniform(0.08, 0.45, k)
+        base = rng.uniform(-math.pi, math.pi, k)
         rel = d1 + d2 + margin + rng.uniform(0.0, 2.0 * math.pi - 2.0 * (d1 + d2 + margin))
-        apex1 = MVec3(*rng.normal(0.0, 0.05, 3))
-        apex2 = MVec3(*rng.normal(0.0, 0.05, 3))
-        c1 = cone_path(apex1, base, d1, sheet=int(rng.integers(-2, 3)))
-        c2 = cone_path(apex2, base + rel, d2, sheet=int(rng.integers(-2, 3)))
-        try:
-            if cones.causally_separated(c1, c2):
-                return c2, c1
-        except SeparationError:
-            continue
-    raise RuntimeError("failed to generate a separated pair")
+        apex1 = rng.normal(0.0, 0.05, (k, 3))
+        apex2 = rng.normal(0.0, 0.05, (k, 3))
+        sheet1 = rng.integers(-2, 3, k)
+        sheet2 = rng.integers(-2, 3, k)
+        center2 = base + rel
+        ok = cones._cones_separated(apex1, base, d1, apex2, center2, d2)
+        for i in np.flatnonzero(ok)[:count - done].tolist():
+            c1 = cone_path(MVec3(*apex1[i].tolist()), float(base[i]), float(d1[i]),
+                           sheet=int(sheet1[i]))
+            c2 = cone_path(MVec3(*apex2[i].tolist()), float(center2[i]), float(d2[i]),
+                           sheet=int(sheet2[i]))
+            done += 1
+            yield c2, c1
+    raise RuntimeError("failed to generate separated pairs")
+
+
+def random_separated_pair(rng: np.random.Generator):
+    """One causally separated (C2, C1) pair with generic arcs and apexes."""
+    return next(random_separated_pairs(rng, 1))
 
 
 def random_cover_element(rng: np.random.Generator, *, translations: bool = True):
@@ -115,7 +149,7 @@ def random_symbol(rng: np.random.Generator, loc: ConePath,
 
 def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="geometry", seed=seed)
-    rng = np.random.default_rng(seed)
+    pair_rng, rng = _streams(seed, "geometry")
 
     if scene is not None and len(scene.paths) >= 2:
         ids = scene.ids()
@@ -134,8 +168,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
 
     n_pairs = _n(300)
     bad = 0
-    for _ in range(n_pairs):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_pairs):
         if cones._winding(c2, c1) != relative_winding_scan(c2, c1):
             bad += 1
     rep.add_outcome("winding-closed-form-vs-definition", bad == 0,
@@ -143,8 +176,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     note="oracle scans n in [-5, 5] against both inequalities")
 
     bad = 0
-    for _ in range(n_pairs):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_pairs):
         if cones._winding(c2, c1) + cones._winding(c1, c2) != -1:
             bad += 1
     rep.add_outcome("winding-antisymmetry", bad == 0,
@@ -152,8 +184,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
 
     n_cov = _n(100)
     bad = 0
-    for _ in range(n_cov):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_cov):
         g = random_cover_element(rng)
         if relative_winding(cones.act(g, c2), cones.act(g, c1)) != cones._winding(c2, c1):
             bad += 1
@@ -162,8 +193,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     note="N invariant under random covering elements")
 
     bad = 0
-    for _ in range(_n(100)):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, _n(100)):
         m = int(rng.integers(-3, 4))
         shifted = cones.act(cover_rotation(2.0 * math.pi * m), c2)
         if cones._winding(shifted, c1) != cones._winding(c2, c1) + m:
@@ -173,8 +203,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
 
     bad = 0
     frame_a = ReferenceFrame(math.pi / 2.0)
-    for _ in range(_n(100)):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, _n(100)):
         frame_b = ReferenceFrame(rng.uniform(-6.0, 6.0))
         r2 = cones.rebase(c2, frame_a, frame_b)
         r1 = cones.rebase(c1, frame_a, frame_b)
@@ -184,8 +213,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     exact=f"{bad} violations", note="recomputed over a shifted base")
 
     bad = 0
-    for _ in range(_n(100)):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, _n(100)):
         if relative_winding(reflect_path(c2), reflect_path(c1)) != cones._winding(c1, c2):
             bad += 1
     rep.add_outcome("winding-reflection-transposition", bad == 0,
@@ -243,8 +271,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     note="accumulated angle of j-image negates")
 
     worst = 0.0
-    for _ in range(_n(40)):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, _n(40)):
         g = random_cover_element(rng, translations=False)
         moved = cones.act(g, c1)
         dense = continuation.ray_angles(
@@ -266,22 +293,22 @@ def _separated_fan(rng: np.random.Generator, count: int) -> list[ConePath]:
     """Pairwise separated cones spread over one angular turn.
 
     Apex jitter is purely spatial so the regions stay space-like near the
-    apexes; the result is verified and regenerated if a pair fails.
+    apexes.  One stacked certificate decides every pair, and the fan is
+    regenerated if a pair is not separated or its margin is in the
+    ambiguity band.
     """
     base = rng.uniform(-math.pi, math.pi)
     step = 2.0 * math.pi / count
+    centers = base + np.arange(count) * step
+    a, b = np.triu_indices(count, k=1)  # the pairs in itertools.combinations order
     for _ in range(32):
-        fan = [
-            cone_path(MVec3(0.0, *rng.normal(0.0, 0.02, 2)), base + k * step,
-                      rng.uniform(0.08, 0.3 * step))
-            for k in range(count)
-        ]
-        try:
-            if all(cones.causally_separated(a, b)
-                   for a, b in itertools.combinations(fan, 2)):
-                return fan
-        except SeparationError:
-            continue
+        apexes = np.zeros((count, 3))
+        apexes[:, 1:] = rng.normal(0.0, 0.02, (count, 2))
+        halves = rng.uniform(0.08, 0.3 * step, count)
+        if cones._cones_separated(apexes[a], centers[a], halves[a],
+                                  apexes[b], centers[b], halves[b]).all():
+            return [cone_path(MVec3(*apex), center, half) for apex, center, half
+                    in zip(apexes.tolist(), centers.tolist(), halves.tolist())]
     raise RuntimeError("failed to generate a separated fan")
 
 
@@ -300,12 +327,11 @@ def _all_reduced_routes(perm: tuple[int, ...]):
 
 def braid_suite(model: AnyonModel, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="braid", seed=seed)
-    rng = np.random.default_rng(seed)
+    pair_rng, rng = _streams(seed, "braid")
 
     n_inv = _n(200)
     bad = 0
-    for _ in range(n_inv):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_inv):
         w = fields.FieldWord.of(random_symbol(rng, c2, model), random_symbol(rng, c1, model))
         if fields._exchange(fields._exchange(w, 0, model), 0, model) != w:
             bad += 1
@@ -314,7 +340,7 @@ def braid_suite(model: AnyonModel, scene, seed: int) -> Report:
 
     bad = routes = 0
     for _ in range(_n(6)):
-        locs = _separated_fan(rng, 4)
+        locs = _separated_fan(pair_rng, 4)
         syms = [random_symbol(rng, loc, model) for loc in locs]
         for perm in itertools.permutations(range(4)):
             word = fields.FieldWord.of(*(syms[i] for i in perm))
@@ -333,9 +359,9 @@ def braid_suite(model: AnyonModel, scene, seed: int) -> Report:
 
     ferm = AnyonModel(2, CyclotomicPhase.from_pair(1, 2),
                       CyclotomicPhase.from_pair(1, 4), Fraction(1, 2))
-    c2, c1 = random_separated_pair(rng)
+    c2, c1 = random_separated_pair(pair_rng)
     while cones._winding(c2, c1) != 0:
-        c2, c1 = random_separated_pair(rng)
+        c2, c1 = random_separated_pair(pair_rng)
     w = fields.FieldWord.of(
         fields.FieldSymbol(1, fields.ObservableWord.symbol("A"), c2),
         fields.FieldSymbol(1, fields.ObservableWord.symbol("B"), c1),
@@ -379,12 +405,11 @@ def braid_suite(model: AnyonModel, scene, seed: int) -> Report:
 
 def twist_suite(model: AnyonModel, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="twist", seed=seed)
-    rng = np.random.default_rng(seed)
+    pair_rng, rng = _streams(seed, "twist")
 
     n_cfg = _n(100)
     bad = 0
-    for _ in range(n_cfg):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_cfg):
         f2 = random_symbol(rng, c2, model)
         f1 = random_symbol(rng, c1, model)
         defect = fields.twisted_commutator_defect(f2, f1, (c2, c1), model)
@@ -397,7 +422,7 @@ def twist_suite(model: AnyonModel, scene, seed: int) -> Report:
     # a twist whose winding is off by one shifts the defect by omega^(2 c1 c2),
     # so the control is only meaningful when omega^2 != 1
     if not (model.omega ** 2).is_one():
-        c2, c1 = random_separated_pair(rng)
+        c2, c1 = random_separated_pair(pair_rng)
         mismatched = cones.act(cover_rotation(2.0 * math.pi), c2)
         f2 = fields.FieldSymbol(1, fields.ObservableWord.symbol("A"), c2)
         f1 = fields.FieldSymbol(1, fields.ObservableWord.symbol("B"), c1)
@@ -460,7 +485,7 @@ def _reflection_frame(scene, rep: Report) -> ReferenceFrame | None:
 
 def tomita_suite(model: AnyonModel, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="tomita", seed=seed)
-    rng = np.random.default_rng(seed)
+    _, rng = _streams(seed, "tomita")
     frame = _reflection_frame(scene, rep)
     if frame is None:
         return rep
@@ -515,7 +540,7 @@ def tomita_suite(model: AnyonModel, scene, seed: int) -> Report:
 
 def cpt_suite(model: AnyonModel, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="cpt", seed=seed)
-    rng = np.random.default_rng(seed)
+    pair_rng, rng = _streams(seed, "cpt")
     frame = _reflection_frame(scene, rep)
     if frame is None:
         return rep
@@ -539,8 +564,7 @@ def cpt_suite(model: AnyonModel, scene, seed: int) -> Report:
 
     n_geo = _n(150)
     bad = 0
-    for _ in range(n_geo):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_geo):
         sym = random_symbol(rng, c1, model)
         op, loc = fields.cpt_conjugate(sym, model, frame)
         if op.shift != -sym.charge:
@@ -553,8 +577,7 @@ def cpt_suite(model: AnyonModel, scene, seed: int) -> Report:
 
     n_guard = _n(100)
     rejected = 0
-    for _ in range(n_guard):
-        c2, c1 = random_separated_pair(rng)
+    for c2, c1 in random_separated_pairs(pair_rng, n_guard):
         if cones._winding(c2, c1) != -1:
             c2 = cones.act(cover_rotation(2.0 * math.pi * (-1 - cones._winding(c2, c1))), c2)
         charge = int(rng.integers(-4, 5))
@@ -583,7 +606,7 @@ def cpt_suite(model: AnyonModel, scene, seed: int) -> Report:
 
 def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
     rep = Report(command="verify", suite="wigner", seed=seed)
-    rng = np.random.default_rng(seed)
+    _, rng = _streams(seed, "wigner")
     if model.mass is None:
         rep.add("wigner-mass", ERROR, note="model file does not specify a mass")
         return rep

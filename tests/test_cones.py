@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plektonlab import cones
 from plektonlab.cones import (
     KIND_CONE_COMPLEMENT,
     ConePath,
@@ -223,6 +224,34 @@ def test_certificate_layout_is_read_only():
     # every later certificate with n rows shares the cached layout arrays
     for n in range(8, 14):
         assert not any(a.flags.writeable for a in _layout(n)[1:])
+
+
+def test_cached_simplex_grid_keeps_oracle_outputs(monkeypatch):
+    # cones and wedges (4 and 6 closure rays) at two resolutions, against the
+    # same oracle building every grid afresh
+    rng = np.random.default_rng(44)
+    pairs = []
+    for _ in range(200):
+        regions = []
+        for _ in range(2):
+            apex, center = MVec3(*rng.normal(0, 0.4, 3)), rng.uniform(-math.pi, math.pi)
+            regions.append(wedge_path(apex, center) if rng.random() < 0.2
+                           else cone_path(apex, center, rng.uniform(0.1, 0.6)))
+        pairs.append((*regions, int(rng.integers(4, 6))))
+
+    def outputs():
+        out = []
+        for a, b, res in pairs:
+            found = find_causal_pair(a, b, res)
+            out.append(None if found is None else [v.as_array().tobytes() for v in found])
+        return out
+
+    cached = outputs()
+    grid = cones._simplex_grid(4, 5)
+    assert grid is cones._simplex_grid(4, 5) and not grid.flags.writeable
+    monkeypatch.setattr(cones, "_simplex_grid", cones._simplex_grid.__wrapped__)
+    assert outputs() == cached
+    assert 0 < sum(found is None for found in cached) < len(cached)
 
 
 def test_separation_rejects_complements():

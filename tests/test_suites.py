@@ -1,0 +1,163 @@
+"""The suites' random generators: batched separated pairs, fans and streams."""
+
+import math
+
+import numpy as np
+import pytest
+
+from plektonlab import cones, suites
+from plektonlab.cones import SeparationError, causally_separated, cone_path
+from plektonlab.minkowski import MVec3
+from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
+
+TWO_PI = 2.0 * math.pi
+
+
+def _recording_certificates(monkeypatch, band=lambda p: np.zeros(p, bool)):
+    """Patch `cones._certificates` to record every row set it decides.
+
+    Lanes picked by ``band`` get a future margin inside the ambiguity band;
+    returns (all recorded row bytes, banded row bytes)."""
+    real = cones._certificates
+    seen, banded = set(), set()
+
+    def certificates(rows):
+        viol = real(rows)
+        pick = band(len(rows))
+        viol[pick, 0] = math.sqrt(SEP_ZERO * SEP_AMBIGUOUS)
+        seen.update(r.tobytes() for r in rows)
+        banded.update(r.tobytes() for r in rows[pick])
+        return viol
+
+    monkeypatch.setattr(cones, "_certificates", certificates)
+    return seen, banded
+
+
+def _cell(c2, c1):
+    """(sheet of C2, sheet of C1, arc-gap decile) of a generated pair.
+
+    C1 is drawn at a centre in [-pi, pi) and C2 at C1's centre plus
+    rel in (0, 2 pi); the decile places C2's lower arc end in the range
+    [margin, 2 pi - 2 (d1 + d2) - margin] that the gap is drawn from."""
+    m1 = (c1.arc.alpha_minus + c1.arc.alpha_plus) / 2.0
+    m2 = (c2.arc.alpha_minus + c2.arc.alpha_plus) / 2.0
+    s1 = math.floor(m1 / TWO_PI + 0.5)
+    s2 = s1 + math.floor((m2 - m1) / TWO_PI)
+    d1, d2 = c1.arc.width / 2.0, c2.arc.width / 2.0
+    gap = (c2.arc.alpha_minus - c1.arc.alpha_plus) % TWO_PI
+    frac = (gap - 0.15) / (TWO_PI - 2.0 * (d1 + d2 + 0.15))
+    return s2, s1, min(9, int(10 * frac))
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_certified_rows_are_the_returned_pairs_rows(monkeypatch, count):
+    seen, _ = _recording_certificates(monkeypatch)
+    rng = np.random.default_rng(500 + count)
+    pairs = [p for _ in range(300 // count) for p in suites.random_separated_pairs(rng, count)]
+    assert len(pairs) == 300 // count * count
+    for c2, c1 in pairs:
+        assert cones._separation_rows(c1, c2).tobytes() in seen
+
+
+def test_returned_pairs_redecide_separated():
+    # more pairs than 64 full batches hold at the generator's yield
+    pairs = list(suites.random_separated_pairs(np.random.default_rng(600), 2000))
+    assert len(pairs) == 2000
+    for c2, c1 in pairs:
+        assert causally_separated(c1, c2)
+
+
+def test_in_band_margins_are_never_accepted(monkeypatch):
+    seen, banded = _recording_certificates(monkeypatch, lambda p: np.arange(p) % 2 == 0)
+    pairs = list(suites.random_separated_pairs(np.random.default_rng(700), 200))
+    returned = {cones._separation_rows(c1, c2).tobytes() for c2, c1 in pairs}
+    assert returned <= seen and not returned & banded
+    # the banded lanes include pairs the real certificate separates
+    monkeypatch.undo()
+    assert any(max(cones._certificate(np.frombuffer(b).reshape(-1, 3))) <= SEP_ZERO
+               for b in banded)
+
+
+def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
+    real = cones._certificates
+    stacks, banded = [], []
+
+    def certificates(rows):
+        viol = real(rows)
+        if not banded and (viol <= SEP_ZERO).all():
+            # the first fan that is separated gets one pair in the band
+            banded.append(rows[0].tobytes())
+            viol[0, 0] = math.sqrt(SEP_ZERO * SEP_AMBIGUOUS)
+        stacks.append(rows)
+        return viol
+
+    monkeypatch.setattr(cones, "_certificates", certificates)
+    fan = suites._separated_fan(np.random.default_rng(800), 4)
+    assert banded and all(rows.shape == (6, 9, 3) for rows in stacks)
+    rows = [cones._separation_rows(a, b).tobytes()
+            for i, a in enumerate(fan) for b in fan[i + 1:]]
+    assert rows == [r.tobytes() for r in stacks[-1]]
+    assert banded[0] not in rows
+
+
+def test_stacked_verdicts_match_single_decisions():
+    # random cone pairs at overlap and separation, a third sharing their apex
+    # (the apex-gap row dropped); a raise counts as not separated
+    rng = np.random.default_rng(900)
+    p = 240
+    apex1 = rng.normal(0.0, 0.3, (p, 3))
+    apex2 = np.where((np.arange(p) % 3 == 0)[:, None], apex1, rng.normal(0.0, 0.3, (p, 3)))
+    center1, center2 = rng.uniform(-4.0, 4.0, p), rng.uniform(-4.0, 4.0, p)
+    half1, half2 = rng.uniform(0.05, 1.2, p), rng.uniform(0.05, 1.2, p)
+    stacked = cones._cones_separated(apex1, center1, half1, apex2, center2, half2)
+    single = []
+    for i in range(p):
+        c1 = cone_path(MVec3(*apex1[i].tolist()), float(center1[i]), float(half1[i]))
+        c2 = cone_path(MVec3(*apex2[i].tolist()), float(center2[i]), float(half2[i]))
+        assert (cones._cone_rays(center1[i:i + 1], half1[i:i + 1])[0].tobytes()
+                == c1.closure_rays.tobytes())
+        try:
+            single.append(causally_separated(c1, c2))
+        except SeparationError:
+            single.append(False)
+    assert stacked.tolist() == single
+    assert 0 < sum(single) < p
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+def test_suites_draw_from_their_own_streams(monkeypatch, z3):
+    # each suite stops at its first pair draw; the first pair is then drawn
+    # from that generator's state, so batch sizes play no part
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.05")
+    states = {}
+
+    def record(rng, count):
+        states[current] = rng.bit_generator.state
+        raise _FirstDraw
+
+    monkeypatch.setattr(suites, "random_separated_pairs", record)
+    for current in ("geometry", "braid", "twist", "cpt"):
+        with pytest.raises(_FirstDraw):
+            suites._SUITE_FUNCS[current](z3, None, 7)
+    monkeypatch.undo()
+    arcs = set()
+    for state in states.values():
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        c2, c1 = suites.random_separated_pair(rng)
+        arcs.add((c2.arc, c1.arc))
+    assert len(arcs) == 4
+    draws = [rng.random() for name in suites.SUITES[:-1]
+             for rng in suites._streams(7, name)]
+    assert len(set(draws)) == len(draws)
+
+
+def test_pairs_cover_every_sheet_cell_and_gap_decile():
+    cells = {_cell(c2, c1)
+             for c2, c1 in suites.random_separated_pairs(np.random.default_rng(1000), 300)}
+    assert {(s2, s1) for s2, s1, _ in cells} == {(a, b) for a in range(-2, 3)
+                                                 for b in range(-2, 3)}
+    assert {d for _, _, d in cells} == set(range(10))
