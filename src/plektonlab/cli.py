@@ -89,6 +89,18 @@ def cmd_winding(args) -> int:
     return _emit(report, args.format)
 
 
+def _seed(text: str) -> int:
+    """The --seed value: numpy seeds the suites' streams only with a
+    non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_verify(args) -> int:
     sweep_scale()  # reject a bad PLEKTONLAB_SWEEP before any suite runs
     model = load_model(args.model) if args.model else None
@@ -121,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=SUITES, default="all")
     p_ver.add_argument("--model", default=None)
     p_ver.add_argument("--scene", default=None)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -278,6 +278,13 @@ def _layout(n: int):
     return (len(iu), *arrays)
 
 
+def _abs_max3(a: np.ndarray) -> np.ndarray:
+    """``np.abs(a).max(axis=-1)`` for a last axis of length 3, as two
+    elementwise maxima: numpy reduces such a short axis slowly."""
+    a = np.abs(a)
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), a[..., 2])
+
+
 def _certificates(rows: np.ndarray) -> np.ndarray:
     """Best (smallest) normalised violations over candidate separating
     covectors w in the closed future and in the closed past cone, as a (P, 2)
@@ -312,11 +319,14 @@ def _certificates(rows: np.ndarray) -> np.ndarray:
         cand[:, 2 * m + 2:-4 * n, 1:] = u.take(per_row[:2 * n], axis=1)[..., 1:]
         cand[:, -4 * n:, 1] = np.cos(psi)
         cand[:, -4 * n:, 2] = np.sin(psi)
-        scale = np.abs(cand).max(axis=2)
+        scale = _abs_max3(cand)
         cand /= scale[..., None]
-        values = (cand * _MINK_DIAG) @ rows.transpose(0, 2, 1)
-        values /= np.abs(rows).max(axis=2)[:, None, :]
-        viol = np.maximum(values.max(axis=2), 0.0)
+        # values per (lane, row, candidate): the max over rows then runs
+        # elementwise along the contiguous candidate axis
+        values = np.ascontiguousarray(
+            ((cand * _MINK_DIAG) @ rows.transpose(0, 2, 1)).transpose(0, 2, 1))
+        values /= _abs_max3(rows)[..., None]
+        viol = np.maximum(np.maximum.reduce(values, axis=1), 0.0)
         w0 = cand[..., 0]
         inside = (scale > SEP_DEGENERATE) & (
             w0 ** 2 - cand[..., 1] ** 2 - cand[..., 2] ** 2 >= -SEP_NAPPE_SLACK)

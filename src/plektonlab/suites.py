@@ -7,6 +7,10 @@ and reports one line per check.  Each loop draws its separated pairs with
 one call: candidates come in arrays, one stacked certificate decides a
 batch, and only accepted candidates become paths.  Sweep sizes scale with
 the PLEKTONLAB_SWEEP environment variable.
+
+Since the suites share no stream, "all" runs them side by side in forked
+worker processes and gathers their reports and tracebacks in SUITES order,
+so its report is byte for byte that of running them one after another.
 """
 
 from __future__ import annotations
@@ -701,28 +705,78 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, model: AnyonModel | None, scene, seed: int) -> Report:
-    """Run one suite, or every suite for "all".
+def _run_one(name: str, model: AnyonModel | None, scene, seed: int) -> tuple[Report, str]:
+    """One suite's report and the traceback text of its abort ("" if none).
 
-    An exception raised inside a suite becomes an error row named
-    "<suite>-aborted" (its traceback goes to stderr) and the remaining
-    suites still run; an unknown suite name raises ValueError.
-    """
-    if name == "all":
-        rep = Report(command="verify", suite="all", seed=seed)
-        for n in SUITES:
-            if n != "all":
-                rep.extend(run_suite(n, model, scene, seed))
-        return rep
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    The text is returned, not printed: what a forked worker writes to an
+    in-memory sys.stderr stays in the worker.  Module level, so that the
+    pool can send it by name."""
     rep = Report(command="verify", suite=name, seed=seed)
     if name != "geometry" and not model_suite_guard(model, rep):
-        return rep
+        return rep, ""
     try:
         rep.extend(_SUITE_FUNCS[name](model, scene, seed))
     except Exception as exc:
         # one failing suite is an error row, not the end of the run
-        traceback.print_exc(file=sys.stderr)
         rep.add(f"{name}-aborted", ERROR, note=f"{type(exc).__name__}: {exc}")
+        return rep, traceback.format_exc()
+    return rep, ""
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _run_all(model: AnyonModel | None, scene, seed: int) -> list[tuple[Report, str]]:
+    """`_run_one` of every suite, in SUITES order.
+
+    The suites run side by side in a pool of forked workers that lives for
+    this call.  spawn and forkserver would re-import numpy in each worker
+    (about 100 ms), so the suites run in this process where there is no
+    fork or only one usable CPU.  The pool forks its workers before it
+    starts its own threads.  A suite whose worker died becomes an
+    "<suite>-aborted" error row.
+    """
+    names = SUITES[:-1]
+    workers = min(len(names), _usable_cpus())
+    if workers > 1:
+        import multiprocessing  # not at module level: every import would pay for it
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            results = []
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(_run_one, n, model, scene, seed) for n in names]
+                for n, future in zip(names, futures):
+                    try:
+                        results.append(future.result())
+                    except BrokenProcessPool as exc:
+                        rep = Report(command="verify", suite=n, seed=seed)
+                        rep.add(f"{n}-aborted", ERROR, note=f"{type(exc).__name__}: {exc}")
+                        results.append((rep, ""))
+            return results
+    return [_run_one(n, model, scene, seed) for n in names]
+
+
+def run_suite(name: str, model: AnyonModel | None, scene, seed: int) -> Report:
+    """Run one suite, or every suite for "all".
+
+    An exception raised inside a suite becomes an error row named
+    "<suite>-aborted" (its traceback goes to stderr, in SUITES order for
+    "all") and the remaining suites still run; an unknown suite name raises
+    ValueError.
+    """
+    if name != "all" and name not in _SUITE_FUNCS:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    results = _run_all(model, scene, seed) if name == "all" else [_run_one(name, model, scene, seed)]
+    rep = Report(command="verify", suite=name, seed=seed)
+    for part, trace in results:
+        sys.stderr.write(trace)
+        rep.extend(part)
     return rep

@@ -1,14 +1,21 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import plektonlab
 from plektonlab.cli import main
+from plektonlab.suites import SUITES
 from tests.conftest import ASSETS
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the suites run in forked workers only where fork exists")
 
 
 def run(capsys, *argv):
@@ -204,6 +211,76 @@ def test_verify_isolates_a_suite_that_raises(monkeypatch, capsys):
         {"name": "cpt-aborted", "status": "error",
          "note": "RuntimeError: failed to generate a separated pair"},
     ]
+
+
+def test_verify_rejects_a_negative_seed(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "geometry", "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "non-negative integer" in err and "Traceback" not in err
+
+
+@needs_fork
+def test_verify_all_prints_tracebacks_in_suite_order(monkeypatch, capsys):
+    # braid fails last in time, cpt first; their tracebacks still come in
+    # SUITES order, from the workers back to this process
+    from plektonlab import suites
+
+    def slow_raise(model, scene, seed):
+        time.sleep(0.5)
+        raise ValueError("braid raised late")
+
+    def fast_raise(model, scene, seed):
+        raise KeyError("cpt raised early")
+
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.05")
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    monkeypatch.setitem(suites._SUITE_FUNCS, "braid", slow_raise)
+    monkeypatch.setitem(suites._SUITE_FUNCS, "cpt", fast_raise)
+    code, _, err = run(capsys, "verify", "--suite", "all",
+                       "--model", str(ASSETS / "z3_anyon.json"), "--seed", "4")
+    assert code == 1
+    assert err.count("Traceback") == 2
+    assert 0 <= err.index("braid raised late") < err.index("cpt raised early")
+
+
+_DYING_WORKER = """
+import os, sys
+from plektonlab import suites
+from plektonlab.cli import main
+
+suites._usable_cpus = lambda: 2
+suites._SUITE_FUNCS["cpt"] = lambda model, scene, seed: os._exit(3)
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@needs_fork
+def test_verify_all_turns_a_dead_worker_into_error_rows():
+    env = {**os.environ, "PLEKTONLAB_SWEEP": "0.05",
+           "PYTHONPATH": str(Path(plektonlab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, "verify", "--suite", "all",
+         "--model", str(ASSETS / "z3_anyon.json"), "--seed", "4", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    failed = [c for c in json.loads(proc.stdout)["checks"] if c["status"] != "pass"]
+    aborted = [f"{name}-aborted" for name in SUITES[:-1]]
+    assert "cpt-aborted" in [c["name"] for c in failed]
+    for c in failed:
+        assert c["name"] in aborted and c["status"] == "error"
+        assert c["note"].startswith("BrokenProcessPool: ")
+
+
+def test_importing_the_cli_imports_no_process_machinery():
+    # the pool's modules are imported only when `verify --suite all` runs
+    env = {**os.environ, "PYTHONPATH": str(Path(plektonlab.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, plektonlab.cli; print(sorted(m for m in "
+         "('multiprocessing', 'concurrent.futures') if m in sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_python_m_runs_the_cli():

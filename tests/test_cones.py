@@ -220,6 +220,73 @@ def test_stacked_certificates_match_single_calls():
         assert stacked == [_certificate(rows) for rows in group]
 
 
+def _frozen_certificates(rows):
+    """`cones._certificates` as it was with numpy's max over the short
+    component and row axes: the reference for the elementwise maxima."""
+    from plektonlab.tolerances import SEP_DEGENERATE, SEP_NAPPE_SLACK, SEP_ZERO
+
+    p, n, _ = rows.shape
+    m, ga, gb, ga2, gb2, per_row, t_sign, ang_sign, sign, nappes = _layout(n)
+    flat = rows.reshape(p, 3 * n)
+    cand = np.empty((p, 2 * m + len(sign), 3))
+    np.subtract(flat.take(ga, axis=1) * flat.take(gb, axis=1),
+                flat.take(ga2, axis=1) * flat.take(gb2, axis=1), out=cand[:, :m])
+    cand[:, :m] *= cones._MINK_DIAG
+    np.negative(cand[:, :m], out=cand[:, m:2 * m])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.hypot(rows[..., 1], rows[..., 2])
+        r[r <= SEP_DEGENERATE] = np.nan
+        u = rows / r[..., None]
+        psi = (np.arctan2(u[..., 2], u[..., 1]).take(per_row, axis=1)
+               + np.arccos(u[..., 0].take(per_row, axis=1) * t_sign) * ang_sign)
+        cand[:, 2 * m:, 0] = sign
+        cand[:, 2 * m:2 * m + 2, 1:] = 0.0
+        cand[:, 2 * m + 2:-4 * n, 1:] = u.take(per_row[:2 * n], axis=1)[..., 1:]
+        cand[:, -4 * n:, 1] = np.cos(psi)
+        cand[:, -4 * n:, 2] = np.sin(psi)
+        scale = np.abs(cand).max(axis=2)
+        cand /= scale[..., None]
+        values = (cand * cones._MINK_DIAG) @ rows.transpose(0, 2, 1)
+        values /= np.abs(rows).max(axis=2)[:, None, :]
+        viol = np.maximum(values.max(axis=2), 0.0)
+        w0 = cand[..., 0]
+        inside = (scale > SEP_DEGENERATE) & (
+            w0 ** 2 - cand[..., 1] ** 2 - cand[..., 2] ** 2 >= -SEP_NAPPE_SLACK)
+    ok = inside[:, None, :] & (w0[:, None, :] * cones._NAPPE_SIGN >= -SEP_ZERO) & nappes
+    return np.where(ok, viol[:, None, :], math.inf).min(axis=2)
+
+
+def test_certificates_match_frozen_short_axis_kernel():
+    # bitwise, on stacks of every row count from 8 to 13: cones and wedges,
+    # shared apexes, and lanes with a zeroed row or a row with no spatial
+    # part (their candidates are NaN)
+    rng = np.random.default_rng(77)
+
+    def region(apex):
+        center = rng.uniform(-math.pi, math.pi)
+        if rng.random() < 0.3:
+            return wedge_path(apex, center)
+        return cone_path(apex, center, rng.uniform(0.05, 1.4))
+
+    by_rows = {}
+    for _ in range(1200):
+        apex = MVec3(*rng.normal(0, 0.4, 3))
+        c1 = region(apex)
+        c2 = region(apex if rng.random() < 0.4 else MVec3(*rng.normal(0, 0.4, 3)))
+        by_rows.setdefault(len(_separation_rows(c1, c2)), []).append(
+            _separation_rows(c1, c2))
+    assert sorted(by_rows) == list(range(8, 14))
+    for group in by_rows.values():
+        rows = np.stack(group)
+        lanes = np.arange(len(rows))
+        rows[lanes % 5 == 1, lanes[lanes % 5 == 1] % rows.shape[1]] = 0.0
+        rows[lanes % 5 == 2, -1, 1:] = 0.0
+        assert _certificates(rows).tobytes() == _frozen_certificates(rows).tobytes()
+        for p in (1, 64):
+            assert (_certificates(rows[:p]).tobytes()
+                    == _frozen_certificates(rows[:p]).tobytes())
+
+
 def test_certificate_layout_is_read_only():
     # every later certificate with n rows shares the cached layout arrays
     for n in range(8, 14):

@@ -1,6 +1,8 @@
-"""The suites' random generators: batched separated pairs, fans and streams."""
+"""The suites' random generators (batched separated pairs, fans and streams)
+and the worker pool of `run_suite("all")`."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from plektonlab import cones, suites
 from plektonlab.cones import SeparationError, causally_separated, cone_path
 from plektonlab.minkowski import MVec3
+from plektonlab.scenes import load_scene
+from plektonlab.sectors import load_model
 from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
+from tests.conftest import ASSETS
 
 TWO_PI = 2.0 * math.pi
 
@@ -161,3 +166,19 @@ def test_pairs_cover_every_sheet_cell_and_gap_decile():
     assert {(s2, s1) for s2, s1, _ in cells} == {(a, b) for a in range(-2, 3)
                                                  for b in range(-2, 3)}
     assert {d for _, _, d in cells} == set(range(10))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the suites run in forked workers only where fork exists")
+@pytest.mark.parametrize("seed", [1, 3, 7, 11, 42])
+def test_pooled_and_in_process_reports_are_byte_identical(monkeypatch, seed):
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.25")
+    model = load_model(ASSETS / "z3_anyon.json")
+    scene = load_scene(ASSETS / "antipodal_scene.json")
+    reports = []
+    for cpus in (2, 1):  # the pool, then the in-process loop
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+        reports.append(suites.run_suite("all", model, scene, seed))
+    pooled, in_process = reports
+    assert pooled.to_json() == in_process.to_json()
+    assert pooled.to_text() == in_process.to_text()
