@@ -19,6 +19,7 @@ orientation-preserving group action):
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -35,10 +36,9 @@ from .minkowski import (
     reflect_vector,
     wrap_angle,
 )
-from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_CONTACT,
-                         ORACLE_RATIO_FLOOR, ORACLE_RECESSION_MARGIN, ORACLE_SINGULAR_DET,
-                         ORACLE_SPACELIKE, ORACLE_ZERO_SAMPLE, REFLECTION_TOL, SEP_AMBIGUOUS,
-                         SEP_DEGENERATE, SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
+from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_COMMON_APEX,
+                         ORACLE_CONTACT, REFLECTION_TOL, SEP_AMBIGUOUS, SEP_DEGENERATE,
+                         SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
 
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
@@ -402,107 +402,62 @@ def _cones_separated(apex1, center1, half1, apex2, center2, half2) -> np.ndarray
     return (viol <= SEP_ZERO).all(axis=1)
 
 
-@functools.lru_cache(maxsize=8)
-def _simplex_grid(parts: int, total: int) -> np.ndarray:
-    """Weights on the simplex with denominator ``total``, as a read-only
-    (k, parts) array shared by every later call."""
-    out: list[tuple[int, ...]] = []
+def find_causal_pair(c1: ConePath, c2: ConePath):
+    """Exact primal sign oracle: x in the closure of C1 and y in that of C2
+    with (x - y)^2 > 0, or None.
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for v in range(remaining + 1):
-            rec(prefix + (v,), remaining - v, slots - 1)
-
-    rec((), total, parts)
-    grid = np.array(out, dtype=float) / total
-    grid.setflags(write=False)
-    return grid
-
-
-def _direction_samples(c: ConePath, resolution: int) -> np.ndarray:
-    """Space-like vectors sampled densely across the direction set of c."""
-    gens = c.closure_rays
-    w = _simplex_grid(len(gens), resolution)
-    # nudge off the light-like boundary and away from cancelling ray pairs
-    w = w + 1e-3
-    pts = w @ gens
-    scale = np.abs(pts).max(axis=1)
-    keep = scale > ORACLE_ZERO_SAMPLE
-    pts = pts[keep] / scale[keep, None]
-    mink = pts[:, 0] ** 2 - pts[:, 1] ** 2 - pts[:, 2] ** 2
-    return pts[mink < -ORACLE_SPACELIKE]
-
-
-def find_causal_pair(c1: ConePath, c2: ConePath, resolution: int = 5):
-    """Dense-sampling sign oracle: search for x in C1, y in C2 with
-    (x-y)^2 >= 0.
-
-    Directions are sampled densely over each region; for each direction pair
-    the radial profile r, r' >= 0 of (apex1 + r e - apex2 - r' f)^2 is a
-    quadratic whose supremum over the quadrant is evaluated in closed form.
-    Returns a violating (x, y) pair or None.  Independent of the certificate
-    search in `causally_separated`.
+    The differences x - y fill d + cone(G), with d the apex difference and G
+    the closure rays of C1 and the negated rays of C2.  That set meets the
+    open future (past) nappe iff phi = +-t0 - |t_s| is positive somewhere on
+    the hull of d and G, each scaled to max-norm 1.  phi is concave, and on a
+    face where it is smooth it is constant along the light-like direction of
+    its gradient, so its maximum sits at a generator, at the stationary point
+    inside an edge, or where a triangle of generators meets the time axis;
+    every such point is evaluated.  An apex difference within rounding of the
+    apexes counts as none.  Shares only the regions' rays and apexes with the
+    certificate of `causally_separated`.
     """
-    E = _direction_samples(c1, resolution)
-    F = _direction_samples(c2, resolution)
-    d = (c1.apex - c2.apex).as_array()
-
-    def mdot(u, v):
-        return u[..., 0] * v[..., 0] - u[..., 1] * v[..., 1] - u[..., 2] * v[..., 2]
-
-    a = mdot(E, E)[:, None]          # < 0
-    b = mdot(F, F)[None, :]          # < 0
-    c = np.einsum("ik,jk->ij", E * np.array([1.0, -1.0, -1.0]), F)
-    de = mdot(E, d)[:, None]
-    df = mdot(F, d)[None, :]
-    dd = float(mdot(d, d))
-
-    # recession causal: c strictly below -sqrt(a b) means r e - r' f reaches
-    # the open interior of the light cone (equality is the grazing ray e = f)
-    rec = c < -np.sqrt(a * b) - ORACLE_RECESSION_MARGIN
-    if np.any(rec):
-        i, j = np.argwhere(rec)[0]
-        t = c[i, j] / a[i, 0]  # ratio r/r' maximising the quadratic part
-        r, rp = 1e6 * max(t, ORACLE_RATIO_FLOOR), 1e6
-        x = c1.apex.as_array() + r * E[i]
-        y = c2.apex.as_array() + rp * F[j]
-        return MVec3.from_array(x), MVec3.from_array(y)
-
-    # edge r' = 0: maximum at r = -de/a when nonnegative
-    r_edge = np.where(de >= 0.0, -de / a, 0.0) + np.zeros_like(c)
-    # edge r = 0: maximum at r' = df/b when nonnegative
-    rp_edge = np.where(df <= 0.0, df / b, 0.0) + np.zeros_like(c)
-    # interior critical point of the (negative-definite) quadratic
-    det = a * b - c**2
-    safe = np.abs(det) > ORACLE_SINGULAR_DET
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_in = np.where(safe, (-de * b + c * df) / det, 0.0)
-        rp_in = np.where(safe, (a * df - c * de) / det, 0.0)
-    feas = safe & (r_in >= 0.0) & (rp_in >= 0.0)
-    v_in = dd + 2.0 * r_in * de - 2.0 * rp_in * df + r_in**2 * a + rp_in**2 * b \
-        - 2.0 * r_in * rp_in * c
-    v_in = np.where(feas, v_in, -np.inf)
-
-    # keep the best candidate (value, r, r') per direction pair, in this order
-    best, r_best, rp_best = np.full(c.shape, dd), np.zeros(c.shape), np.zeros(c.shape)
-    for v, r, rp in ((dd + 2.0 * r_edge * de + r_edge**2 * a, r_edge, 0.0),
-                     (dd - 2.0 * rp_edge * df + rp_edge**2 * b, 0.0, rp_edge),
-                     (v_in, r_in, rp_in)):
-        upd = v > best
-        best, r_best, rp_best = (np.where(upd, v, best), np.where(upd, r, r_best),
-                                 np.where(upd, rp, rp_best))
-
-    # the regions are open: a supremum of exactly zero is boundary contact
-    # (apexes or grazing rays), not a causal pair
-    strict = ORACLE_CONTACT * max(1.0, float(np.abs(d).max()) ** 2)
-    i, j = np.unravel_index(int(np.argmax(best)), best.shape)
-    if best[i, j] > strict:
-        x = c1.apex.as_array() + r_best[i, j] * E[i]
-        y = c2.apex.as_array() + rp_best[i, j] * F[j]
-        return MVec3.from_array(x), MVec3.from_array(y)
-    return None
+    k1, k2 = len(c1.closure_rays), len(c2.closure_rays)
+    apexes = np.array([c1.apex.as_array(), c2.apex.as_array()])
+    d = apexes[0] - apexes[1]
+    common = np.abs(d).max() <= ORACLE_COMMON_APEX * max(1.0, np.abs(apexes).max())
+    gens = np.concatenate([c1.closure_rays, -c2.closure_rays, d[None]][:2 if common else 3])
+    gens /= np.abs(gens).max(axis=1, keepdims=True)
+    k = len(gens)
+    sign = np.array([[1.0], [-1.0]])  # future, past
+    i, j = np.triu_indices(k, 1)
+    a, e = gens[i, 1:], gens[j] - gens[i]
+    tri = np.array(list(itertools.combinations(range(k), 3)))
+    p, q = gens[tri[:, [1, 2, 0]], 1:], gens[tri[:, [2, 0, 1]], 1:]
+    with np.errstate(all="ignore"):
+        # on the edge a + lam e, the slope s e0 of s t0 meets that of |t_s|
+        q2, c = e[:, 1] ** 2 + e[:, 2] ** 2, sign * e[:, 0]
+        lam = (c * np.abs(a[:, 0] * e[:, 2] - a[:, 1] * e[:, 1]) / np.sqrt(q2 - c * c)
+               - a[:, 0] * e[:, 1] - a[:, 1] * e[:, 2]) / q2
+        lam = np.nan_to_num(np.clip(lam, 0.0, 1.0))  # no stationary point: an end
+        # barycentric weights of the origin in each triangle's spatial parts
+        bary = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+        bary /= bary.sum(axis=1, keepdims=True)
+    edges = np.zeros((2, len(i), k))
+    edges[:, np.arange(len(i)), i], edges[:, np.arange(len(i)), j] = 1.0 - lam, lam
+    axis = np.zeros((len(tri), k))
+    np.put_along_axis(axis, tri, bary, axis=1)
+    axis = axis[((bary >= 0.0) & (bary <= 1.0)).all(axis=1)]
+    weights = np.concatenate([np.broadcast_to(np.eye(k), (2, k, k)), edges,
+                              np.broadcast_to(axis, (2, *axis.shape))], axis=1)
+    t = weights @ gens
+    phi = sign * t[..., 0] - np.hypot(t[..., 1], t[..., 2])
+    s, m = np.unravel_index(int(np.argmax(phi)), phi.shape)
+    if phi[s, m] <= ORACLE_CONTACT:
+        return None
+    # x - y = d + r u, with u the rays' part of the maximiser: a multiple of
+    # it when d has weight mu > 0, else phi(d + r u) >= phi(d) + r phi(u) > 0
+    w, mu = weights[s, m], weights[s, m, k1 + k2:].sum()
+    r = (np.abs(d).max() / mu if mu > 0.0
+         else 1.0 + abs(sign[s, 0] * d[0] - math.hypot(d[1], d[2])) / phi[s, m])
+    steps = r * w[:k1 + k2, None] * gens[:k1 + k2]
+    return (MVec3.from_array(apexes[0] + steps[:k1].sum(axis=0)),
+            MVec3.from_array(apexes[1] - steps[k1:].sum(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
             bad += 1
     rep.add_outcome("separation-oracle-agreement", bad == 0,
                     exact=f"{bad}/{n_sep - graze} disagreements",
-                    note="dense direction sampling with exact radial profile")
+                    note="exact primal oracle over the hull of rays and apex gap")
 
     bad = 0
     for _ in range(_n(100)):

@@ -26,13 +26,9 @@ SEP_ZERO = 1e-10  # dimensionless violation read as contact
 SEP_AMBIGUOUS = 1e-7  # dimensionless violation read as a causal pair
 SEP_DEGENERATE = 1e-14  # largest component up to which a vector counts as zero
 SEP_NAPPE_SLACK = 1e-9  # Minkowski square down to -this still lies in the light cone
-# Dense-sampling oracle (cones.find_causal_pair), kept apart from the certificate
-ORACLE_ZERO_SAMPLE = 1e-9  # largest component up to which a sampled direction is zero
-ORACLE_SPACELIKE = 1e-9  # a normalised sample is space-like below Minkowski square -this
-ORACLE_RECESSION_MARGIN = 1e-12  # how far e.f must fall below -sqrt(e.e f.f) for a causal ray
-ORACLE_RATIO_FLOOR = 1e-6  # smallest ratio r/r' of a recession witness
-ORACLE_SINGULAR_DET = 1e-14  # |det| up to which the radial quadratic has no critical point
-ORACLE_CONTACT = 1e-9  # sup (x - y)^2 per max(1, |apex difference|^2) read as contact
+# Primal oracle (cones.find_causal_pair), kept apart from the certificate
+ORACLE_COMMON_APEX = 1e-12  # |apex difference| per max(1, |apexes|) read as a common apex
+ORACLE_CONTACT = 1e-9  # max of +-t0 - |t_s| over the max-norm hull read as contact
 # Oracles of the closed forms (continuation, lattice)
 CONTINUATION_RTOL = 1e-12  # endpoint change between step counts per max(1, |endpoint|)
 LATTICE_TOL = 1e-12  # max-norm distance between the matrix sides of a lattice identity

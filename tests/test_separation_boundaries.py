@@ -1,4 +1,4 @@
-"""Causal separation at exact arc gaps, refereed by geometry instead of an oracle.
+"""Causal separation at exact arc gaps, refereed by geometry and by the primal oracle.
 
 Two regions with a common apex, a cone and a cone or a wedge and a cone, whose
 direction arcs are a signed gap delta apart are causally separated iff
@@ -7,16 +7,18 @@ other, overlapping arcs share directions.  Both regions are then moved by one
 covering element, which cannot change the verdict.  For delta > 0 each apex is
 also shifted inward along its region's axis; the shifted region lies inside
 the original one, so it stays separated, and the apex difference enters the
-certificate.  The dense-sampling oracle cannot referee these pairs: it misses
-same-apex overlaps as wide as 1e-3.
+certificate.  The draw keeps the second cone from lying wholly past the
+first, where a negative delta would again mean disjoint arcs.  The primal
+oracle `find_causal_pair` gets the same verdict on every decisive gap.
 """
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plektonlab.cones import SeparationError, act, causally_separated, cone_path, wedge_path
+from plektonlab.cones import (SeparationError, act, causally_separated, cone_path,
+                              find_causal_pair, wedge_path)
 from plektonlab.minkowski import (
     MVec3,
     cover_boost1,
@@ -30,8 +32,14 @@ DECISIVE_GAP = 1e-6
 
 boundary = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
-gaps = st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
-                 st.floats(-9.0, -0.5), st.sampled_from((-1.0, 1.0)))
+
+def signed(exponents):
+    return st.builds(lambda exponent, sign: sign * 10.0 ** exponent,
+                     exponents, st.sampled_from((-1.0, 1.0)))
+
+
+gaps = signed(st.floats(-9.0, -0.5))
+decisive_gaps = signed(st.floats(math.log10(DECISIVE_GAP), -0.5))
 angles = st.floats(-math.pi, math.pi)
 halves = st.floats(0.05, 1.2)
 sheets = st.integers(-2, 2)
@@ -65,11 +73,9 @@ def assert_verdict(c1, c2, delta):
         pass
 
 
-@boundary
-@given(st.booleans(), angles, halves, halves, gaps, sheets, sheets, shifts, shifts,
-       movers(), st.booleans())
-def test_separation_at_signed_arc_gap(wedge, center, half1, half2, delta, sheet1, sheet2,
-                                      shift1, shift2, g, swap):
+def signed_gap_pair(wedge, center, half1, half2, delta, sheet1, sheet2, shift1, shift2, g,
+                    swap):
+    """The two moved regions of the construction, or a rejected draw."""
     apex = MVec3(0.0, 0.0, 0.0)
     if wedge:
         first = wedge_path(apex, center, sheet1)
@@ -77,10 +83,31 @@ def test_separation_at_signed_arc_gap(wedge, center, half1, half2, delta, sheet1
     else:
         first = cone_path(apex, center, half1, sheet1)
         upper = center + half1
+    # a negative delta must leave the arcs overlapping at both ends: below
+    # -(width1 + 2 half2) the second arc lies wholly past the first's
+    assume(first.arc.width + 2.0 * half2 + delta >= abs(delta))
     second = cone_path(apex, upper + delta + half2, half2, sheet2)
     if delta > 0.0:
         first, second = inward(first, shift1), inward(second, shift2)
     first, second = act(g, first), act(g, second)
-    if swap:
-        first, second = second, first
+    return (second, first) if swap else (first, second)
+
+
+@boundary
+@given(st.booleans(), angles, halves, halves, gaps, sheets, sheets, shifts, shifts,
+       movers(), st.booleans())
+def test_separation_at_signed_arc_gap(wedge, center, half1, half2, delta, sheet1, sheet2,
+                                      shift1, shift2, g, swap):
+    first, second = signed_gap_pair(wedge, center, half1, half2, delta, sheet1, sheet2,
+                                    shift1, shift2, g, swap)
     assert_verdict(first, second, delta)
+
+
+@boundary
+@given(st.booleans(), angles, halves, halves, decisive_gaps, sheets, sheets, shifts, shifts,
+       movers(), st.booleans())
+def test_primal_oracle_at_signed_arc_gap(wedge, center, half1, half2, delta, sheet1, sheet2,
+                                         shift1, shift2, g, swap):
+    first, second = signed_gap_pair(wedge, center, half1, half2, delta, sheet1, sheet2,
+                                    shift1, shift2, g, swap)
+    assert (find_causal_pair(first, second) is None) == (delta > 0.0)

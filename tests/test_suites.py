@@ -168,6 +168,14 @@ def test_pairs_cover_every_sheet_cell_and_gap_decile():
     assert {d for _, _, d in cells} == set(range(10))
 
 
+def test_oracle_agrees_on_the_quarter_sweep_seed_42_pairs(monkeypatch, z3):
+    # one of these 38 random cone pairs overlaps narrowly (future margin 1.48e-4)
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.25")
+    rows = suites.geometry_suite(z3, load_scene(ASSETS / "antipodal_scene.json"), 42).checks
+    row, = (r for r in rows if r.name == "separation-oracle-agreement")
+    assert (row.status, row.exact) == ("pass", "0/38 disagreements")
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the suites run in forked workers only where fork exists")
 @pytest.mark.parametrize("seed", [1, 3, 7, 11, 42])
