@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -370,7 +371,49 @@ def causally_separated(c1: ConePath, c2: ConePath) -> bool:
     the dual nappe.  Near-grazing configurations raise SeparationError, the
     future nappe's margin first.
     """
-    return _verdict(_certificate(_separation_rows(c1, c2)))
+    (verdict,) = _separated_many([(c1, c2)])
+    if isinstance(verdict, SeparationError):
+        raise verdict
+    return verdict
+
+
+# most pairs in one numpy stack: the oracle's 150 pairs of the geometry suite
+# in stacks of 64 raised that suite's peak RSS by 2 MB against stacks of 32,
+# which decide about as fast per pair
+_STACK = 32
+
+
+def _stacks(keyed) -> Iterator[list]:
+    """The items of (key, item) pairs grouped by key, in stacks of at most _STACK."""
+    groups: dict = {}
+    for key, item in keyed:
+        groups.setdefault(key, []).append(item)
+    for group in groups.values():
+        for start in range(0, len(group), _STACK):
+            yield group[start:start + _STACK]
+
+
+def _separated_many(pairs) -> list:
+    """Per (C1, C2) pair, `causally_separated(C1, C2)` or the SeparationError
+    it would raise.  Certificate stacks of one row count decide the pairs,
+    so each verdict is bitwise that of a call on its own."""
+    out: list = [None] * len(pairs)
+    keyed = []
+    for i, (c1, c2) in enumerate(pairs):
+        try:
+            rows = _separation_rows(c1, c2)
+        except SeparationError as exc:
+            out[i] = exc
+            continue
+        keyed.append((len(rows), (i, rows)))
+    for stack in _stacks(keyed):
+        lanes, rows = zip(*stack)
+        for i, violations in zip(lanes, _certificates(np.array(rows)).tolist()):
+            try:
+                out[i] = _verdict(violations)
+            except SeparationError as exc:
+                out[i] = exc
+    return out
 
 
 def _cone_rays(center: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -413,51 +456,82 @@ def find_causal_pair(c1: ConePath, c2: ConePath):
     face where it is smooth it is constant along the light-like direction of
     its gradient, so its maximum sits at a generator, at the stationary point
     inside an edge, or where a triangle of generators meets the time axis;
-    every such point is evaluated.  An apex difference within rounding of the
-    apexes counts as none.  Shares only the regions' rays and apexes with the
-    certificate of `causally_separated`.
+    every such point is evaluated, in `_causal_pairs`.  An apex difference
+    within rounding of the apexes counts as none.  Shares only the regions'
+    rays and apexes with the certificate of `causally_separated`.
     """
-    k1, k2 = len(c1.closure_rays), len(c2.closure_rays)
-    apexes = np.array([c1.apex.as_array(), c2.apex.as_array()])
-    d = apexes[0] - apexes[1]
-    common = np.abs(d).max() <= ORACLE_COMMON_APEX * max(1.0, np.abs(apexes).max())
-    gens = np.concatenate([c1.closure_rays, -c2.closure_rays, d[None]][:2 if common else 3])
-    gens /= np.abs(gens).max(axis=1, keepdims=True)
-    k = len(gens)
-    sign = np.array([[1.0], [-1.0]])  # future, past
+    (pair,) = _causal_pairs([(c1, c2)])
+    return pair
+
+
+@functools.lru_cache(maxsize=8)
+def _hull_layout(k: int):
+    """Edge ends and triangle corners of k generators (a pair has 8 to 13)."""
     i, j = np.triu_indices(k, 1)
-    a, e = gens[i, 1:], gens[j] - gens[i]
     tri = np.array(list(itertools.combinations(range(k), 3)))
-    p, q = gens[tri[:, [1, 2, 0]], 1:], gens[tri[:, [2, 0, 1]], 1:]
-    with np.errstate(all="ignore"):
-        # on the edge a + lam e, the slope s e0 of s t0 meets that of |t_s|
-        q2, c = e[:, 1] ** 2 + e[:, 2] ** 2, sign * e[:, 0]
-        lam = (c * np.abs(a[:, 0] * e[:, 2] - a[:, 1] * e[:, 1]) / np.sqrt(q2 - c * c)
-               - a[:, 0] * e[:, 1] - a[:, 1] * e[:, 2]) / q2
-        lam = np.nan_to_num(np.clip(lam, 0.0, 1.0))  # no stationary point: an end
-        # barycentric weights of the origin in each triangle's spatial parts
-        bary = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-        bary /= bary.sum(axis=1, keepdims=True)
-    edges = np.zeros((2, len(i), k))
-    edges[:, np.arange(len(i)), i], edges[:, np.arange(len(i)), j] = 1.0 - lam, lam
-    axis = np.zeros((len(tri), k))
-    np.put_along_axis(axis, tri, bary, axis=1)
-    axis = axis[((bary >= 0.0) & (bary <= 1.0)).all(axis=1)]
-    weights = np.concatenate([np.broadcast_to(np.eye(k), (2, k, k)), edges,
-                              np.broadcast_to(axis, (2, *axis.shape))], axis=1)
-    t = weights @ gens
-    phi = sign * t[..., 0] - np.hypot(t[..., 1], t[..., 2])
-    s, m = np.unravel_index(int(np.argmax(phi)), phi.shape)
-    if phi[s, m] <= ORACLE_CONTACT:
-        return None
-    # x - y = d + r u, with u the rays' part of the maximiser: a multiple of
-    # it when d has weight mu > 0, else phi(d + r u) >= phi(d) + r phi(u) > 0
-    w, mu = weights[s, m], weights[s, m, k1 + k2:].sum()
-    r = (np.abs(d).max() / mu if mu > 0.0
-         else 1.0 + abs(sign[s, 0] * d[0] - math.hypot(d[1], d[2])) / phi[s, m])
-    steps = r * w[:k1 + k2, None] * gens[:k1 + k2]
-    return (MVec3.from_array(apexes[0] + steps[:k1].sum(axis=0)),
-            MVec3.from_array(apexes[1] - steps[k1:].sum(axis=0)))
+    arrays = (i, j, tri, tri[:, [1, 2, 0]], tri[:, [2, 0, 1]])
+    for a in arrays:  # shared by every later call with k generators
+        a.setflags(write=False)
+    return arrays
+
+
+def _causal_pairs(pairs) -> list:
+    """`find_causal_pair` per (C1, C2) pair, with one numpy pass per stack
+    of pairs with the same generator count; each result is bitwise that of
+    a call on its own."""
+    out: list = [None] * len(pairs)
+    keyed = []
+    for lane, (c1, c2) in enumerate(pairs):
+        apexes = np.array([c1.apex.as_array(), c2.apex.as_array()])
+        rays1, rays2 = c1.closure_rays, c2.closure_rays
+        d = apexes[0] - apexes[1]
+        common = np.abs(d).max() <= ORACLE_COMMON_APEX * max(1.0, np.abs(apexes).max())
+        gens = np.concatenate([rays1, -rays2, d[None]][:2 if common else 3])
+        keyed.append((len(gens), (lane, len(rays1), len(rays1) + len(rays2), apexes, gens)))
+    sign = np.array([[1.0], [-1.0]])  # future, past
+    for group in _stacks(keyed):
+        gens = np.array([lane[-1] for lane in group])
+        k = gens.shape[1]
+        i, j, tri, p_at, q_at = _hull_layout(k)
+        gens /= np.abs(gens).max(axis=2, keepdims=True)
+        lanes, n_edges = len(gens), len(i)
+        a, e = gens[:, None, i, 1:], gens[:, None, j] - gens[:, None, i]
+        p, q = gens[:, p_at, 1:], gens[:, q_at, 1:]
+        with np.errstate(all="ignore"):
+            # on the edge a + lam e, the slope s e0 of s t0 meets that of |t_s|
+            q2, c = e[..., 1] ** 2 + e[..., 2] ** 2, sign * e[..., 0]
+            lam = (c * np.abs(a[..., 0] * e[..., 2] - a[..., 1] * e[..., 1]) / np.sqrt(q2 - c * c)
+                   - a[..., 0] * e[..., 1] - a[..., 1] * e[..., 2]) / q2
+            lam = np.nan_to_num(np.clip(lam, 0.0, 1.0))  # no stationary point: an end
+            # barycentric weights of the origin in each triangle's spatial parts
+            bary = p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
+            bary /= (bary[..., 0] + bary[..., 1] + bary[..., 2])[..., None]
+            # per lane and nappe: the generators, one point per edge, one per triangle
+            weights = np.zeros((lanes, 2, k + n_edges + len(tri), k))
+            weights[:, :, :k] = np.eye(k)
+            at_edge = k + np.arange(n_edges)
+            weights[:, :, at_edge, i], weights[:, :, at_edge, j] = 1.0 - lam, lam
+            weights[:, :, k + n_edges + np.arange(len(tri))[:, None], tri] = bary[:, None]
+            t = weights @ gens[:, None]
+            phi = sign * t[..., 0] - np.hypot(t[..., 1], t[..., 2])
+        # a triangle that misses the time axis has no candidate point
+        on_axis = ((bary >= 0.0) & (bary <= 1.0)).all(axis=2)
+        phi[:, :, k + n_edges:] = np.where(on_axis[:, None], phi[:, :, k + n_edges:], -math.inf)
+        best = phi.reshape(lanes, -1).argmax(axis=1).tolist()
+        for n, (lane, k1, n_rays, apexes, _) in enumerate(group):
+            s, m = divmod(best[n], phi.shape[2])
+            if phi[n, s, m] <= ORACLE_CONTACT:
+                continue
+            # x - y = d + r u, with u the rays' part of the maximiser: a multiple
+            # of it when d has weight mu > 0, else phi(d + r u) >= phi(d) + r phi(u) > 0
+            w, d = weights[n, s, m], apexes[0] - apexes[1]
+            mu = w[n_rays:].sum()
+            r = (np.abs(d).max() / mu if mu > 0.0
+                 else 1.0 + abs(sign[s, 0] * d[0] - math.hypot(d[1], d[2])) / phi[n, s, m])
+            steps = r * w[:n_rays, None] * gens[n, :n_rays]
+            out[lane] = (MVec3.from_array(apexes[0] + steps[:k1].sum(axis=0)),
+                         MVec3.from_array(apexes[1] - steps[k1:].sum(axis=0)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +559,12 @@ def _arc_below(c1: ConePath, c2: ConePath, offset: float = 0.0) -> bool:
 
 def precedes(c1: ConePath, c2: ConePath) -> bool:
     """Partial order on path classes: every lifted angle of c1 below c2's."""
-    if not causally_separated(c1, c2):
-        raise SeparationError("precedes requires causally separated regions")
+    return _precedes_given(c1, c2, causally_separated(c1, c2))
+
+
+def _precedes_given(c1: ConePath, c2: ConePath, verdict) -> bool:
+    """`precedes(c1, c2)` given `_separated_many`'s verdict on (c1, c2)."""
+    _require_separated(verdict, "precedes")
     return _arc_below(c1, c2)
 
 
@@ -497,9 +575,22 @@ def relative_winding(c2: ConePath, c1: ConePath) -> int:
     computes n in closed form from the arcs and verifies it against both
     defining inequalities; raises WindingError when no integer passes.
     """
-    if not causally_separated(c1, c2):
-        raise SeparationError("relative winding requires causally separated regions")
+    return _winding_given(c2, c1, causally_separated(c1, c2))
+
+
+def _winding_given(c2: ConePath, c1: ConePath, verdict) -> int:
+    """`relative_winding(c2, c1)` given `_separated_many`'s verdict on (c1, c2)."""
+    _require_separated(verdict, "relative winding")
     return _winding(c2, c1)
+
+
+def _require_separated(verdict, what: str) -> None:
+    """Raise a verdict that is a SeparationError, or one for a pair that is
+    not separated."""
+    if isinstance(verdict, SeparationError):
+        raise verdict
+    if not verdict:
+        raise SeparationError(f"{what} requires causally separated regions")
 
 
 def _winding(c2: ConePath, c1: ConePath) -> int:

@@ -28,7 +28,7 @@ from .cones import (
     relative_winding,
     standard_wedge_path,
 )
-from .sectors import (ONE, AnyonModel, CyclotomicPhase, _integer, _load_json,
+from .sectors import (ONE, AnyonModel, CyclotomicPhase, _integer, _load_json, _mod1,
                       _phase_from_doc, r_phase, sector_phase)
 
 
@@ -236,6 +236,9 @@ def angular_order(w: FieldWord) -> tuple[int, ...]:
 # graded operators
 # ---------------------------------------------------------------------------
 
+_HALF = Fraction(1, 2)
+
+
 def _canonical_poly(a: Fraction, b: Fraction, d: Fraction):
     """Canonical representative of the phase polynomial a q^2 + b q + d
     (in turns) modulo exponents that are integral at every integer q.
@@ -243,12 +246,10 @@ def _canonical_poly(a: Fraction, b: Fraction, d: Fraction):
     The ambiguity lattice is generated by (1,0,0), (0,1,0), (0,0,1) and the
     half-integer pair (1/2, 1/2, 0), since q(q+1) is always even.
     """
-    d = d % 1
-    a = a % 1
-    b = b % 1
-    if a >= Fraction(1, 2):
-        a -= Fraction(1, 2)
-        b = (b - Fraction(1, 2)) % 1
+    a, b, d = _mod1(a), _mod1(b), _mod1(d)
+    if a >= _HALF:
+        a -= _HALF
+        b = _mod1(b - _HALF)
     return a, b, d
 
 
@@ -268,7 +269,7 @@ class GradedOperator:
     obs: ObservableWord
 
     def __post_init__(self) -> None:
-        a, b, d = _canonical_poly(Fraction(self.a), Fraction(self.b), Fraction(self.d))
+        a, b, d = _canonical_poly(self.a, self.b, self.d)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)

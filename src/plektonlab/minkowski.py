@@ -147,6 +147,23 @@ class LorentzMatrix:
         return f"LorentzMatrix([{rows}])"
 
 
+def _checked_lorentz(ms: np.ndarray) -> np.ndarray:
+    """A (T, 3, 3) stack after LorentzMatrix's checks, run once on the whole
+    stack in the same arithmetic; the first failing matrix raises
+    LorentzMatrix's error for it."""
+    size = np.abs(ms).max(axis=(1, 2))
+    with np.errstate(all="ignore"):  # NaN and overflow fail the tests below
+        scale = np.maximum(1.0, size * size)
+        err = np.abs((ms.transpose(0, 2, 1) * ETA_SIGNS) @ ms - ETA).max(axis=(1, 2))
+        (a, b, c), (d, e, f), (g, h, i) = ms.transpose(1, 2, 0)
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        ok = (np.isfinite(size * size) & (err <= MAT_TOL * scale)
+              & (np.abs(det - 1.0) <= DET_TOL * scale) & (a >= 1.0 - ORTHOCHRONOUS_TOL))
+    if not ok.all():
+        LorentzMatrix(ms[np.argmin(ok)])  # raises the first failing matrix's error
+    return ms
+
+
 def rotation_matrix(theta: float) -> LorentzMatrix:
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle {theta} is not finite")

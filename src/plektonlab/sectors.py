@@ -14,6 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+def _mod1(x) -> Fraction:
+    """``Fraction(x) % 1`` with the numerator reduced as an int: n % d over d
+    is already in lowest terms, and a Fraction is not wrapped again."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return Fraction(x.numerator % x.denominator, x.denominator)
+
+
 @dataclass(frozen=True)
 class CyclotomicPhase:
     """The root of unity exp(2 pi i k / M), stored in lowest terms."""
@@ -21,7 +29,7 @@ class CyclotomicPhase:
     turns: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", Fraction(self.turns) % 1)
+        object.__setattr__(self, "turns", _mod1(self.turns))
 
     @staticmethod
     def from_pair(k: int, m: int) -> "CyclotomicPhase":
@@ -48,7 +56,7 @@ class CyclotomicPhase:
         return CyclotomicPhase(self.turns - other.turns)
 
     def __pow__(self, n) -> "CyclotomicPhase":
-        return CyclotomicPhase(self.turns * Fraction(n))
+        return CyclotomicPhase(self.turns * (n if type(n) is int else Fraction(n)))
 
     def inverse(self) -> "CyclotomicPhase":
         return CyclotomicPhase(-self.turns)

@@ -5,12 +5,15 @@ Each suite draws its configurations from two streams of its own, seeded by
 everything else.  It runs the module invariants at the package tolerances
 and reports one line per check.  Each loop draws its separated pairs with
 one call: candidates come in arrays, one stacked certificate decides a
-batch, and only accepted candidates become paths.  Sweep sizes scale with
-the PLEKTONLAB_SWEEP environment variable.
+batch, and only accepted candidates become paths.  The geometry suite also
+decides each check's transported, reflected or random pairs with one call,
+then meets their verdicts pair by pair as its loop did.  Sweep sizes scale
+with the PLEKTONLAB_SWEEP environment variable.
 
 Since the suites share no stream, "all" runs them side by side in forked
-worker processes and gathers their reports and tracebacks in SUITES order,
-so its report is byte for byte that of running them one after another.
+worker processes, longest first, and gathers their reports and tracebacks
+in SUITES order, so its report is byte for byte that of running them one
+after another.
 """
 
 from __future__ import annotations
@@ -52,6 +55,12 @@ from .tolerances import (LIFT_TOL, ORIENTATION_TOL, REFLECTION_RELATION_TOL,
                          ROTATION_EIGENVALUE_TOL, STEP_INDEPENDENCE_TOL, UNITARITY_TOL)
 
 SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
+# The suites by descending CPU time, the order in which "all" hands them to its
+# workers so that the longest start first (R. L. Graham, SIAM J. Appl. Math.
+# 17 (1969) 416).  Seed 7, best of 3 in each of 8 runs, 2-core machine:
+# geometry 201-322, cpt 89-124, braid 70-110, twist 47-67, wigner 34-53,
+# tomita 27-35 ms.
+_LONGEST_FIRST = ("geometry", "cpt", "braid", "twist", "wigner", "tomita")
 
 
 def sweep_scale() -> float:
@@ -124,6 +133,19 @@ def random_separated_pair(rng: np.random.Generator):
     return next(random_separated_pairs(rng, 1))
 
 
+def _drawn(items: Iterator) -> tuple[list, Exception | None]:
+    """What ``items`` yields before it raises, and what it raised (None if
+    it ran out): a check decides the drawn pairs in one stack, then meets
+    the exception where its loop would have met it."""
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
 def random_cover_element(rng: np.random.Generator, *, translations: bool = True):
     g = cover_compose(
         cover_rotation(rng.uniform(-7.0, 7.0)),
@@ -187,11 +209,20 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     exact=f"{bad}/{n_pairs} violations", note="N12 + N21 = -1 exactly")
 
     n_cov = _n(100)
+
+    def moved_pairs():
+        for c2, c1 in random_separated_pairs(pair_rng, n_cov):
+            g = random_cover_element(rng)
+            yield c2, c1, cones.act(g, c2), cones.act(g, c1)
+
+    drawn, late = _drawn(moved_pairs())
+    verdicts = cones._separated_many([(m1, m2) for _, _, m2, m1 in drawn])
     bad = 0
-    for c2, c1 in random_separated_pairs(pair_rng, n_cov):
-        g = random_cover_element(rng)
-        if relative_winding(cones.act(g, c2), cones.act(g, c1)) != cones._winding(c2, c1):
+    for (c2, c1, m2, m1), verdict in zip(drawn, verdicts):
+        if cones._winding_given(m2, m1, verdict) != cones._winding(c2, c1):
             bad += 1
+    if late is not None:
+        raise late
     rep.add_outcome("winding-covariance", bad == 0,
                     exact=f"{bad}/{n_cov} violations",
                     note="N invariant under random covering elements")
@@ -216,46 +247,55 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     rep.add_outcome("winding-rebase-invariance", bad == 0,
                     exact=f"{bad} violations", note="recomputed over a shifted base")
 
+    drawn, late = _drawn((c2, c1, reflect_path(c2), reflect_path(c1))
+                         for c2, c1 in random_separated_pairs(pair_rng, _n(100)))
+    verdicts = cones._separated_many([(r1, r2) for _, _, r2, r1 in drawn])
     bad = 0
-    for c2, c1 in random_separated_pairs(pair_rng, _n(100)):
-        if relative_winding(reflect_path(c2), reflect_path(c1)) != cones._winding(c1, c2):
+    for (c2, c1, r2, r1), verdict in zip(drawn, verdicts):
+        if cones._winding_given(r2, r1, verdict) != cones._winding(c1, c2):
             bad += 1
+    if late is not None:
+        raise late
     rep.add_outcome("winding-reflection-transposition", bad == 0,
                     exact=f"{bad} violations",
                     note="N(jC2, jC1) = N(C1, C2), checked against the definition")
 
     n_sep = _n(150)
-    bad = graze = 0
+    pairs = []
     for _ in range(n_sep):
         a1 = MVec3(*rng.normal(0.0, 0.4, 3))
         a2 = MVec3(*rng.normal(0.0, 0.4, 3))
         cA = cone_path(a1, rng.uniform(-math.pi, math.pi), rng.uniform(0.1, 0.6))
         cB = cone_path(a2, rng.uniform(-math.pi, math.pi), rng.uniform(0.1, 0.6))
-        try:
-            sep = cones.causally_separated(cA, cB)
-        except SeparationError:
-            graze += 1
-            continue
-        if sep != (cones.find_causal_pair(cA, cB) is None):
-            bad += 1
+        pairs.append((cA, cB))
+    decided = [(pair, sep) for pair, sep in zip(pairs, cones._separated_many(pairs))
+               if not isinstance(sep, SeparationError)]  # the rest graze
+    witnesses = cones._causal_pairs([pair for pair, _ in decided])
+    bad = sum(sep != (w is None) for (_, sep), w in zip(decided, witnesses))
     rep.add_outcome("separation-oracle-agreement", bad == 0,
-                    exact=f"{bad}/{n_sep - graze} disagreements",
+                    exact=f"{bad}/{len(decided)} disagreements",
                     note="exact primal oracle over the hull of rays and apex gap")
 
-    bad = 0
+    triples = []
     for _ in range(_n(100)):
         mid = rng.uniform(-math.pi, math.pi)
         arcs = sorted(rng.uniform(0.0, 1.8, 3))
-        paths = [cone_path(MVec3(0, 0, 0), mid + a, 0.06) for a in arcs]
+        triples.append([cone_path(MVec3(0, 0, 0), mid + a, 0.06) for a in arcs])
+    orders = ((0, 1), (1, 2), (0, 2), (1, 0))
+    verdicts = cones._separated_many([(paths[i], paths[j]) for paths in triples
+                                      for i, j in orders])
+    bad = 0
+    for t, paths in enumerate(triples):
+        v01, v12, v02, v10 = verdicts[4 * t:4 * t + 4]
         try:
-            p01 = cones.precedes(paths[0], paths[1])
-            p12 = cones.precedes(paths[1], paths[2])
-            p02 = cones.precedes(paths[0], paths[2])
+            p01 = cones._precedes_given(paths[0], paths[1], v01)
+            p12 = cones._precedes_given(paths[1], paths[2], v12)
+            p02 = cones._precedes_given(paths[0], paths[2], v02)
         except (SeparationError, WindingError):
             continue
         if p01 and p12 and not p02:
             bad += 1
-        if p01 and cones.precedes(paths[1], paths[0]):
+        if p01 and cones._precedes_given(paths[1], paths[0], v10):
             bad += 1
     rep.add_outcome("precedes-transitive-antisymmetric", bad == 0,
                     exact=f"{bad} violations", note="ordered triples of disjoint arcs")
@@ -734,7 +774,7 @@ def _run_all(model: AnyonModel | None, scene, seed: int) -> list[tuple[Report, s
     """`_run_one` of every suite, in SUITES order.
 
     The suites run side by side in a pool of forked workers that lives for
-    this call.  spawn and forkserver would re-import numpy in each worker
+    this call, longest first.  spawn and forkserver would re-import numpy in each worker
     (about 100 ms), so the suites run in this process where there is no
     fork or only one usable CPU.  The pool forks its workers before it
     starts its own threads.  A suite whose worker died becomes an
@@ -752,10 +792,11 @@ def _run_all(model: AnyonModel | None, scene, seed: int) -> list[tuple[Report, s
             results = []
             with ProcessPoolExecutor(workers,
                                      mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_run_one, n, model, scene, seed) for n in names]
-                for n, future in zip(names, futures):
+                futures = {n: pool.submit(_run_one, n, model, scene, seed)
+                           for n in _LONGEST_FIRST}
+                for n in names:
                     try:
-                        results.append(future.result())
+                        results.append(futures[n].result())
                     except BrokenProcessPool as exc:
                         rep = Report(command="verify", suite=n, seed=seed)
                         rep.add(f"{n}-aborted", ERROR, note=f"{type(exc).__name__}: {exc}")

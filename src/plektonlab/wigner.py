@@ -14,6 +14,7 @@ points; the invariant measure is fixed as d^2 p / (2 omega(p)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,17 +183,27 @@ def apply_j(psi: WaveFunction) -> WaveFunction:
 # quadrature and verification sweeps
 # ---------------------------------------------------------------------------
 
-def shell_norm2(psi: WaveFunction, mass: float) -> float:
-    """Squared norm under d^2 p / (2 omega(p)) by tensor Gauss-Legendre."""
+@functools.lru_cache(maxsize=1)
+def _tensor_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Spatial nodes and weights of the 96 x 96 tensor Gauss-Legendre rule on
+    [-8, 8]^2, read-only and computed once per process."""
     nodes, weights = np.polynomial.legendre.leggauss(96)
     x = nodes * 8.0
     w = weights * 8.0
     p1, p2 = np.meshgrid(x, x, indexing="ij")
     spatial = np.stack([p1.ravel(), p2.ravel()], axis=-1)
+    w2 = np.outer(w, w).ravel()
+    for a in (spatial, w2):
+        a.setflags(write=False)
+    return spatial, w2
+
+
+def shell_norm2(psi: WaveFunction, mass: float) -> float:
+    """Squared norm under d^2 p / (2 omega(p)) by tensor Gauss-Legendre."""
+    spatial, w2 = _tensor_rule()
     pts = shell_points(mass, spatial)
     vals = np.abs(psi.evaluate(pts)) ** 2
     measure = 1.0 / (2.0 * pts[..., 0])
-    w2 = np.outer(w, w).ravel()
     return float(np.sum(vals * measure * w2))
 
 

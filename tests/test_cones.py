@@ -146,10 +146,13 @@ def test_separation_agrees_with_primal_oracle():
 
 
 def test_primal_oracle_names_nothing_of_the_certificate():
-    # the oracle referees the certificate, so it may share only region data
-    tree = ast.parse(inspect.getsource(find_causal_pair))
-    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    # the oracle referees the certificate, so it may share only region data;
+    # its stacked core and layout count as the oracle
+    names = set()
+    for func in (find_causal_pair, cones._causal_pairs, cones._hull_layout):
+        tree = ast.parse(inspect.getsource(func))
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert {"closure_rays", "apex", "ORACLE_CONTACT"} <= names
     banned = {"causally_separated", "_certificates", "_certificate", "_separation_rows",
               "_verdict"}
@@ -568,3 +571,93 @@ def test_precedes_transitive_irreflexive():
             assert not (precedes(paths[0], paths[1]) and precedes(paths[1], paths[0]))
         except (SeparationError, WindingError):
             continue
+
+
+def _separation_cases(rng, count):
+    """(C1, C2) pairs of every kind `causally_separated` meets: cones and
+    wedges, shared apexes, moved pairs, cone-complements and degenerate arcs
+    (which raise before any certificate)."""
+    def region(apex):
+        center = rng.uniform(-math.pi, math.pi)
+        roll = rng.random()
+        if roll < 0.25:
+            return wedge_path(apex, center)
+        if roll < 0.3:
+            return cone_path(apex, center, 1e-10)  # arc width below ARC_TOL
+        if roll < 0.35:
+            return cone_path(apex, center, 0.3, kind=KIND_CONE_COMPLEMENT)
+        return cone_path(apex, center, rng.uniform(0.05, 1.4))
+
+    pairs = []
+    for _ in range(count):
+        apex = MVec3(*rng.normal(0, 0.4, 3))
+        c1 = region(apex)
+        c2 = region(apex if rng.random() < 0.4 else MVec3(*rng.normal(0, 0.4, 3)))
+        if rng.random() < 0.3:
+            g = rnd_cover(rng)
+            c1, c2 = act(g, c1), act(g, c2)
+        pairs.append((c1, c2))
+    return pairs
+
+
+def _decided(c1, c2):
+    try:
+        return causally_separated(c1, c2)
+    except SeparationError as exc:
+        return exc
+
+
+def _same_verdict(a, b):
+    if isinstance(a, SeparationError) or isinstance(b, SeparationError):
+        return type(a) is type(b) and str(a) == str(b)
+    return type(a) is type(b) is bool and a == b
+
+
+def test_separated_many_matches_single_calls(monkeypatch):
+    # 1200 pairs in one call, against one call per pair: the same verdict,
+    # or an exception of the same type and message
+    pairs = _separation_cases(np.random.default_rng(53), 1200)
+    many = cones._separated_many(pairs)
+    single = [_decided(c1, c2) for c1, c2 in pairs]
+    assert all(_same_verdict(a, b) for a, b in zip(many, single))
+    kinds = {type(v).__name__ if isinstance(v, Exception) else v for v in many}
+    assert kinds == {True, False, "SeparationError"}
+    assert {str(v) for v in many if isinstance(v, SeparationError)} >= {
+        "cone-complement regions are not supported here", "degenerate (empty-interior) cone"}
+
+    # lanes patched into the ambiguity band, by a rule on each lane's own rows
+    # so that a stack and a single call patch the same pairs
+    real = cones._certificates
+
+    def certificates(rows):
+        viol = real(rows)
+        key = np.floor(np.abs(rows[:, 0, 1]) * 1e6) % 5
+        viol[key == 0, 0] = 3e-9
+        viol[key == 1, 1] = 4e-8
+        return viol
+
+    monkeypatch.setattr(cones, "_certificates", certificates)
+    many = cones._separated_many(pairs)
+    single = [_decided(c1, c2) for c1, c2 in pairs]
+    assert all(_same_verdict(a, b) for a, b in zip(many, single))
+    margins = {str(v) for v in many if isinstance(v, SeparationError)}
+    assert {"separation undecidable within tolerance (margin 3.000e-09)",
+            "separation undecidable within tolerance (margin 4.000e-08)"} <= margins
+
+
+def test_stacked_primal_oracle_matches_single_calls():
+    # witnesses bitwise equal to one call per pair, None in the same lanes;
+    # cones and wedges with and without an apex gap in one call
+    rng = np.random.default_rng(59)
+    pairs = [(c1, c2) for c1, c2 in _separation_cases(rng, 1000)
+             if KIND_CONE_COMPLEMENT not in (c1.kind, c2.kind)]
+    many = cones._causal_pairs(pairs)
+    assert {len(c1.closure_rays) + len(c2.closure_rays) for c1, c2 in pairs} == {8, 10, 12}
+    hits = 0
+    for (c1, c2), got in zip(pairs, many):
+        want = find_causal_pair(c1, c2)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert [v.as_array().tobytes() for v in got] == [v.as_array().tobytes() for v in want]
+            hits += 1
+    assert 0 < hits < len(pairs)

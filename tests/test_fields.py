@@ -232,6 +232,32 @@ def test_gauge_covariance():
         assert conj.phase_at(q) == CyclotomicPhase(3 * t)
 
 
+def _frozen_canonical_poly(a, b, d):
+    """The canonical form as it was, through Fraction's own mod 1."""
+    a, b, d = Fraction(a) % 1, Fraction(b) % 1, Fraction(d) % 1
+    if a >= Fraction(1, 2):
+        a -= Fraction(1, 2)
+        b = (b - Fraction(1, 2)) % 1
+    return a, b, d
+
+
+# negative, zero, already reduced and large exponents, as Fractions and ints
+exponents = st.one_of(
+    st.fractions(),
+    st.fractions(min_value=0, max_value=Fraction(99, 100)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20)),
+    st.integers(-10 ** 30, 10 ** 30),
+)
+
+
+@given(exponents, exponents, exponents)
+def test_graded_canonical_form_matches_fraction_mod_one(a, b, d):
+    g = GradedOperator(0, a, b, d, ObservableWord.identity())
+    for got, want in zip((g.a, g.b, g.d), _frozen_canonical_poly(a, b, d)):
+        assert type(got) is Fraction and got == want
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
 def test_graded_phase_polynomial_equivalence():
     # q^2 + q is even: (a,b) and (a+1/2, b+1/2) give the same phases
     g1 = GradedOperator(0, Fraction(1, 2), Fraction(1, 2), Fraction(0),

@@ -251,8 +251,8 @@ def test_lift_failure_surfaces():
     from plektonlab.minkowski import LiftError
 
     # a discontinuous path keeps a large angle jump at every subdivision
-    def broken(t):
-        return [0.0 if t < 0.5 else 3.0]
+    def broken(ts):
+        return np.where(ts < 0.5, 0.0, 3.0)[:, None]
 
     with pytest.raises(LiftError):
         continue_angles(broken, [0.0], initial_steps=2, max_steps=1024)

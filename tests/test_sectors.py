@@ -56,6 +56,23 @@ def test_phase_canonical_form(p):
     assert CyclotomicPhase.from_pair(p.numerator, p.denominator) == p
 
 
+# negative, zero, already reduced and large turns, as Fractions and as ints
+turns = st.one_of(
+    st.fractions(),
+    st.fractions(min_value=0, max_value=Fraction(99, 100)),
+    st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 20)),
+    st.integers(-10 ** 30, 10 ** 30),
+)
+
+
+@given(turns, st.integers(-10 ** 6, 10 ** 6))
+def test_phase_reduction_matches_fraction_mod_one(x, n):
+    for phase, want in ((CyclotomicPhase(x), Fraction(x) % 1),
+                        (CyclotomicPhase(Fraction(x)) ** n, (Fraction(x) * n) % 1)):
+        assert type(phase.turns) is Fraction and phase.turns == want
+        assert (phase.numerator, phase.denominator) == (want.numerator, want.denominator)
+
+
 def test_phase_display():
     assert str(CyclotomicPhase.from_pair(1, 2)) == "1/2 of 2pi"
     assert str(CyclotomicPhase.from_pair(4, 6)) == "2/3 of 2pi"

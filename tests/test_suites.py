@@ -9,7 +9,7 @@ import pytest
 
 from plektonlab import cones, suites
 from plektonlab.cones import SeparationError, causally_separated, cone_path
-from plektonlab.minkowski import MVec3
+from plektonlab.minkowski import LiftError, MVec3
 from plektonlab.scenes import load_scene
 from plektonlab.sectors import load_model
 from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
@@ -160,6 +160,10 @@ def test_suites_draw_from_their_own_streams(monkeypatch, z3):
     assert len(set(draws)) == len(draws)
 
 
+def test_longest_first_order_names_every_suite_once():
+    assert sorted(suites._LONGEST_FIRST) == sorted(suites.SUITES[:-1])
+
+
 def test_pairs_cover_every_sheet_cell_and_gap_decile():
     cells = {_cell(c2, c1)
              for c2, c1 in suites.random_separated_pairs(np.random.default_rng(1000), 300)}
@@ -190,3 +194,63 @@ def test_pooled_and_in_process_reports_are_byte_identical(monkeypatch, seed):
     pooled, in_process = reports
     assert pooled.to_json() == in_process.to_json()
     assert pooled.to_text() == in_process.to_text()
+
+
+
+def _patched_separations(monkeypatch, patch):
+    """`cones._separated_many` with ``patch(call, verdicts)`` applied to the
+    verdicts of each call, counted from 0."""
+    real, calls = cones._separated_many, []
+
+    def separated_many(pairs):
+        verdicts = real(pairs)
+        patch(len(calls), verdicts)
+        calls.append(len(pairs))
+        return verdicts
+
+    monkeypatch.setattr(cones, "_separated_many", separated_many)
+    return calls
+
+
+def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
+    # without a scene, call 0 decides the covariance pairs, 1 the reflected
+    # pairs, 2 the oracle pairs and 3 the precedes triples, four orders each
+    real_act, acts = cones.act, [0]
+
+    def act(g, path):  # the seventh covariance pair fails to transport
+        acts[0] += 1
+        if acts[0] == 13:
+            raise LiftError("patched transport failure")
+        return real_act(g, path)
+
+    def refuse_fourth_pair(call, verdicts):
+        if call == 0:
+            verdicts[3] = False
+
+    def precedes_raising(*orders):  # every triple raises in these orders
+        def patch(call, verdicts):
+            for t in range(0, len(verdicts), 4) if call == 3 else ():
+                for k in orders:
+                    verdicts[t + k] = SeparationError(f"order {k}")
+        return patch
+
+    for patch, transport_fails, raised in (
+            (refuse_fourth_pair, False, "relative winding requires causally separated"),
+            # a loop meets the fourth pair's refusal before the seventh's transport
+            (refuse_fourth_pair, True, "relative winding requires causally separated"),
+            (lambda call, verdicts: None, True, "patched transport failure"),
+            # the fourth order is met outside the try, and only where p01 holds
+            (precedes_raising(3), False, "order 3"),
+            (precedes_raising(0, 3), False, None)):
+        monkeypatch.undo()
+        monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.1")
+        calls = _patched_separations(monkeypatch, patch)
+        if transport_fails:
+            acts[0] = 0
+            monkeypatch.setattr(cones, "act", act)
+        if raised is None:
+            suites.geometry_suite(z3, None, 7)
+            assert len(calls) == 4 and calls[3] == 4 * 10
+        else:
+            with pytest.raises((SeparationError, LiftError), match=raised):
+                suites.geometry_suite(z3, None, 7)
