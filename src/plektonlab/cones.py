@@ -28,10 +28,12 @@ import numpy as np
 
 from .minkowski import (
     TWO_PI,
+    ZERO_VEC,
     CoveringPoincare,
     LiftError,
     MVec3,
     _as_poincare,
+    _finite_vector,
     minkowski_inner,
     minkowski_norm2,
     reflect_vector,
@@ -163,8 +165,7 @@ class ConePath:
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:
         if self.kind != other.kind:
             return False
-        da = self.apex - other.apex
-        if max(abs(da.x0), abs(da.x1), abs(da.x2)) > tol:
+        if max(map(abs, self.apex - other.apex)) > tol:
             return False
         return (
             abs(self.arc.alpha_minus - other.arc.alpha_minus) <= tol
@@ -179,17 +180,11 @@ class ConePath:
         """Generators of the closed region's recession cone as a read-only
         (k, 3) array; a wedge's closure also holds the full lines through its
         west and east rays."""
-        rays = [v.as_array() for v in self.corners]
-        if self.kind == KIND_WEDGE:
-            west, east, up, down = rays
-            rays = [up, down, west, east, -west, -east]
-        out = np.array(rays)
-        out.setflags(write=False)
-        return out
-
-
-def _spatial(angle: float) -> MVec3:
-    return MVec3(0.0, math.cos(angle), math.sin(angle))
+        rays = np.array(self.corners)
+        if self.kind == KIND_WEDGE:  # up, down, west, east, -west, -east
+            rays = np.concatenate([rays[2:], rays[:2], -rays[:2]])
+        rays.setflags(write=False)
+        return rays
 
 
 def _wedge_normals(center: float) -> tuple[MVec3, MVec3]:
@@ -199,18 +194,25 @@ def _wedge_normals(center: float) -> tuple[MVec3, MVec3]:
     return (MVec3(-1.0, -c, -s), MVec3(1.0, -c, -s))
 
 
-def wedge_path(apex: MVec3 = MVec3(0.0, 0.0, 0.0), center_angle: float = 0.0,
+def _cone_corners(center: float, half: float) -> tuple[tuple[float, float, float], ...]:
+    """Rows (t, x1, x2) of the extreme rays of the direction arc (center -
+    half, center + half): west, east and the rapidity extremes
+    +-artanh(sin(half)), light-like at a wedge's half = pi/2.  The trig runs
+    through `math`.  `cone_path`, `wedge_path` and `_cone_rays` all take their
+    corners from here, so the generators' rows are the paths' rays."""
+    c, s, h = math.cos(center), math.sin(center), math.sin(half)
+    return ((0.0, math.cos(center - half), math.sin(center - half)),
+            (0.0, math.cos(center + half), math.sin(center + half)), (h, c, s), (-h, c, s))
+
+
+def wedge_path(apex: MVec3 = ZERO_VEC, center_angle: float = 0.0,
                sheet: int = 0) -> ConePath:
     """Wedge with direction arc (center - pi/2, center + pi/2) on the given sheet."""
+    _finite_vector(apex, "apex")
     lift = center_angle + TWO_PI * sheet
     arc = LiftedArc(lift - math.pi / 2.0, lift + math.pi / 2.0)
-    west = _spatial(center_angle - math.pi / 2.0)
-    east = _spatial(center_angle + math.pi / 2.0)
-    axis = _spatial(center_angle)
-    light_up = MVec3(1.0, axis.x1, axis.x2)
-    light_down = MVec3(-1.0, axis.x1, axis.x2)
-    return ConePath(apex, arc, KIND_WEDGE, _wedge_normals(center_angle),
-                    (west, east, light_up, light_down))
+    corners = tuple(map(MVec3._make, _cone_corners(center_angle, math.pi / 2.0)))
+    return ConePath(apex, arc, KIND_WEDGE, _wedge_normals(center_angle), corners)
 
 
 def cone_path(apex: MVec3, center_angle: float, half_opening: float,
@@ -226,18 +228,12 @@ def cone_path(apex: MVec3, center_angle: float, half_opening: float,
         raise ValueError("half_opening must lie in (0, pi/2)")
     if kind not in (KIND_CONE, KIND_CONE_COMPLEMENT):
         raise ValueError("cone_path builds cones or cone-complements")
+    _finite_vector(apex, "apex")
     lift = center_angle + TWO_PI * sheet
     arc = LiftedArc(lift - half_opening, lift + half_opening)
     shift = math.pi / 2.0 - half_opening
     normals = _wedge_normals(center_angle - shift) + _wedge_normals(center_angle + shift)
-    axis = _spatial(center_angle)
-    s = math.sin(half_opening)
-    corners = (
-        _spatial(center_angle - half_opening),
-        _spatial(center_angle + half_opening),
-        MVec3(s, axis.x1, axis.x2),
-        MVec3(-s, axis.x1, axis.x2),
-    )
+    corners = tuple(map(MVec3._make, _cone_corners(center_angle, half_opening)))
     return ConePath(apex, arc, kind, normals, corners)
 
 
@@ -252,7 +248,7 @@ def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
         dist = max(lo - mu, mu - hi, 0.0)
         if best is None or dist < best[0] - SHEET_TIE:
             best = (dist, n)
-    return wedge_path(MVec3(0.0, 0.0, 0.0), 0.0, sheet=best[1])
+    return wedge_path(ZERO_VEC, 0.0, sheet=best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +345,8 @@ def _separation_rows(c1: ConePath, c2: ConePath) -> np.ndarray:
             raise SeparationError("degenerate (empty-interior) cone")
     d = c1.apex - c2.apex
     rows = [c1.closure_rays, -c2.closure_rays]
-    if max(abs(d.x0), abs(d.x1), abs(d.x2)) > SEP_DEGENERATE:
-        rows.append([[d.x0, d.x1, d.x2]])
+    if max(map(abs, d)) > SEP_DEGENERATE:
+        rows.append([d])
     return np.concatenate(rows)
 
 
@@ -417,16 +413,10 @@ def _separated_many(pairs) -> list:
 
 
 def _cone_rays(center: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """`cone_path(apex, center, half).closure_rays` per lane, (P, 4, 3); the
-    trig runs through `math`, as there, so the rays are bitwise the path's."""
-    trig = np.array([[(math.cos(a), math.sin(a)) for a in lane]
-                     for lane in np.stack([center - half, center + half, center], 1).tolist()])
-    rays = np.zeros((len(center), 4, 3))
-    rays[:, :2, 1:] = trig[:, :2]
-    rays[:, 2:, 1:] = trig[:, 2:]
-    rays[:, 2, 0] = [math.sin(h) for h in half.tolist()]
-    rays[:, 3, 0] = -rays[:, 2, 0]
-    return rays
+    """`cone_path(apex, center, half).closure_rays` per lane, (P, 4, 3), from
+    the same corner builder."""
+    rows = [_cone_corners(c, h) for c, h in zip(center.tolist(), half.tolist())]
+    return np.array(rows).reshape(-1, 4, 3)
 
 
 def _cones_separated(apex1, center1, half1, apex2, center2, half2) -> np.ndarray:
@@ -482,7 +472,7 @@ def _causal_pairs(pairs) -> list:
     out: list = [None] * len(pairs)
     keyed = []
     for lane, (c1, c2) in enumerate(pairs):
-        apexes = np.array([c1.apex.as_array(), c2.apex.as_array()])
+        apexes = np.array((c1.apex, c2.apex))
         rays1, rays2 = c1.closure_rays, c2.closure_rays
         d = apexes[0] - apexes[1]
         common = np.abs(d).max() <= ORACLE_COMMON_APEX * max(1.0, np.abs(apexes).max())
@@ -529,8 +519,8 @@ def _causal_pairs(pairs) -> list:
             r = (np.abs(d).max() / mu if mu > 0.0
                  else 1.0 + abs(sign[s, 0] * d[0] - math.hypot(d[1], d[2])) / phi[n, s, m])
             steps = r * w[:n_rays, None] * gens[n, :n_rays]
-            out[lane] = (MVec3.from_array(apexes[0] + steps[:k1].sum(axis=0)),
-                         MVec3.from_array(apexes[1] - steps[k1:].sum(axis=0)))
+            out[lane] = (MVec3._make((apexes[0] + steps[:k1].sum(axis=0)).tolist()),
+                         MVec3._make((apexes[1] - steps[k1:].sum(axis=0)).tolist()))
     return out
 
 
@@ -639,9 +629,9 @@ def act(g, path: ConePath) -> ConePath:
     p = _as_poincare(g)
     lam = p.lorentz.matrix
     k = 1 + len(path.normals)
-    vecs = np.array([(v.x0, v.x1, v.x2) for v in (path.apex, *path.normals, *path.corners)])
+    vecs = np.array((path.apex, *path.normals, *path.corners))
     # a stacked matmul is bitwise lam.m @ v per vector; vecs @ lam.m.T is not
-    images = [MVec3(*v) for v in np.matmul(lam.m, vecs[:, :, None])[:, :, 0].tolist()]
+    images = list(map(MVec3._make, np.matmul(lam.m, vecs[:, :, None])[:, :, 0].tolist()))
     apex = p.translation + images[0]
     normals, corners = tuple(images[1:k]), tuple(images[k:])
 

@@ -30,6 +30,8 @@ from .wigner import standard_boost
 
 # values of t evaluated in one stack at most: memory stays bounded at any step count
 _CHUNK = 1024
+# the most steps a continuation tries before it raises LiftError
+_MAX_STEPS = 1 << 20
 
 
 def _sym_boost_part(L: LorentzMatrix) -> np.ndarray:
@@ -74,8 +76,7 @@ def _evaluated(angles_at, ts: np.ndarray) -> np.ndarray:
                            for i in range(0, len(ts), _CHUNK)])
 
 
-def continue_angles(angles_at, starts, *, initial_steps: int = 16,
-                    max_steps: int = 1 << 20) -> np.ndarray:
+def continue_angles(angles_at, starts, *, initial_steps: int = 16) -> np.ndarray:
     """Continue the raw angles ``angles_at(ts)``, t in [0, 1], from the lifted
     values ``starts`` at t = 0.
 
@@ -86,7 +87,7 @@ def continue_angles(angles_at, starts, *, initial_steps: int = 16,
     """
     start = np.asarray(starts, dtype=float)
     steps, prev, raw = initial_steps, None, None
-    while steps <= max_steps:
+    while steps <= _MAX_STEPS:
         ts = np.linspace(0.0, 1.0, steps + 1)
         if raw is None:
             raw = _evaluated(angles_at, ts)

@@ -59,12 +59,10 @@ def _monomial(factors: list[np.ndarray]) -> Monomial:
     return rows, vals
 
 
-def _dense(mono: Monomial, out: np.ndarray | None = None) -> np.ndarray:
-    """The monomial matrix scattered into zeros, in ``out`` when it is given."""
+def _dense(mono: Monomial) -> np.ndarray:
+    """The monomial matrix scattered into zeros."""
     rows, vals = mono
-    if out is None:
-        out = np.empty((len(rows), len(rows)), dtype=complex)
-    out.fill(0)
+    out = np.zeros((len(rows), len(rows)), dtype=complex)
     out[rows, np.arange(len(rows))] = vals
     return out
 
@@ -141,15 +139,11 @@ class ClockShiftLattice:
     def site_operator(self, j: int) -> np.ndarray:
         return _dense(_monomial(self._factors(j, 1)))
 
-    # ``out``, when given, is a complex d x d array that receives the matrix
-    # and is returned, as for a numpy ufunc
-    def symbol_matrix(self, sym: FieldSymbol, site: int, *,
-                      out: np.ndarray | None = None) -> np.ndarray:
-        return _dense(self._symbol(sym, site), out)
+    def symbol_matrix(self, sym: FieldSymbol, site: int) -> np.ndarray:
+        return _dense(self._symbol(sym, site))
 
-    def word_matrix(self, word: FieldWord, sites: list[int], *,
-                    out: np.ndarray | None = None) -> np.ndarray:
-        return _dense(self._word(word, sites), out)
+    def word_matrix(self, word: FieldWord, sites: list[int]) -> np.ndarray:
+        return _dense(self._word(word, sites))
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:

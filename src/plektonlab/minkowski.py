@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,20 +52,18 @@ def wrap_angle(x: float) -> float:
     return y
 
 
-@dataclass(frozen=True)
-class MVec3:
-    """A vector in 2+1-dimensional Minkowski space, signature (+, -, -)."""
+class MVec3(NamedTuple):
+    """A vector in 2+1-dimensional Minkowski space, signature (+, -, -).
+
+    A 3-tuple, so a sequence of vectors is already the rows of an array:
+    ``np.array(vectors)`` converts it in one call."""
 
     x0: float
     x1: float
     x2: float
 
-    @staticmethod
-    def from_array(a) -> "MVec3":
-        return MVec3(float(a[0]), float(a[1]), float(a[2]))
-
     def as_array(self) -> np.ndarray:
-        return np.array([self.x0, self.x1, self.x2])
+        return np.array(self)
 
     def __add__(self, other: "MVec3") -> "MVec3":
         return MVec3(self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2)
@@ -75,11 +74,16 @@ class MVec3:
     def __neg__(self) -> "MVec3":
         return MVec3(-self.x0, -self.x1, -self.x2)
 
-    def scaled(self, s: float) -> "MVec3":
-        return MVec3(s * self.x0, s * self.x1, s * self.x2)
-
 
 ZERO_VEC = MVec3(0.0, 0.0, 0.0)
+
+
+def _finite_vector(v: MVec3, what: str) -> MVec3:
+    """``v``; raises ValueError unless every component is finite.  The
+    public constructors of regions and translations check their vectors."""
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{what} {tuple(map(float, v))} is not finite")
+    return v
 
 
 def minkowski_inner(u: MVec3, v: MVec3) -> float:
@@ -137,7 +141,7 @@ class LorentzMatrix:
         return LorentzMatrix(_renormalize((self.m * ETA_SIGNS).T * ETA_SIGNS + 0.0))
 
     def apply(self, v: MVec3) -> MVec3:
-        return MVec3.from_array(self.m @ v.as_array())
+        return MVec3._make((self.m @ v).tolist())
 
     def is_close(self, other: "LorentzMatrix", tol: float = MAT_TOL) -> bool:
         return bool(np.abs(self.m - other.m).max() <= tol)
@@ -245,10 +249,7 @@ class CoveringPoincare:
 
     def is_close(self, other: "CoveringPoincare", tol: float = LIFT_TOL) -> bool:
         d = self.translation - other.translation
-        return (
-            max(abs(d.x0), abs(d.x1), abs(d.x2)) <= tol
-            and self.lorentz.is_close(other.lorentz, tol)
-        )
+        return max(map(abs, d)) <= tol and self.lorentz.is_close(other.lorentz, tol)
 
     def apply(self, x: MVec3) -> MVec3:
         return self.translation + self.lorentz.matrix.apply(x)
@@ -265,7 +266,7 @@ def cover_boost1(t: float) -> CoveringLorentz:
 
 
 def cover_translation(a: MVec3) -> CoveringPoincare:
-    return CoveringPoincare(a, CoveringLorentz.identity())
+    return CoveringPoincare(_finite_vector(a, "translation"), CoveringLorentz.identity())
 
 
 def _renormalize(m: np.ndarray) -> np.ndarray:

@@ -151,10 +151,8 @@ class _Transformed(WaveFunction):
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         omega = wigner_rotation(self.g, pts)
         phase = np.exp(1j * self.spin * omega)
-        av = self.a.as_array()
-        phase = phase * np.exp(
-            1j * (av[0] * pts[..., 0] - av[1] * pts[..., 1] - av[2] * pts[..., 2])
-        )
+        a0, a1, a2 = self.a
+        phase = phase * np.exp(1j * (a0 * pts[..., 0] - a1 * pts[..., 1] - a2 * pts[..., 2]))
         linv = self.g.matrix.inverse().m
         return phase * self.base.evaluate(pts @ linv.T)
 

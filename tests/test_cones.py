@@ -97,6 +97,18 @@ def test_lifted_arc_invariants():
         cone_path(MVec3(0, 0, 0), 0.0, math.pi / 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_constructors_reject_non_finite_vectors(bad, axis):
+    # a NaN apex would drop the apex-gap row from every separation certificate
+    v = MVec3(*(bad if k == axis else 0.5 for k in range(3)))
+    for build in (lambda: cone_path(v, 0.0, 0.2), lambda: wedge_path(v),
+                  lambda: cone_path(v, 0.0, 0.2, kind=KIND_CONE_COMPLEMENT),
+                  lambda: cover_translation(v)):
+        with pytest.raises(ValueError, match="not finite"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # causal separation
 # ---------------------------------------------------------------------------

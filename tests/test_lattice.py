@@ -175,18 +175,6 @@ def test_oracle_detects_wrong_adjoint(z3, monkeypatch):
     assert not rep.ok
 
 
-def test_out_buffer_receives_the_fresh_matrix(z3):
-    lat = ClockShiftLattice(z3, 4)
-    word = _four_factor_word()
-    sites = [2, 0, 3, 1]
-    buf = np.full((lat.dimension, lat.dimension), np.nan, dtype=complex)
-    assert lat.word_matrix(word, sites, out=buf) is buf
-    assert np.array_equal(buf, lat.word_matrix(word, sites))
-    sym = word.factors[2]
-    assert lat.symbol_matrix(sym, 3, out=buf) is buf
-    assert np.array_equal(buf, lat.symbol_matrix(sym, 3))
-
-
 def _kron_side(lat, charges, sites, coeff=1.0):
     """One side as a dense matrix: the per-site products of the symbols'
     site factors, then np.kron over the sites, then the coefficient."""

@@ -255,7 +255,7 @@ def test_lift_failure_surfaces():
         return np.where(ts < 0.5, 0.0, 3.0)[:, None]
 
     with pytest.raises(LiftError):
-        continue_angles(broken, [0.0], initial_steps=2, max_steps=1024)
+        continue_angles(broken, [0.0], initial_steps=2)
 
 
 def test_reflect_involution_and_automorphism():

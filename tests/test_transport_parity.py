@@ -3,15 +3,28 @@ it replaced, kept here as references.
 
 `act`, `cover_compose`, `cover_inverse`, `standard_boost` and
 `wigner_rotation` perform the references' arithmetic on fewer or larger
-arrays, so every output must agree bit for bit, signed zeros included.
+arrays, and `cone_path`, `wedge_path`, `reflect_path`, `closure_rays` and the
+generators' `_cone_rays` build the per-vector regions of the references from
+3-tuples, so every output must agree bit for bit, signed zeros included.
 """
 
 import math
 
 import numpy as np
 
-from plektonlab import minkowski
-from plektonlab.cones import KIND_WEDGE, ConePath, LiftedArc, act, cone_path, wedge_path
+from plektonlab import cones, minkowski
+from plektonlab.cones import (
+    KIND_CONE,
+    KIND_CONE_COMPLEMENT,
+    KIND_WEDGE,
+    ConePath,
+    LiftedArc,
+    ReferenceFrame,
+    act,
+    cone_path,
+    reflect_path,
+    wedge_path,
+)
 from plektonlab.minkowski import (
     ETA,
     LIFT_TOL,
@@ -181,3 +194,79 @@ def test_lift_product_reads_row_zero_only():
         full = _lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m)
         rows = minkowski._lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])
         _assert_same_bits(rows, full)
+
+
+def _spatial_per_vector(angle):
+    return MVec3(0.0, math.cos(angle), math.sin(angle))
+
+
+def _wedge_normals_per_vector(center):
+    c, s = math.cos(center), math.sin(center)
+    return (MVec3(-1.0, -c, -s), MVec3(1.0, -c, -s))
+
+
+def _cone_path_per_vector(apex, center, half, sheet, kind):
+    lift = center + TWO_PI * sheet
+    arc = LiftedArc(lift - half, lift + half)
+    shift = math.pi / 2.0 - half
+    normals = _wedge_normals_per_vector(center - shift) + _wedge_normals_per_vector(center + shift)
+    axis = _spatial_per_vector(center)
+    s = math.sin(half)
+    corners = (_spatial_per_vector(center - half), _spatial_per_vector(center + half),
+               MVec3(s, axis.x1, axis.x2), MVec3(-s, axis.x1, axis.x2))
+    return ConePath(apex, arc, kind, normals, corners)
+
+
+def _wedge_path_per_vector(apex, center, sheet):
+    lift = center + TWO_PI * sheet
+    arc = LiftedArc(lift - math.pi / 2.0, lift + math.pi / 2.0)
+    axis = _spatial_per_vector(center)
+    corners = (_spatial_per_vector(center - math.pi / 2.0),
+               _spatial_per_vector(center + math.pi / 2.0),
+               MVec3(1.0, axis.x1, axis.x2), MVec3(-1.0, axis.x1, axis.x2))
+    return ConePath(apex, arc, KIND_WEDGE, _wedge_normals_per_vector(center), corners)
+
+
+def _reflect_path_per_vector(path, frame):
+    c = frame.reflection_constant()
+
+    def j(v):
+        return MVec3(-v.x0, -v.x1, v.x2)
+
+    west, east, *rest = path.corners
+    corners = (j(east), j(west), *(j(v) for v in rest))
+    arc = LiftedArc(c - path.arc.alpha_plus, c - path.arc.alpha_minus)
+    return ConePath(j(path.apex), arc, path.kind, tuple(j(n) for n in path.normals), corners)
+
+
+def _closure_rays_per_vector(path):
+    rays = [np.array([v.x0, v.x1, v.x2]) for v in path.corners]
+    if path.kind == KIND_WEDGE:
+        west, east, up, down = rays
+        rays = [up, down, west, east, -west, -east]
+    return np.array(rays)
+
+
+def test_regions_match_per_vector_reference():
+    rng = np.random.default_rng(106)
+    centers = [0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, 7.5, -13.0]
+    centers += rng.uniform(-math.pi, math.pi, 40).tolist()
+    halves = [1e-3, 0.3, math.pi / 4.0, 1.5] + rng.uniform(0.05, 1.5, 8).tolist()
+    apexes = [MVec3(0.0, -0.0, 0.0), MVec3(-0.0, 0.0, -0.0), MVec3(*rng.normal(0.0, 0.4, 3))]
+    frames = [ReferenceFrame(), ReferenceFrame(-math.pi / 2.0), ReferenceFrame(5.0 * math.pi / 2.0)]
+    for k, center in enumerate(centers):
+        apex, sheet = apexes[k % 3], k % 5 - 2
+        got = [wedge_path(apex, center, sheet)]
+        want = [_wedge_path_per_vector(apex, center, sheet)]
+        for half in halves:
+            kind = KIND_CONE_COMPLEMENT if k % 4 == 3 else KIND_CONE
+            got.append(cone_path(apex, center, half, sheet, kind))
+            want.append(_cone_path_per_vector(apex, center, half, sheet, kind))
+        for g, w in zip(got, want):
+            assert _path_bits(g) == _path_bits(w)
+            _assert_same_bits(g.closure_rays, _closure_rays_per_vector(w))
+            for frame in frames:
+                assert _path_bits(reflect_path(g, frame)) == _path_bits(
+                    _reflect_path_per_vector(w, frame))
+        rays = cones._cone_rays(np.full(len(halves), center), np.array(halves))
+        _assert_same_bits(rays, [_closure_rays_per_vector(w) for w in want[1:]])
