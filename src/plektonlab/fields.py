@@ -14,6 +14,7 @@ adjacent atoms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -21,7 +22,9 @@ from .cones import (
     ConePath,
     ReferenceFrame,
     DEFAULT_FRAME,
+    SeparationError,
     _winding,
+    _winding_given,
     causally_separated,
     path_within_wedge,
     reflect_path,
@@ -318,9 +321,17 @@ def twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
     c the symbol's charge and n the relative winding of the pair.
     """
     c2path, c1path = pair
-    if not causally_separated(c2path, c1path):
+    return _twist_conjugate_given(sym, pair, model, causally_separated(c2path, c1path))
+
+
+def _twist_conjugate_given(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
+                           model: AnyonModel, verdict) -> GradedOperator:
+    """`twist_conjugate` given `cones._separated_many`'s verdict on the pair."""
+    if isinstance(verdict, SeparationError):
+        raise verdict
+    if not verdict:
         raise ValueError("twist requires causally separated paths")
-    n = _winding(c2path, c1path)
+    n = _winding(*pair)
     h = model.omega_sqrt.turns
     c = sym.charge
     k = 2 * n + 1
@@ -337,10 +348,16 @@ def twisted_commutator_defect(f2: FieldSymbol, f1: FieldSymbol,
     orderings agree up to that same exchange rewriting.
     """
     w = twist_conjugate(f1, pair, model)
+    return _commutator_defect(f2, f1, w, relative_winding(f2.loc, f1.loc), model)
+
+
+def _commutator_defect(f2: FieldSymbol, f1: FieldSymbol, w: GradedOperator, n_loc: int,
+                       model: AnyonModel):
+    """`twisted_commutator_defect` given w = Z f1 Z* and the relative winding
+    n_loc of (loc f2, loc f1)."""
     g2 = graded_form(f2)
     left = graded_compose(g2, w)    # f2 . Z f1 Z*
     right = graded_compose(w, g2)   # Z f1 Z* . f2
-    n_loc = relative_winding(f2.loc, f1.loc)
     r = r_phase(model, f1.charge, f2.charge, n_loc)
     return _canonical_poly(
         right.a - left.a, right.b - left.b, right.d - left.d - r.turns
@@ -366,6 +383,11 @@ def vacuum_vector(sym: FieldSymbol, coeff: CyclotomicPhase = ONE) -> StateVector
     return StateVector(sym.charge, sym.obs, sym.loc, coeff)
 
 
+# a frame is frozen and hashable: its standard wedge, and in `_cpt_winding`
+# the winding of that wedge against its reflection, are built once per frame
+_standard_wedge = functools.lru_cache(maxsize=8)(standard_wedge_path)
+
+
 def tomita_S(v: StateVector, model: AnyonModel,
              frame: ReferenceFrame = DEFAULT_FRAME) -> StateVector:
     """Anti-linear map (q, A) -> (-q, g^(-q)(A*)) for vectors generated by
@@ -375,8 +397,7 @@ def tomita_S(v: StateVector, model: AnyonModel,
     """
     if not isinstance(v.loc, ConePath):
         raise ValueError("state vector has no localisation metadata")
-    wedge = standard_wedge_path(frame)
-    if not path_within_wedge(v.loc, wedge):
+    if not path_within_wedge(v.loc, _standard_wedge(frame)):
         raise ValueError("generating field is not localised along the standard wedge path")
     return StateVector(
         -v.charge,
@@ -408,12 +429,26 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
     winding of the swapped pair is 0), which is what confines the symmetric
     use of the identity to omega = +-1.
     """
+    f2, f1 = _swap_pair(pair)
+    return _vacuum_swap_given(pair, model, causally_separated(f1.loc, f2.loc), coeff)
+
+
+def _swap_pair(pair: tuple[FieldSymbol, FieldSymbol]) -> tuple[FieldSymbol, FieldSymbol]:
+    """(F2, F1) of a vacuum swap; ValueError unless their charges are equal
+    and both are localised."""
     f2, f1 = pair
     if f2.charge != f1.charge:
         raise ValueError("vacuum swap requires equal charges")
     if not (f2.is_localized() and f1.is_localized()):
         raise ValueError("vacuum swap requires localised symbols")
-    n = relative_winding(f2.loc, f1.loc)
+    return f2, f1
+
+
+def _vacuum_swap_given(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
+                       verdict, coeff: CyclotomicPhase = ONE) -> FormalOverlap:
+    """`vacuum_swap` given `cones._separated_many`'s verdict on (loc F1, loc F2)."""
+    f2, f1 = _swap_pair(pair)
+    n = _winding_given(f2.loc, f1.loc, verdict)
     if n != -1:
         raise ValueError(f"winding guard violated: N(loc2, loc1) = {n}, need -1")
     return FormalOverlap(
@@ -425,8 +460,9 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
 # CPT conjugation
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
 def _cpt_winding(frame: ReferenceFrame) -> int:
-    we = standard_wedge_path(frame)
+    we = _standard_wedge(frame)
     jwe = reflect_path(we, frame)
     return _winding(we, jwe)
 

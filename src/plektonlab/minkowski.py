@@ -168,19 +168,28 @@ def _checked_lorentz(ms: np.ndarray) -> np.ndarray:
     return ms
 
 
+def _rotation_rows(theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def _boost1_rows(t: float) -> np.ndarray:
+    ch, sh = math.cosh(t), math.sinh(t)
+    return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+
+
 def rotation_matrix(theta: float) -> LorentzMatrix:
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle {theta} is not finite")
-    c, s = math.cos(theta), math.sin(theta)
-    return LorentzMatrix([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return LorentzMatrix(_rotation_rows(theta))
 
 
 def boost1_matrix(t: float) -> LorentzMatrix:
     try:
-        ch, sh = math.cosh(t), math.sinh(t)
+        rows = _boost1_rows(t)
     except OverflowError:
         raise ValueError(f"rapidity {t} overflows a float boost") from None
-    return LorentzMatrix([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
+    return LorentzMatrix(rows)
 
 
 def _polar_angle_raw(m: np.ndarray) -> float:
@@ -238,10 +247,15 @@ class CoveringLorentz:
 
 @dataclass(frozen=True)
 class CoveringPoincare:
-    """Translation plus covering Lorentz part, composed semidirectly."""
+    """Translation plus covering Lorentz part, composed semidirectly.
+
+    Validated on construction: the translation must be finite."""
 
     translation: MVec3
     lorentz: CoveringLorentz
+
+    def __post_init__(self) -> None:
+        _finite_vector(self.translation, "translation")
 
     @staticmethod
     def identity() -> "CoveringPoincare":
@@ -266,7 +280,7 @@ def cover_boost1(t: float) -> CoveringLorentz:
 
 
 def cover_translation(a: MVec3) -> CoveringPoincare:
-    return CoveringPoincare(_finite_vector(a, "translation"), CoveringLorentz.identity())
+    return CoveringPoincare(a, CoveringLorentz.identity())
 
 
 def _renormalize(m: np.ndarray) -> np.ndarray:
@@ -294,10 +308,56 @@ def _lift_product(theta1, r1, theta2, r2):
     return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
 
 
+def _product(g1: CoveringLorentz, g2: CoveringLorentz) -> tuple[np.ndarray, float]:
+    """The renormalised matrix and the lifted angle of g1 g2, unchecked."""
+    return (_renormalize(g1.matrix.m @ g2.matrix.m),
+            float(_lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])))
+
+
 def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
-    m = LorentzMatrix(_renormalize(g1.matrix.m @ g2.matrix.m))
-    theta = _lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])
-    return CoveringLorentz(m, float(theta))
+    m, theta = _product(g1, g2)
+    return CoveringLorentz(LorentzMatrix(m), theta)
+
+
+def _trusted(m: np.ndarray, angle: float) -> CoveringLorentz:
+    """CoveringLorentz(LorentzMatrix(m), angle) without the checks, for a
+    fresh float (3, 3) array that is Lorentz by construction."""
+    m.setflags(write=False)
+    matrix = object.__new__(LorentzMatrix)
+    object.__setattr__(matrix, "m", m)
+    g = object.__new__(CoveringLorentz)
+    object.__setattr__(g, "matrix", matrix)
+    object.__setattr__(g, "angle", angle)
+    return g
+
+
+def _poincare(translation: MVec3, lorentz: CoveringLorentz) -> CoveringPoincare:
+    """CoveringPoincare(translation, lorentz) without the finiteness check,
+    for the package's own products and images."""
+    p = object.__new__(CoveringPoincare)
+    object.__setattr__(p, "translation", translation)
+    object.__setattr__(p, "lorentz", lorentz)
+    return p
+
+
+_TRUSTED_IDENTITY = _trusted(np.eye(3), 0.0)
+
+
+def _sampled_element(alpha: float, t: float, beta: float, translation=None):
+    """cover_compose(cover_rotation(alpha), cover_compose(cover_boost1(t),
+    cover_rotation(beta))), after cover_translation(translation) unless that
+    is None, bitwise as those calls give it but without their checks.  The
+    arithmetic is theirs, so the factors and products are Lorentz and the
+    lifts project for the finite angles and moderate rapidities that random
+    sampling draws; public constructors and `cover_compose` still validate.
+    """
+    inner = _trusted(*_product(_trusted(_boost1_rows(t), 0.0),
+                               _trusted(_rotation_rows(beta), beta)))
+    g = _trusted(*_product(_trusted(_rotation_rows(alpha), alpha), inner))
+    if translation is None:
+        return g
+    # + 0.0 is the identity's image of the zero vector added in `cover_compose`
+    return _poincare(translation + ZERO_VEC, _trusted(*_product(_TRUSTED_IDENTITY, g)))
 
 
 def cover_compose(g1, g2):
@@ -312,14 +372,14 @@ def cover_compose(g1, g2):
     p1 = _as_poincare(g1)
     p2 = _as_poincare(g2)
     trans = p1.translation + p1.lorentz.matrix.apply(p2.translation)
-    return CoveringPoincare(trans, _compose_lorentz(p1.lorentz, p2.lorentz))
+    return _poincare(trans, _compose_lorentz(p1.lorentz, p2.lorentz))
 
 
 def _as_poincare(g) -> CoveringPoincare:
     if isinstance(g, CoveringPoincare):
         return g
     if isinstance(g, CoveringLorentz):
-        return CoveringPoincare(ZERO_VEC, g)
+        return _poincare(ZERO_VEC, g)
     raise TypeError(f"expected a covering group element, got {type(g).__name__}")
 
 
@@ -327,7 +387,7 @@ def cover_inverse(g):
     """Inverse in the universal cover; the lifted angle is negated."""
     if isinstance(g, CoveringPoincare):
         inv_l = cover_inverse(g.lorentz)
-        return CoveringPoincare(inv_l.matrix.apply(-g.translation), inv_l)
+        return _poincare(inv_l.matrix.apply(-g.translation), inv_l)
     # u^-1 has alpha -> conj(alpha), so the lift is negated
     return CoveringLorentz(g.matrix.inverse(), -g.angle)
 
@@ -348,6 +408,6 @@ def reflect_conjugate(g):
     map is a continuous involutive automorphism.
     """
     if isinstance(g, CoveringPoincare):
-        return CoveringPoincare(reflect_vector(g.translation), reflect_conjugate(g.lorentz))
+        return _poincare(reflect_vector(g.translation), reflect_conjugate(g.lorentz))
     m = LorentzMatrix(_J_MAT @ g.matrix.m @ _J_MAT)
     return CoveringLorentz(m, -g.angle)

@@ -1,8 +1,9 @@
 """Abelian charge models with exact cyclotomic phase arithmetic.
 
 Charges live in Z (or Z_N with lifted-integer bookkeeping); every phase is a
-root of unity stored as an exact fraction of a full turn, so products,
-inverses and equality are decided without floating point.
+root of unity exp(2 pi i k / M) stored as the reduced int pair (k mod M, M),
+so products, quotients, powers, inverses and equality are decided in int
+arithmetic, without floating point or a ``Fraction`` per operation.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 
@@ -22,14 +23,23 @@ def _mod1(x) -> Fraction:
     return Fraction(x.numerator % x.denominator, x.denominator)
 
 
-@dataclass(frozen=True)
 class CyclotomicPhase:
-    """The root of unity exp(2 pi i k / M), stored in lowest terms."""
+    """The root of unity exp(2 pi i k / M), stored as the reduced int pair
+    (k mod M, M): 0 <= k < M, gcd(k, M) = 1, and 1 is stored as 0/1.
 
-    turns: Fraction
+    The constructor takes the phase in turns, as anything ``Fraction()``
+    accepts; products, quotients, integer powers and inverses stay on the
+    ints.  Instances are immutable, compare and hash by the pair, and
+    pickle as it.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "turns", _mod1(self.turns))
+    __slots__ = ("_k", "_m")
+
+    def __init__(self, turns) -> None:
+        x = turns if type(turns) is Fraction else Fraction(turns)
+        # n % d over d is already in lowest terms
+        _set_k(self, x.numerator % x.denominator)
+        _set_m(self, x.denominator)
 
     @staticmethod
     def from_pair(k: int, m: int) -> "CyclotomicPhase":
@@ -39,42 +49,79 @@ class CyclotomicPhase:
 
     @staticmethod
     def one() -> "CyclotomicPhase":
-        return CyclotomicPhase(Fraction(0))
+        return _phase(0, 1)
+
+    @property
+    def turns(self) -> Fraction:
+        return Fraction(self._k, self._m)
 
     @property
     def numerator(self) -> int:
-        return self.turns.numerator
+        return self._k
 
     @property
     def denominator(self) -> int:
-        return self.turns.denominator
+        return self._m
 
     def __mul__(self, other: "CyclotomicPhase") -> "CyclotomicPhase":
-        return CyclotomicPhase(self.turns + other.turns)
+        return _phase(self._k * other._m + other._k * self._m, self._m * other._m)
 
     def __truediv__(self, other: "CyclotomicPhase") -> "CyclotomicPhase":
-        return CyclotomicPhase(self.turns - other.turns)
+        return _phase(self._k * other._m - other._k * self._m, self._m * other._m)
 
     def __pow__(self, n) -> "CyclotomicPhase":
-        return CyclotomicPhase(self.turns * (n if type(n) is int else Fraction(n)))
+        if type(n) is int:
+            return _phase(self._k * n, self._m)
+        return CyclotomicPhase(Fraction(self._k, self._m) * Fraction(n))
 
     def inverse(self) -> "CyclotomicPhase":
-        return CyclotomicPhase(-self.turns)
+        return _phase(-self._k, self._m)
 
     def conjugate(self) -> "CyclotomicPhase":
         return self.inverse()
 
     def is_one(self) -> bool:
-        return self.turns == 0
+        return self._k == 0
 
     def to_complex(self) -> complex:
-        return cmath.exp(2j * math.pi * float(self.turns))
+        return cmath.exp(2j * math.pi * (self._k / self._m))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CyclotomicPhase:
+            return NotImplemented
+        return self._k == other._k and self._m == other._m
+
+    def __hash__(self) -> int:
+        return hash((self._k, self._m))
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return _phase, (self._k, self._m)
 
     def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator} of 2pi"
+        return f"{self._k}/{self._m} of 2pi"
 
     def __repr__(self) -> str:
-        return f"CyclotomicPhase({self.numerator}/{self.denominator})"
+        return f"CyclotomicPhase({self._k}/{self._m})"
+
+
+_set_k, _set_m = CyclotomicPhase._k.__set__, CyclotomicPhase._m.__set__
+
+
+def _phase(k: int, m: int) -> CyclotomicPhase:
+    """exp(2 pi i k / m) for ints k and m > 0, reduced to lowest terms."""
+    k %= m
+    g = math.gcd(k, m)  # gcd(0, m) = m, so 1 is 0/1
+    p = object.__new__(CyclotomicPhase)
+    _set_k(p, k // g)  # the slots' own setters, past __setattr__
+    _set_m(p, m // g)
+    return p
 
 
 ONE = CyclotomicPhase.one()

@@ -4,11 +4,12 @@ Each suite draws its configurations from two streams of its own, seeded by
 (seed, suite index, use): one for its separated pairs and fans, one for
 everything else.  It runs the module invariants at the package tolerances
 and reports one line per check.  Each loop draws its separated pairs with
-one call: candidates come in arrays, one stacked certificate decides a
-batch, and only accepted candidates become paths.  The geometry suite also
+one call: candidates come in arrays, stacked certificates decide a batch,
+and only accepted candidates become paths.  The geometry suite also
 decides each check's transported, reflected or random pairs with one call,
-then meets their verdicts pair by pair as its loop did.  Sweep sizes scale
-with the PLEKTONLAB_SWEEP environment variable.
+and twist and cpt the pairs of their twisted-locality and vacuum-swap
+checks; each then meets the verdicts pair by pair as its loop did.  Sweep
+sizes scale with the PLEKTONLAB_SWEEP environment variable.
 
 Since the suites share no stream, "all" runs them side by side in forked
 worker processes, longest first, and gathers their reports and tracebacks
@@ -40,7 +41,7 @@ from .cones import (
     relative_winding_scan,
     standard_wedge_path,
 )
-from .minkowski import MVec3, cover_boost1, cover_compose, cover_rotation, cover_translation
+from .minkowski import MVec3, cover_rotation
 from .report import ERROR, FAIL, Report
 from .sectors import (
     AnyonModel,
@@ -58,9 +59,9 @@ SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 # The suites by descending CPU time, the order in which "all" hands them to its
 # workers so that the longest start first (R. L. Graham, SIAM J. Appl. Math.
 # 17 (1969) 416).  Seed 7, best of 3 in each of 8 runs, 2-core machine:
-# geometry 201-322, cpt 89-124, braid 70-110, twist 47-67, wigner 34-53,
-# tomita 27-35 ms.
-_LONGEST_FIRST = ("geometry", "cpt", "braid", "twist", "wigner", "tomita")
+# geometry 153-234, cpt 49-81, braid 41-73, wigner 28-50, twist 21-37,
+# tomita 16-24 ms.
+_LONGEST_FIRST = ("geometry", "cpt", "braid", "wigner", "twist", "tomita")
 
 
 def sweep_scale() -> float:
@@ -96,7 +97,7 @@ def random_separated_pairs(rng: np.random.Generator,
     """``count`` causally separated (C2, C1) pairs with generic arcs and apexes.
 
     Candidates are drawn in batches, about three per missing pair and at
-    most 64, and one stacked certificate decides each batch; only accepted
+    most 64, and stacked certificates decide each batch; only accepted
     lanes become paths.  A lane whose margin is in the ambiguity band is
     rejected, like one that is not separated.  Pairs are yielded batch by
     batch, so at most one batch of paths is alive (a list of 300 pairs
@@ -147,14 +148,13 @@ def _drawn(items: Iterator) -> tuple[list, Exception | None]:
 
 
 def random_cover_element(rng: np.random.Generator, *, translations: bool = True):
-    g = cover_compose(
-        cover_rotation(rng.uniform(-7.0, 7.0)),
-        cover_compose(cover_boost1(rng.uniform(-1.2, 1.2)),
-                      cover_rotation(rng.uniform(-3.0, 3.0))),
-    )
-    if translations:
-        return cover_compose(cover_translation(MVec3(*rng.normal(0.0, 0.5, 3))), g)
-    return g
+    """cover_compose(cover_rotation(a), cover_compose(cover_boost1(t),
+    cover_rotation(b))) for a, t and b drawn in that order, after a random
+    translation if ``translations``; built without re-validating the
+    factors and products, bitwise as those calls would build it."""
+    alpha, t, beta = rng.uniform(-7.0, 7.0), rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0)
+    a = MVec3(*rng.normal(0.0, 0.5, 3)) if translations else None
+    return minkowski._sampled_element(alpha, t, beta, a)
 
 
 _OBS_NAMES = ("A", "B", "C", "D")
@@ -449,13 +449,17 @@ def twist_suite(model: AnyonModel, scene, seed: int) -> Report:
     pair_rng, rng = _streams(seed, "twist")
 
     n_cfg = _n(100)
+    drawn, late = _drawn((c2, c1, random_symbol(rng, c2, model), random_symbol(rng, c1, model))
+                         for c2, c1 in random_separated_pairs(pair_rng, n_cfg))
+    verdicts = cones._separated_many([(c2, c1) for c2, c1, _, _ in drawn])
     bad = 0
-    for c2, c1 in random_separated_pairs(pair_rng, n_cfg):
-        f2 = random_symbol(rng, c2, model)
-        f1 = random_symbol(rng, c1, model)
-        defect = fields.twisted_commutator_defect(f2, f1, (c2, c1), model)
-        if defect != (0, 0, 0):
+    for (c2, c1, f2, f1), verdict in zip(drawn, verdicts):
+        # the field pair's winding needs (C1, C2) separated: the generator certified it
+        w = fields._twist_conjugate_given(f1, (c2, c1), model, verdict)
+        if fields._commutator_defect(f2, f1, w, cones._winding(c2, c1), model) != (0, 0, 0):
             bad += 1
+    if late is not None:
+        raise late
     rep.add_outcome("twisted-locality-commutator", bad == 0,
                     exact=f"{bad}/{n_cfg} nonzero defects",
                     note="graded commutator vanishes as a polynomial in q")
@@ -617,18 +621,28 @@ def cpt_suite(model: AnyonModel, scene, seed: int) -> Report:
                     note="charge conjugated, localisation reflected")
 
     n_guard = _n(100)
+
+    def swap_pairs():
+        for c2, c1 in random_separated_pairs(pair_rng, n_guard):
+            if cones._winding(c2, c1) != -1:
+                c2 = cones.act(cover_rotation(2.0 * math.pi * (-1 - cones._winding(c2, c1))), c2)
+            charge = int(rng.integers(-4, 5))
+            yield (fields.FieldSymbol(charge, fields.ObservableWord.symbol("A"), c2),
+                   fields.FieldSymbol(charge, fields.ObservableWord.symbol("B"), c1))
+
+    # the swap decides (C1, C2), the swap of its output (C2, C1)
+    drawn, late = _drawn(swap_pairs())
+    verdicts = cones._separated_many([pair for f2, f1 in drawn
+                                      for pair in ((f1.loc, f2.loc), (f2.loc, f1.loc))])
     rejected = 0
-    for c2, c1 in random_separated_pairs(pair_rng, n_guard):
-        if cones._winding(c2, c1) != -1:
-            c2 = cones.act(cover_rotation(2.0 * math.pi * (-1 - cones._winding(c2, c1))), c2)
-        charge = int(rng.integers(-4, 5))
-        f2 = fields.FieldSymbol(charge, fields.ObservableWord.symbol("A"), c2)
-        f1 = fields.FieldSymbol(charge, fields.ObservableWord.symbol("B"), c1)
-        overlap = fields.vacuum_swap((f2, f1), model)
+    for i, (f2, f1) in enumerate(drawn):
+        overlap = fields._vacuum_swap_given((f2, f1), model, verdicts[2 * i])
         try:
-            fields.vacuum_swap((overlap.bra, overlap.ket), model)
+            fields._vacuum_swap_given((overlap.bra, overlap.ket), model, verdicts[2 * i + 1])
         except ValueError:
             rejected += 1
+    if late is not None:
+        raise late
     rep.add_outcome("vacuum-swap-double-application-guard", rejected == n_guard,
                     exact=f"{rejected}/{n_guard} rejected",
                     note="winding of the swapped pair is 0, not -1")

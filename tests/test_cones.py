@@ -33,6 +33,9 @@ from plektonlab.cones import (
     wedge_path,
 )
 from plektonlab.minkowski import (
+    ZERO_VEC,
+    CoveringLorentz,
+    CoveringPoincare,
     MVec3,
     cover_boost1,
     cover_compose,
@@ -104,9 +107,21 @@ def test_constructors_reject_non_finite_vectors(bad, axis):
     v = MVec3(*(bad if k == axis else 0.5 for k in range(3)))
     for build in (lambda: cone_path(v, 0.0, 0.2), lambda: wedge_path(v),
                   lambda: cone_path(v, 0.0, 0.2, kind=KIND_CONE_COMPLEMENT),
-                  lambda: cover_translation(v)):
+                  lambda: cover_translation(v),
+                  lambda: cone_path(ZERO_VEC, 0.0, 0.2).translated(v),
+                  lambda: CoveringPoincare(v, CoveringLorentz.identity())):
         with pytest.raises(ValueError, match="not finite"):
             build()
+
+
+def test_translations_reject_a_nan_vector():
+    # both once passed: the translated cone read as separated from the
+    # opposite cone with winding -1, and act moved the cone to a NaN apex
+    c = cone_path(ZERO_VEC, 0.0, 0.2)
+    with pytest.raises(ValueError, match="not finite"):
+        c.translated(MVec3(math.nan, 0, 0))
+    with pytest.raises(ValueError, match="not finite"):
+        act(CoveringPoincare(MVec3(math.nan, 0, 0), CoveringLorentz.identity()), c)
 
 
 # ---------------------------------------------------------------------------

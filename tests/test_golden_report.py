@@ -2,22 +2,25 @@
 
 from pathlib import Path
 
+import pytest
+
 from plektonlab.cli import main
 from tests.conftest import ASSETS
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-GOLDEN = GOLDEN_DIR / "verify_all_seed7.json"
 
 
-def test_verify_all_seed7_matches_golden_report(monkeypatch, capsys):
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_verify_all_seed7_matches_golden_report(monkeypatch, capsys, seed):
     # regenerate with: plektonlab verify --suite all --model assets/z3_anyon.json
-    #   --scene assets/antipodal_scene.json --seed 7 --format json
+    #   --scene assets/antipodal_scene.json --seed <seed> --format json
     monkeypatch.delenv("PLEKTONLAB_SWEEP", raising=False)
     code = main(["verify", "--suite", "all", "--model", str(ASSETS / "z3_anyon.json"),
-                 "--scene", str(ASSETS / "antipodal_scene.json"), "--seed", "7",
+                 "--scene", str(ASSETS / "antipodal_scene.json"), "--seed", str(seed),
                  "--format", "json"])
     assert code == 0
-    assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+    golden = GOLDEN_DIR / f"verify_all_seed{seed}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_winding_fan_matches_golden_report(capsys):

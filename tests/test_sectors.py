@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from plektonlab.sectors import (
     twist_phase,
     validate_model,
 )
+from tests.conftest import ASSETS
 
 phases = st.builds(CyclotomicPhase.from_pair,
                    st.integers(-40, 40), st.integers(1, 24))
@@ -71,6 +74,67 @@ def test_phase_reduction_matches_fraction_mod_one(x, n):
                         (CyclotomicPhase(Fraction(x)) ** n, (Fraction(x) * n) % 1)):
         assert type(phase.turns) is Fraction and phase.turns == want
         assert (phase.numerator, phase.denominator) == (want.numerator, want.denominator)
+
+
+# powers: negative, zero and large ints, and Fractions
+exponents = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.just(0),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(),
+)
+
+
+@given(turns, turns, exponents)
+def test_int_pair_operations_match_fraction_arithmetic(x, y, n):
+    a, b = CyclotomicPhase(x), CyclotomicPhase(y)
+    fx, fy = Fraction(x) % 1, Fraction(y) % 1
+
+    def holds(phase, want):
+        want %= 1
+        return (type(phase) is CyclotomicPhase and phase.turns == want
+                and (phase.numerator, phase.denominator) == (want.numerator, want.denominator))
+
+    assert holds(a * b, fx + fy)
+    assert holds(a / b, fx - fy)
+    assert holds(a ** n, fx * Fraction(n))
+    assert holds(a.inverse(), -fx) and holds(a.conjugate(), -fx)
+    assert a.is_one() == (fx == 0)
+    assert (a == b) == (fx == fy) and (a != b) == (fx != fy)
+    if fx == fy:
+        assert hash(a) == hash(b)
+    assert a == CyclotomicPhase(fx) and hash(a) == hash(CyclotomicPhase(fx))
+    assert a != fx  # a phase is not a number of turns
+
+
+def test_phases_are_immutable():
+    p = CyclotomicPhase.from_pair(1, 3)
+    for name in ("_k", "_m", "turns", "numerator"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, 0)
+    with pytest.raises(AttributeError):
+        del p._k
+    assert p == CyclotomicPhase.from_pair(1, 3)
+
+
+MODEL_FILES = sorted(f.name for f in ASSETS.glob("*.json")
+                     if "omega" in json.loads(f.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name", MODEL_FILES)
+def test_phases_and_models_survive_pickling(name):
+    # "all" sends the model to its forked workers by pickle
+    model = load_model(ASSETS / name)
+    phases = [model.omega, model.omega_sqrt, CyclotomicPhase.from_pair(-7, 12),
+              CyclotomicPhase.one()]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps((model, phases), protocol))
+        assert back == (model, phases)
+        assert [hash(p) for p in back[1]] == [hash(p) for p in phases]
+        assert [(p.numerator, p.denominator) for p in back[1]] == \
+            [(p.numerator, p.denominator) for p in phases]
+        assert validate_model(back[0]) == validate_model(model)
+    assert copy.deepcopy(model) == model
 
 
 def test_phase_display():

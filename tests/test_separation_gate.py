@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from plektonlab import fields
+from plektonlab import cones, fields
 from plektonlab.cones import SeparationError, causally_separated, cone_path
 from plektonlab.fields import (
     FieldSymbol,
@@ -68,3 +68,22 @@ def test_braid_suite_decides_no_pair_twice(z3, monkeypatch):
     rep = run_suite("braid", z3, None, 7)
     assert rep.checks and all(c.status == PASS for c in rep.checks), \
         [c.to_dict() for c in rep.checks if c.status != PASS]
+
+
+@pytest.mark.parametrize("suite, public", [("twist", 4), ("cpt", 0)])
+def test_twist_and_cpt_decide_no_pair_one_lane_at_a_time(z3, monkeypatch, suite, public):
+    # the checks decide their pairs in stacks; what remains one lane at a
+    # time is twist's public calls: relative_winding on the two reference
+    # wedge pairs, and the negative control's twist_conjugate and
+    # relative_winding
+    real, lanes = cones._certificates, []
+
+    def certificates(rows):
+        lanes.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(cones, "_certificates", certificates)
+    rep = run_suite(suite, z3, None, 7)
+    assert rep.checks and all(c.status == PASS for c in rep.checks), \
+        [c.to_dict() for c in rep.checks if c.status != PASS]
+    assert lanes.count(1) == public

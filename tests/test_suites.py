@@ -9,7 +9,8 @@ import pytest
 
 from plektonlab import cones, suites
 from plektonlab.cones import SeparationError, causally_separated, cone_path
-from plektonlab.minkowski import LiftError, MVec3
+from plektonlab.minkowski import (CoveringLorentz, CoveringPoincare, LiftError, LorentzMatrix, MVec3,
+                                  cover_boost1, cover_compose, cover_rotation, cover_translation)
 from plektonlab.scenes import load_scene
 from plektonlab.sectors import load_model
 from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
@@ -254,3 +255,113 @@ def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
         else:
             with pytest.raises((SeparationError, LiftError), match=raised):
                 suites.geometry_suite(z3, None, 7)
+
+
+def _failing_fifth_pair(monkeypatch):
+    """Patch `suites.random_separated_pairs` so that a draw of 10 pairs
+    raises in place of its fifth pair."""
+    real = suites.random_separated_pairs
+
+    def pairs(rng, count):
+        for i, pair in enumerate(real(rng, count)):
+            if count == 10 and i == 4:
+                raise RuntimeError("patched draw failure")
+            yield pair
+
+    monkeypatch.setattr(suites, "random_separated_pairs", pairs)
+
+
+def test_twist_and_cpt_meet_stacked_verdicts_where_their_loops_did(monkeypatch, z3):
+    # call 0 of each suite decides its stacked check: twist's pairs (C2, C1)
+    # in order, and per cpt swap the first swap's (C1, C2) then the second's
+    # (C2, C1).  The loops met a refused pair through the public functions,
+    # and aborted there, before they drew a later pair.  Both checks draw 10
+    # pairs at sweep 0.1.
+    twist_refusal = (ValueError, "twist requires causally separated paths")
+    swap_refusal = (SeparationError, "relative winding requires causally separated regions")
+    for suite, lane, refusal in ((suites.twist_suite, lambda pair: pair, twist_refusal),
+                                 (suites.cpt_suite, lambda pair: 2 * pair, swap_refusal)):
+        for first, second, draw_fails, raised in (
+                (False, SeparationError("pair 2"), False, refusal),
+                (False, SeparationError("pair 2"), True, refusal),
+                (SeparationError("pair 1"), False, False, (SeparationError, "pair 1")),
+                (SeparationError("pair 1"), False, True, (SeparationError, "pair 1")),
+                (None, None, True, (RuntimeError, "patched draw failure"))):
+            def patch(call, verdicts):
+                if call == 0 and first is not None:
+                    verdicts[lane(1)], verdicts[lane(2)] = first, second
+
+            monkeypatch.undo()
+            monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.1")
+            _patched_separations(monkeypatch, patch)
+            if draw_fails:
+                _failing_fifth_pair(monkeypatch)
+            with pytest.raises(Exception) as info:
+                suite(z3, None, 7)
+            assert (info.type, str(info.value)) == raised
+
+
+def test_cpt_counts_a_second_swap_it_cannot_decide_as_rejected(monkeypatch, z3):
+    # the loop's second vacuum_swap raised SeparationError, a ValueError
+    def patch(call, verdicts):
+        if call == 0:
+            verdicts[1::2] = [SeparationError("patched")] * (len(verdicts) // 2)
+
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.1")
+    _patched_separations(monkeypatch, patch)
+    row, = (r for r in suites.cpt_suite(z3, None, 7).checks
+            if r.name == "vacuum-swap-double-application-guard")
+    assert (row.status, row.exact) == ("pass", "10/10 rejected")
+
+
+def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
+    real, stacks = cones._certificates, []
+    monkeypatch.setattr(cones, "_certificates", lambda rows: stacks.append(len(rows)) or real(rows))
+    rng = np.random.default_rng(1100)
+    apex = rng.normal(0.0, 0.05, (2, 64, 3))
+    apex[1, :5] = apex[0, :5]  # five lanes without an apex gap
+    center = rng.uniform(-math.pi, math.pi, 64)
+    cones._cones_separated(apex[0], center, np.full(64, 0.2), apex[1], center + 2.0,
+                           np.full(64, 0.3))
+    assert stacks == [32, 27, 5] and cones._STACK == 32
+
+
+class _EndsRng:
+    """A generator that hands out the ends of each uniform range, and the
+    float just inside them, about half the time; it records every draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def uniform(self, lo, hi):
+        x = (lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo),
+             *self.rng.uniform(lo, hi, 4))[int(self.rng.integers(0, 8))]
+        self.drawn.append(float(x))
+        return float(x)
+
+    def normal(self, loc, scale, size):
+        x = self.rng.normal(loc, scale, size)
+        self.drawn.append(x)
+        return x
+
+
+@pytest.mark.parametrize("translations", [False, True])
+def test_random_cover_element_is_the_public_product_of_its_draws(translations):
+    rng = _EndsRng(1200 + translations)
+    for _ in range(1000):
+        g = suites.random_cover_element(rng, translations=translations)
+        alpha, t, beta, *normal = rng.drawn
+        rng.drawn.clear()
+        want = cover_compose(cover_rotation(alpha),
+                             cover_compose(cover_boost1(t), cover_rotation(beta)))
+        if translations:
+            want = cover_compose(cover_translation(MVec3(*normal[0])), want)
+            assert type(g) is CoveringPoincare
+            assert np.array(g.translation).tobytes() == np.array(want.translation).tobytes()
+            g, want = g.lorentz, want.lorentz
+        assert type(g) is CoveringLorentz and type(g.angle) is float
+        assert g.matrix.m.tobytes() == want.matrix.m.tobytes()
+        assert np.float64(g.angle).tobytes() == np.float64(want.angle).tobytes()
+        assert not g.matrix.m.flags.writeable
+        CoveringLorentz(LorentzMatrix(g.matrix.m), g.angle)  # passes every check
