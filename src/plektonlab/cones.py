@@ -205,11 +205,22 @@ def _cone_corners(center: float, half: float) -> tuple[tuple[float, float, float
             (0.0, math.cos(center + half), math.sin(center + half)), (h, c, s), (-h, c, s))
 
 
+def _lifted(center_angle: float, sheet: int) -> float:
+    """center_angle + 2 pi sheet; ValueError unless it is a finite float."""
+    try:
+        lift = center_angle + TWO_PI * sheet
+    except OverflowError:  # an int sheet beyond float range
+        lift = math.inf
+    if not math.isfinite(lift):
+        raise ValueError("center_angle + 2 pi sheet must be a finite number")
+    return lift
+
+
 def wedge_path(apex: MVec3 = ZERO_VEC, center_angle: float = 0.0,
                sheet: int = 0) -> ConePath:
     """Wedge with direction arc (center - pi/2, center + pi/2) on the given sheet."""
     _finite_vector(apex, "apex")
-    lift = center_angle + TWO_PI * sheet
+    lift = _lifted(center_angle, sheet)
     arc = LiftedArc(lift - math.pi / 2.0, lift + math.pi / 2.0)
     corners = tuple(map(MVec3._make, _cone_corners(center_angle, math.pi / 2.0)))
     return ConePath(apex, arc, KIND_WEDGE, _wedge_normals(center_angle), corners)
@@ -229,7 +240,7 @@ def cone_path(apex: MVec3, center_angle: float, half_opening: float,
     if kind not in (KIND_CONE, KIND_CONE_COMPLEMENT):
         raise ValueError("cone_path builds cones or cone-complements")
     _finite_vector(apex, "apex")
-    lift = center_angle + TWO_PI * sheet
+    lift = _lifted(center_angle, sheet)
     arc = LiftedArc(lift - half_opening, lift + half_opening)
     shift = math.pi / 2.0 - half_opening
     normals = _wedge_normals(center_angle - shift) + _wedge_normals(center_angle + shift)

@@ -4,8 +4,10 @@ Words of field symbols f(c, A) multiply by concatenation; adjacent factors
 fuse to f(c1+c2, g^c2(A1) A2); exchanging causally separated factors picks up
 the exact coefficient omega^(c1 c2 (2n+1)) where n is the relative winding
 number of their localisations.  Twist and CPT conjugations act through
-charge-graded operators whose phase exponent is a quadratic polynomial in
-the background charge q, evaluated exactly.
+charge-graded operators whose phase is exp(2 pi i (a q^2 + b q + d)) in the
+background charge q, held exactly as three cyclotomic phases.  `exchange`,
+`twist_conjugate` and `vacuum_swap` decide causal separation and then call
+their private forms, which assume it.
 
 Observable labels are formal words of atoms; the charge automorphism g^k,
 the star and the reflection marker push through canonically and never merge
@@ -22,17 +24,16 @@ from .cones import (
     ConePath,
     ReferenceFrame,
     DEFAULT_FRAME,
-    SeparationError,
+    _require_separated,
     _winding,
-    _winding_given,
     causally_separated,
     path_within_wedge,
     reflect_path,
     relative_winding,
     standard_wedge_path,
 )
-from .sectors import (ONE, AnyonModel, CyclotomicPhase, _integer, _load_json, _mod1,
-                      _phase_from_doc, r_phase, sector_phase)
+from .sectors import (ONE, AnyonModel, CyclotomicPhase, _integer, _load_json, _phase_from_doc,
+                      r_phase, sector_phase)
 
 
 # ---------------------------------------------------------------------------
@@ -239,49 +240,51 @@ def angular_order(w: FieldWord) -> tuple[int, ...]:
 # graded operators
 # ---------------------------------------------------------------------------
 
-_HALF = Fraction(1, 2)
-
-
-def _canonical_poly(a: Fraction, b: Fraction, d: Fraction):
-    """Canonical representative of the phase polynomial a q^2 + b q + d
-    (in turns) modulo exponents that are integral at every integer q.
-
-    The ambiguity lattice is generated by (1,0,0), (0,1,0), (0,0,1) and the
-    half-integer pair (1/2, 1/2, 0), since q(q+1) is always even.
-    """
-    a, b, d = _mod1(a), _mod1(b), _mod1(d)
-    if a >= _HALF:
-        a -= _HALF
-        b = _mod1(b - _HALF)
-    return a, b, d
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GradedOperator:
     """Charge shift with an exact phase polynomial over the grading.
 
     Acting on background charge q: multiplies by exp(2 pi i (a q^2 + b q + d))
     and raises the grade to q + shift, with the observable label ``obs``
     acting in the background representation.
+
+    The constructor takes a, b and d in turns.  Since T_q = q(q+1)/2 is an
+    integer, a q^2 + b q + d = 2a T_q + (b - a) q + d, and the operator holds
+    the three independent phases ``tri`` = 2a, ``lin`` = b - a and ``const``
+    = d.  Exactly the exponents that are integral at every integer q, the
+    lattice Z^3 + Z(1/2, 1/2, 0), give three trivial phases, so equal
+    operators act alike.  ``a``, ``b`` and ``d`` are the canonical
+    exponents: 0 <= a < 1/2 and 0 <= b, d < 1.
     """
 
     shift: int
-    a: Fraction
-    b: Fraction
-    d: Fraction
+    tri: CyclotomicPhase
+    lin: CyclotomicPhase
+    const: CyclotomicPhase
     obs: ObservableWord
 
-    def __post_init__(self) -> None:
-        a, b, d = _canonical_poly(self.a, self.b, self.d)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
+    def __init__(self, shift: int, a, b, d, obs: ObservableWord) -> None:
+        pa = CyclotomicPhase(a)
+        self.__dict__.update(shift=shift, tri=pa * pa, lin=CyclotomicPhase(b) / pa,
+                             const=CyclotomicPhase(d), obs=obs)
+
+    @property
+    def a(self) -> Fraction:
+        return self.tri.turns / 2
+
+    @property
+    def b(self) -> Fraction:
+        return (self.lin.turns + self.a) % 1
+
+    @property
+    def d(self) -> Fraction:
+        return self.const.turns
 
     def phase_at(self, q: int) -> CyclotomicPhase:
-        return CyclotomicPhase(self.a * q * q + self.b * q + self.d)
+        return self.tri ** (q * (q + 1) // 2) * self.lin ** q * self.const
 
     def is_phase_trivial(self) -> bool:
-        return self.a == 0 and self.b == 0 and self.d == 0
+        return self.tri.is_one() and self.lin.is_one() and self.const.is_one()
 
     def __str__(self) -> str:
         return (
@@ -290,27 +293,30 @@ class GradedOperator:
         )
 
 
+def _graded(shift: int, tri: CyclotomicPhase, lin: CyclotomicPhase,
+            const: CyclotomicPhase, obs: ObservableWord) -> GradedOperator:
+    """The graded operator with these three phases."""
+    g = object.__new__(GradedOperator)
+    g.__dict__.update(shift=shift, tri=tri, lin=lin, const=const, obs=obs)
+    return g
+
+
 def graded_form(sym: FieldSymbol) -> GradedOperator:
     """f(c, A) as a graded operator: shift by c with trivial phase."""
-    zero = Fraction(0)
-    return GradedOperator(sym.charge, zero, zero, zero, sym.obs)
+    return _graded(sym.charge, ONE, ONE, ONE, sym.obs)
 
 
 def graded_compose(g1: GradedOperator, g2: GradedOperator) -> GradedOperator:
-    """Operator product g1 g2 (g2 acts first): shifts add, exponents compose
-    with the substitution q -> q + shift2."""
+    """Operator product g1 g2 (g2 acts first): shifts add, and g1's phases
+    move to grade q + c2 by T_(q+c2) = T_q + c2 q + T_c2."""
     c2 = g2.shift
-    a = g1.a + g2.a
-    b = 2 * g1.a * c2 + g1.b + g2.b
-    d = g1.a * c2 * c2 + g1.b * c2 + g1.d + g2.d
-    obs = g1.obs.gamma(c2) * g2.obs
-    return GradedOperator(g1.shift + c2, a, b, d, obs)
+    return _graded(g1.shift + c2, g1.tri * g2.tri, g1.lin * g2.lin * g1.tri ** c2,
+                   g1.phase_at(c2) * g2.const, g1.obs.gamma(c2) * g2.obs)
 
 
 def gauge_operator(t: Fraction) -> GradedOperator:
     """V(t): multiplies grade q by exp(2 pi i q t)."""
-    zero = Fraction(0)
-    return GradedOperator(0, zero, Fraction(t), zero, ObservableWord.identity())
+    return _graded(0, ONE, CyclotomicPhase(t), ONE, ObservableWord.identity())
 
 
 def twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
@@ -321,21 +327,17 @@ def twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
     c the symbol's charge and n the relative winding of the pair.
     """
     c2path, c1path = pair
-    return _twist_conjugate_given(sym, pair, model, causally_separated(c2path, c1path))
-
-
-def _twist_conjugate_given(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
-                           model: AnyonModel, verdict) -> GradedOperator:
-    """`twist_conjugate` given `cones._separated_many`'s verdict on the pair."""
-    if isinstance(verdict, SeparationError):
-        raise verdict
-    if not verdict:
+    if not causally_separated(c2path, c1path):
         raise ValueError("twist requires causally separated paths")
-    n = _winding(*pair)
-    h = model.omega_sqrt.turns
+    return _twist_conjugate(sym, pair, model)
+
+
+def _twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
+                     model: AnyonModel) -> GradedOperator:
+    """`twist_conjugate` for a pair whose separation is already decided."""
     c = sym.charge
-    k = 2 * n + 1
-    return GradedOperator(c, Fraction(0), h * 2 * c * k, h * c * c * k, sym.obs)
+    root = model.omega_sqrt ** (c * (2 * _winding(*pair) + 1))
+    return _graded(c, ONE, root ** 2, root ** c, sym.obs)
 
 
 def twisted_commutator_defect(f2: FieldSymbol, f1: FieldSymbol,
@@ -348,20 +350,20 @@ def twisted_commutator_defect(f2: FieldSymbol, f1: FieldSymbol,
     orderings agree up to that same exchange rewriting.
     """
     w = twist_conjugate(f1, pair, model)
-    return _commutator_defect(f2, f1, w, relative_winding(f2.loc, f1.loc), model)
+    defect = _commutator_defect(f2, f1, w, relative_winding(f2.loc, f1.loc), model)
+    return defect.a, defect.b, defect.d
 
 
 def _commutator_defect(f2: FieldSymbol, f1: FieldSymbol, w: GradedOperator, n_loc: int,
-                       model: AnyonModel):
-    """`twisted_commutator_defect` given w = Z f1 Z* and the relative winding
-    n_loc of (loc f2, loc f1)."""
+                       model: AnyonModel) -> GradedOperator:
+    """`twisted_commutator_defect` as a phase-only operator, given
+    w = Z f1 Z* and the relative winding n_loc of (loc f2, loc f1)."""
     g2 = graded_form(f2)
     left = graded_compose(g2, w)    # f2 . Z f1 Z*
     right = graded_compose(w, g2)   # Z f1 Z* . f2
     r = r_phase(model, f1.charge, f2.charge, n_loc)
-    return _canonical_poly(
-        right.a - left.a, right.b - left.b, right.d - left.d - r.turns
-    )
+    return _graded(0, right.tri / left.tri, right.lin / left.lin,
+                   right.const / (left.const * r), ObservableWord.identity())
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +432,8 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
     use of the identity to omega = +-1.
     """
     f2, f1 = _swap_pair(pair)
-    return _vacuum_swap_given(pair, model, causally_separated(f1.loc, f2.loc), coeff)
+    _require_separated(causally_separated(f1.loc, f2.loc), "relative winding")
+    return _vacuum_swap(pair, model, coeff)
 
 
 def _swap_pair(pair: tuple[FieldSymbol, FieldSymbol]) -> tuple[FieldSymbol, FieldSymbol]:
@@ -444,11 +447,11 @@ def _swap_pair(pair: tuple[FieldSymbol, FieldSymbol]) -> tuple[FieldSymbol, Fiel
     return f2, f1
 
 
-def _vacuum_swap_given(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
-                       verdict, coeff: CyclotomicPhase = ONE) -> FormalOverlap:
-    """`vacuum_swap` given `cones._separated_many`'s verdict on (loc F1, loc F2)."""
+def _vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
+                 coeff: CyclotomicPhase = ONE) -> FormalOverlap:
+    """`vacuum_swap` for a pair whose separation is already decided."""
     f2, f1 = _swap_pair(pair)
-    n = _winding_given(f2.loc, f1.loc, verdict)
+    n = _winding(f2.loc, f1.loc)
     if n != -1:
         raise ValueError(f"winding guard violated: N(loc2, loc1) = {n}, need -1")
     return FormalOverlap(
@@ -475,15 +478,11 @@ def cpt_conjugate_graded(g: GradedOperator, model: AnyonModel,
     gauge; Z is the twist built on the standard wedge path and its
     reflection.  Applying the map twice is the identity.
     """
-    n = _cpt_winding(frame)
-    h = model.omega_sqrt.turns
     c = g.shift
-    k = 2 * n + 1
-    # anti-linear grade flip of the phase polynomial, then the Z* ... Z layer
-    a = -g.a
-    b = g.b + h * 2 * c * k
-    d = -g.d + h * c * c * k * (-1)
-    return GradedOperator(-c, a, b, d, g.obs.reflect())
+    root = model.omega_sqrt ** (c * (2 * _cpt_winding(frame) + 1))
+    # anti-linear grade flip of the phases, then the Z* ... Z layer
+    return _graded(-c, g.tri.inverse(), g.lin * g.tri * root ** 2,
+                   (g.const * root ** c).inverse(), g.obs.reflect())
 
 
 def cpt_conjugate(sym: FieldSymbol, model: AnyonModel,

@@ -15,14 +15,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
 
-def _mod1(x) -> Fraction:
-    """``Fraction(x) % 1`` with the numerator reduced as an int: n % d over d
-    is already in lowest terms, and a Fraction is not wrapped again."""
-    if type(x) is not Fraction:
-        x = Fraction(x)
-    return Fraction(x.numerator % x.denominator, x.denominator)
-
-
 class CyclotomicPhase:
     """The root of unity exp(2 pi i k / M), stored as the reduced int pair
     (k mod M, M): 0 <= k < M, gcd(k, M) = 1, and 1 is stored as 0/1.

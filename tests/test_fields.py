@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plektonlab import cones
-from plektonlab.cones import ReferenceFrame, cone_path, reflect_path, relative_winding
+from plektonlab.cones import (ReferenceFrame, cone_path, reflect_path, relative_winding,
+                              standard_wedge_path)
 from plektonlab.fields import (
     DELOCALIZED,
     FieldSymbol,
@@ -38,7 +39,7 @@ from plektonlab.fields import (
 )
 from plektonlab.minkowski import MVec3, cover_rotation
 from plektonlab.scenes import parse_scene
-from plektonlab.sectors import ONE, CyclotomicPhase, r_phase
+from plektonlab.sectors import ONE, AnyonModel, CyclotomicPhase, r_phase
 
 A = ObservableWord.symbol("A")
 B = ObservableWord.symbol("B")
@@ -267,6 +268,78 @@ def test_graded_phase_polynomial_equivalence():
     assert g1 == g2
     for q in range(-8, 9):
         assert g1.phase_at(q) == g2.phase_at(q)
+
+
+graded = st.builds(GradedOperator, st.integers(-6, 6), exponents, exponents, exponents,
+                   st.sampled_from([A, B, A * B.gamma(1)]))
+roots = st.builds(CyclotomicPhase.from_pair, st.integers(-30, 30), st.integers(1, 24))
+
+
+def _model(root):
+    """A Z model whose omega is root^2 and whose chosen square root is root."""
+    return AnyonModel(None, root * root, root, (root * root).turns)
+
+
+@given(st.integers(-6, 6), exponents, exponents, exponents, st.integers(-50, 50))
+def test_phase_at_is_the_polynomial_at_q(shift, a, b, d, q):
+    g = GradedOperator(shift, a, b, d, A)
+    assert g.phase_at(q) == CyclotomicPhase(Fraction(a) * q * q + Fraction(b) * q + Fraction(d))
+
+
+@given(graded, graded, st.integers(-50, 50))
+def test_compose_acts_as_the_operator_product(g1, g2, q):
+    g = graded_compose(g1, g2)
+    assert g.phase_at(q) == g2.phase_at(q) * g1.phase_at(q + g2.shift)
+    assert (g.shift, g.obs) == (g1.shift + g2.shift, g1.obs.gamma(g2.shift) * g2.obs)
+
+
+# exponent shifts in the ambiguity lattice Z^3 + Z(1/2, 1/2, 0), and outside it
+half, third, twelfth = Fraction(1, 2), Fraction(1, 3), Fraction(1, 12)
+nudges = st.sampled_from([(0, 0, 0), (half, half, 0), (-half, half, 1), (half, 0, 0),
+                          (0, half, 0), (0, 0, third), (twelfth, 0, 0), (half, -half, twelfth)])
+
+
+@given(st.integers(-6, 6), exponents, exponents, exponents,
+       st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)), nudges)
+def test_equal_operators_are_those_with_equal_phases_at_three_grades(shift, a, b, d, ints,
+                                                                     nudge):
+    g1 = GradedOperator(shift, a, b, d, A)
+    moved = [x + i + e for x, i, e in zip((a, b, d), ints, nudge)]
+    g2 = GradedOperator(shift, *moved, A)
+    agree = all(g1.phase_at(q) == g2.phase_at(q) for q in (-1, 0, 1))
+    assert (g1 == g2) == agree == (_frozen_canonical_poly(a, b, d)
+                                   == _frozen_canonical_poly(*moved))
+    if agree:
+        assert hash(g1) == hash(g2)
+        assert all(g1.phase_at(q) == g2.phase_at(q) for q in range(-9, 10))
+
+
+@given(roots, st.integers(-6, 6), st.integers(-3, 3), st.booleans())
+def test_twist_conjugate_matches_the_fraction_formula(root, c, m, reverse):
+    # the formula as it was, in Fraction turns: 0 q^2 + 2 h c k q + h c^2 k
+    l1, l2 = fan(2)
+    l2 = cones.act(cover_rotation(2.0 * math.pi * m), l2)
+    pair = (l1, l2) if reverse else (l2, l1)
+    k = 2 * relative_winding(*pair) + 1
+    h = root.turns
+    g = twist_conjugate(FieldSymbol(c, A, l1), pair, _model(root))
+    assert (g.a, g.b, g.d) == _frozen_canonical_poly(0, h * 2 * c * k, h * c * c * k)
+    assert (g.shift, g.obs) == (c, A)
+
+
+@given(roots, st.integers(-6, 6), exponents, exponents, exponents,
+       st.sampled_from([math.pi / 2.0, -math.pi / 2.0]))
+def test_cpt_conjugate_graded_matches_the_fraction_formula(root, c, a, b, d, mu):
+    # the formula as it was: grade flip (-a, b, -d), then the Z* ... Z layer
+    frame = ReferenceFrame(mu)
+    wedge = standard_wedge_path(frame)
+    k = 2 * relative_winding(wedge, reflect_path(wedge, frame)) + 1
+    h = root.turns
+    a, b, d = Fraction(a), Fraction(b), Fraction(d)
+    got = cpt_conjugate_graded(GradedOperator(c, a, b, d, A), _model(root), frame)
+    assert (got.a, got.b, got.d) == _frozen_canonical_poly(-a, b + h * 2 * c * k,
+                                                           -d - h * c * c * k)
+    assert (got.shift, got.obs) == (-c, A.reflect())
 
 
 def test_twist_conjugate_phases(fermion, z3):

@@ -10,7 +10,7 @@ from tests.conftest import ASSETS
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
-@pytest.mark.parametrize("seed", [1, 7, 42])
+@pytest.mark.parametrize("seed", [1, 3, 7, 11, 42])
 def test_verify_all_seed7_matches_golden_report(monkeypatch, capsys, seed):
     # regenerate with: plektonlab verify --suite all --model assets/z3_anyon.json
     #   --scene assets/antipodal_scene.json --seed <seed> --format json

@@ -152,6 +152,20 @@ def test_scene_rejects_an_integer_beyond_float(tmp_path, capsys):
     assert "cones[0]: center_angle must be a finite number" in err
 
 
+@pytest.mark.parametrize("entry", [{"kind": "cone"},
+                                   {"kind": "wedge", "half_opening": math.pi / 2}],
+                         ids=["cone", "wedge"])
+@pytest.mark.parametrize("sheet", [10 ** 400, -10 ** 400, 10 ** 308],
+                         ids=["1e400", "-1e400", "1e308"])
+def test_scene_rejects_a_sheet_beyond_float(tmp_path, capsys, entry, sheet):
+    # 10**400 is no float at all; 2 pi 10**308 overflows to infinity
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene({"sheet": sheet, **entry})))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert "cones[0]: center_angle + 2 pi sheet must be a finite number" in err
+
+
 @pytest.mark.parametrize("mass, named", [
     (True, "mass must be a finite positive number, got True"),
     ([1], "mass must be a finite positive number, got [1]"),

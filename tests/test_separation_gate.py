@@ -1,15 +1,15 @@
 """Public functions decide causal separation; suites reuse their generators'.
 
 An overlapping pair: a cone and its copy moved one unit of time into its own
-future.  Each public entry point must refuse it, and the braid suite must run
-without asking `fields` to decide any pair again.
+future.  Each public entry point must refuse it, and the braid, twist and cpt
+suites must run without deciding a pair their generators certified again.
 """
 
 import math
 
 import pytest
 
-from plektonlab import cones, fields
+from plektonlab import cones
 from plektonlab.cones import SeparationError, causally_separated, cone_path
 from plektonlab.fields import (
     FieldSymbol,
@@ -60,30 +60,20 @@ def test_twist_and_vacuum_swap_refuse_an_overlapping_pair(z3):
         vacuum_swap((FieldSymbol(1, A, later), FieldSymbol(1, B, c)), z3)
 
 
-def test_braid_suite_decides_no_pair_twice(z3, monkeypatch):
-    def refuse(c1, c2):
-        raise AssertionError("braid re-decided a pair its generator certified")
+@pytest.mark.parametrize("suite, public", [("braid", 0), ("twist", 4), ("cpt", 0)])
+def test_suite_decides_no_pair_twice(z3, monkeypatch, suite, public):
+    # every pair a check draws was certified by its generator, so the only
+    # decisions left are twist's public calls, one pair each: relative_winding
+    # on the two reference wedge pairs, and the negative control's
+    # twist_conjugate and relative_winding
+    real, calls = cones._separated_many, []
 
-    monkeypatch.setattr(fields, "causally_separated", refuse)
-    rep = run_suite("braid", z3, None, 7)
-    assert rep.checks and all(c.status == PASS for c in rep.checks), \
-        [c.to_dict() for c in rep.checks if c.status != PASS]
+    def separated_many(pairs):
+        calls.append(len(pairs))
+        return real(pairs)
 
-
-@pytest.mark.parametrize("suite, public", [("twist", 4), ("cpt", 0)])
-def test_twist_and_cpt_decide_no_pair_one_lane_at_a_time(z3, monkeypatch, suite, public):
-    # the checks decide their pairs in stacks; what remains one lane at a
-    # time is twist's public calls: relative_winding on the two reference
-    # wedge pairs, and the negative control's twist_conjugate and
-    # relative_winding
-    real, lanes = cones._certificates, []
-
-    def certificates(rows):
-        lanes.append(len(rows))
-        return real(rows)
-
-    monkeypatch.setattr(cones, "_certificates", certificates)
+    monkeypatch.setattr(cones, "_separated_many", separated_many)
     rep = run_suite(suite, z3, None, 7)
     assert rep.checks and all(c.status == PASS for c in rep.checks), \
         [c.to_dict() for c in rep.checks if c.status != PASS]
-    assert lanes.count(1) == public
+    assert calls == [1] * public

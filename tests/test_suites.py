@@ -257,63 +257,6 @@ def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
                 suites.geometry_suite(z3, None, 7)
 
 
-def _failing_fifth_pair(monkeypatch):
-    """Patch `suites.random_separated_pairs` so that a draw of 10 pairs
-    raises in place of its fifth pair."""
-    real = suites.random_separated_pairs
-
-    def pairs(rng, count):
-        for i, pair in enumerate(real(rng, count)):
-            if count == 10 and i == 4:
-                raise RuntimeError("patched draw failure")
-            yield pair
-
-    monkeypatch.setattr(suites, "random_separated_pairs", pairs)
-
-
-def test_twist_and_cpt_meet_stacked_verdicts_where_their_loops_did(monkeypatch, z3):
-    # call 0 of each suite decides its stacked check: twist's pairs (C2, C1)
-    # in order, and per cpt swap the first swap's (C1, C2) then the second's
-    # (C2, C1).  The loops met a refused pair through the public functions,
-    # and aborted there, before they drew a later pair.  Both checks draw 10
-    # pairs at sweep 0.1.
-    twist_refusal = (ValueError, "twist requires causally separated paths")
-    swap_refusal = (SeparationError, "relative winding requires causally separated regions")
-    for suite, lane, refusal in ((suites.twist_suite, lambda pair: pair, twist_refusal),
-                                 (suites.cpt_suite, lambda pair: 2 * pair, swap_refusal)):
-        for first, second, draw_fails, raised in (
-                (False, SeparationError("pair 2"), False, refusal),
-                (False, SeparationError("pair 2"), True, refusal),
-                (SeparationError("pair 1"), False, False, (SeparationError, "pair 1")),
-                (SeparationError("pair 1"), False, True, (SeparationError, "pair 1")),
-                (None, None, True, (RuntimeError, "patched draw failure"))):
-            def patch(call, verdicts):
-                if call == 0 and first is not None:
-                    verdicts[lane(1)], verdicts[lane(2)] = first, second
-
-            monkeypatch.undo()
-            monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.1")
-            _patched_separations(monkeypatch, patch)
-            if draw_fails:
-                _failing_fifth_pair(monkeypatch)
-            with pytest.raises(Exception) as info:
-                suite(z3, None, 7)
-            assert (info.type, str(info.value)) == raised
-
-
-def test_cpt_counts_a_second_swap_it_cannot_decide_as_rejected(monkeypatch, z3):
-    # the loop's second vacuum_swap raised SeparationError, a ValueError
-    def patch(call, verdicts):
-        if call == 0:
-            verdicts[1::2] = [SeparationError("patched")] * (len(verdicts) // 2)
-
-    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.1")
-    _patched_separations(monkeypatch, patch)
-    row, = (r for r in suites.cpt_suite(z3, None, 7).checks
-            if r.name == "vacuum-swap-double-application-guard")
-    assert (row.status, row.exact) == ("pass", "10/10 rejected")
-
-
 def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
     real, stacks = cones._certificates, []
     monkeypatch.setattr(cones, "_certificates", lambda rows: stacks.append(len(rows)) or real(rows))
