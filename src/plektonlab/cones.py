@@ -205,23 +205,28 @@ def _cone_corners(center: float, half: float) -> tuple[tuple[float, float, float
             (0.0, math.cos(center + half), math.sin(center + half)), (h, c, s), (-h, c, s))
 
 
-def _lifted(center_angle: float, sheet: int) -> float:
-    """center_angle + 2 pi sheet; ValueError unless it is a finite float."""
+def _lifted_arc(center_angle: float, half: float, sheet: int) -> LiftedArc:
+    """The arc of half-width ``half`` about center_angle + 2 pi sheet;
+    ValueError unless that lift is a finite float and its float endpoints
+    keep the width 2 half to ARC_TOL (a sheet far from 0 rounds them)."""
     try:
         lift = center_angle + TWO_PI * sheet
     except OverflowError:  # an int sheet beyond float range
         lift = math.inf
     if not math.isfinite(lift):
         raise ValueError("center_angle + 2 pi sheet must be a finite number")
-    return lift
+    lo, hi = lift - half, lift + half
+    if abs(hi - lo - 2.0 * half) > ARC_TOL:
+        raise ValueError(f"sheet {sheet} is too far from 0: the arc endpoints round "
+                         f"to width {hi - lo!r}, not {2.0 * half!r}")
+    return LiftedArc(lo, hi)
 
 
 def wedge_path(apex: MVec3 = ZERO_VEC, center_angle: float = 0.0,
                sheet: int = 0) -> ConePath:
     """Wedge with direction arc (center - pi/2, center + pi/2) on the given sheet."""
     _finite_vector(apex, "apex")
-    lift = _lifted(center_angle, sheet)
-    arc = LiftedArc(lift - math.pi / 2.0, lift + math.pi / 2.0)
+    arc = _lifted_arc(center_angle, math.pi / 2.0, sheet)
     corners = tuple(map(MVec3._make, _cone_corners(center_angle, math.pi / 2.0)))
     return ConePath(apex, arc, KIND_WEDGE, _wedge_normals(center_angle), corners)
 
@@ -240,8 +245,7 @@ def cone_path(apex: MVec3, center_angle: float, half_opening: float,
     if kind not in (KIND_CONE, KIND_CONE_COMPLEMENT):
         raise ValueError("cone_path builds cones or cone-complements")
     _finite_vector(apex, "apex")
-    lift = _lifted(center_angle, sheet)
-    arc = LiftedArc(lift - half_opening, lift + half_opening)
+    arc = _lifted_arc(center_angle, half_opening, sheet)
     shift = math.pi / 2.0 - half_opening
     normals = _wedge_normals(center_angle - shift) + _wedge_normals(center_angle + shift)
     corners = tuple(map(MVec3._make, _cone_corners(center_angle, half_opening)))
@@ -580,12 +584,7 @@ def relative_winding(c2: ConePath, c1: ConePath) -> int:
     computes n in closed form from the arcs and verifies it against both
     defining inequalities; raises WindingError when no integer passes.
     """
-    return _winding_given(c2, c1, causally_separated(c1, c2))
-
-
-def _winding_given(c2: ConePath, c1: ConePath, verdict) -> int:
-    """`relative_winding(c2, c1)` given `_separated_many`'s verdict on (c1, c2)."""
-    _require_separated(verdict, "relative winding")
+    _require_separated(causally_separated(c1, c2), "relative winding")
     return _winding(c2, c1)
 
 

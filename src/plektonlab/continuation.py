@@ -21,7 +21,6 @@ from .minkowski import (
     CoveringLorentz,
     LiftError,
     LorentzMatrix,
-    _checked_lorentz,
     _polar_angle_raw,
     rotation_matrix,
 )
@@ -63,7 +62,7 @@ def canonical_path(g: CoveringLorentz):
         rot[:, 1, 1] = rot[:, 2, 2] = trig[:, 0]
         rot[:, 2, 1], rot[:, 1, 2] = trig[:, 1], -trig[:, 1]
         # (R (V e)) V^T, as R @ (V * e) @ V.T associates; R ((V e) V^T) is an ulp off
-        out = (_checked_lorentz(rot) @ (V * np.exp(ts[:, None] * log_w)[:, None, :])) @ V.T
+        out = (rot @ (V * np.exp(ts[:, None] * log_w)[:, None, :])) @ V.T
         out[ts == 1.0] = g.matrix.m
         return out
 

@@ -5,12 +5,12 @@ Each suite draws its configurations from two streams of its own, seeded by
 everything else.  It runs the module invariants at the package tolerances
 and reports one line per check.  Each loop draws its separated pairs with
 one call: candidates come in arrays, stacked certificates decide a batch,
-and only accepted candidates become paths.  A generated pair, its reverse
-and a copy rotated by 2 pi m are not decided again: braid, twist and cpt
-call the private exchange, twist and vacuum-swap forms on them.  The
-geometry suite decides each check's transported, reflected or random pairs
-with one call, then meets the verdicts pair by pair as its loop did.  Sweep
-sizes scale with the PLEKTONLAB_SWEEP environment variable.
+and only accepted candidates become paths.  A certified pair and its images
+under the covering group, j, rebasing and 2 pi m rotations are not decided
+again: the suites call the private winding, exchange, twist and
+vacuum-swap forms on them.  The geometry suite decides its oracle pairs
+and ordered triples, which no generator certified, in one stack per
+check.  Sweep sizes scale with the PLEKTONLAB_SWEEP environment variable.
 
 Since the suites share no stream, "all" runs them side by side in forked
 worker processes, longest first, and gathers their reports and tracebacks
@@ -135,19 +135,6 @@ def random_separated_pair(rng: np.random.Generator):
     return next(random_separated_pairs(rng, 1))
 
 
-def _drawn(items: Iterator) -> tuple[list, Exception | None]:
-    """What ``items`` yields before it raises, and what it raised (None if
-    it ran out): a check decides the drawn pairs in one stack, then meets
-    the exception where its loop would have met it."""
-    out = []
-    try:
-        for item in items:
-            out.append(item)
-    except Exception as exc:
-        return out, exc
-    return out, None
-
-
 def random_cover_element(rng: np.random.Generator, *, translations: bool = True):
     """cover_compose(cover_rotation(a), cover_compose(cover_boost1(t),
     cover_rotation(b))) for a, t and b drawn in that order, after a random
@@ -210,20 +197,11 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
                     exact=f"{bad}/{n_pairs} violations", note="N12 + N21 = -1 exactly")
 
     n_cov = _n(100)
-
-    def moved_pairs():
-        for c2, c1 in random_separated_pairs(pair_rng, n_cov):
-            g = random_cover_element(rng)
-            yield c2, c1, cones.act(g, c2), cones.act(g, c1)
-
-    drawn, late = _drawn(moved_pairs())
-    verdicts = cones._separated_many([(m1, m2) for _, _, m2, m1 in drawn])
     bad = 0
-    for (c2, c1, m2, m1), verdict in zip(drawn, verdicts):
-        if cones._winding_given(m2, m1, verdict) != cones._winding(c2, c1):
+    for c2, c1 in random_separated_pairs(pair_rng, n_cov):
+        g = random_cover_element(rng)
+        if cones._winding(cones.act(g, c2), cones.act(g, c1)) != cones._winding(c2, c1):
             bad += 1
-    if late is not None:
-        raise late
     rep.add_outcome("winding-covariance", bad == 0,
                     exact=f"{bad}/{n_cov} violations",
                     note="N invariant under random covering elements")
@@ -248,15 +226,10 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     rep.add_outcome("winding-rebase-invariance", bad == 0,
                     exact=f"{bad} violations", note="recomputed over a shifted base")
 
-    drawn, late = _drawn((c2, c1, reflect_path(c2), reflect_path(c1))
-                         for c2, c1 in random_separated_pairs(pair_rng, _n(100)))
-    verdicts = cones._separated_many([(r1, r2) for _, _, r2, r1 in drawn])
     bad = 0
-    for (c2, c1, r2, r1), verdict in zip(drawn, verdicts):
-        if cones._winding_given(r2, r1, verdict) != cones._winding(c1, c2):
+    for c2, c1 in random_separated_pairs(pair_rng, _n(100)):
+        if cones._winding(reflect_path(c2), reflect_path(c1)) != cones._winding(c1, c2):
             bad += 1
-    if late is not None:
-        raise late
     rep.add_outcome("winding-reflection-transposition", bad == 0,
                     exact=f"{bad} violations",
                     note="N(jC2, jC1) = N(C1, C2), checked against the definition")

@@ -45,7 +45,7 @@ from plektonlab.minkowski import (
     minkowski_norm2,
     reflect_vector,
 )
-from plektonlab.tolerances import WEDGE_TOL
+from plektonlab.tolerances import ARC_TOL, WEDGE_TOL
 
 TWO_PI = 2 * math.pi
 
@@ -98,6 +98,23 @@ def test_lifted_arc_invariants():
     with pytest.raises(ValueError):
         # cone arcs must stay below pi
         cone_path(MVec3(0, 0, 0), 0.0, math.pi / 2)
+
+
+@pytest.mark.parametrize("sheet", [10 ** 7, 10 ** 9, -10 ** 12, 10 ** 15])
+@pytest.mark.parametrize("build", [lambda sheet: cone_path(ZERO_VEC, 0.0, 0.3, sheet),
+                                   lambda sheet: wedge_path(ZERO_VEC, 0.0, sheet)],
+                         ids=["cone", "wedge"])
+def test_a_sheet_that_rounds_the_arc_is_named(build, sheet):
+    # the float endpoints round a 0.6-wide cone to 0.6000003814697266 at 10**9
+    # and to 0.0 at 10**15
+    with pytest.raises(ValueError, match=f"^sheet {sheet} is too far from 0"):
+        build(sheet)
+
+
+def test_a_sheet_whose_rounding_stays_within_arc_tol_is_kept():
+    cone = cone_path(ZERO_VEC, 0.0, 0.3, 10 ** 6)  # 3.7e-10 narrow
+    assert abs(cone.arc.width - 0.6) <= ARC_TOL
+    assert abs(wedge_path(ZERO_VEC, 0.0, -10 ** 6).arc.width - math.pi) <= ARC_TOL
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

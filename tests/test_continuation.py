@@ -3,7 +3,6 @@ it replaced: paths and raw angles are evaluated on whole arrays of t, and
 every lifted angle must agree bit for bit."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from plektonlab import continuation
 from plektonlab.minkowski import (
     ETA,
     TWO_PI,
-    LorentzMatrix,
-    _checked_lorentz,
     _polar_angle_raw,
     cover_boost1,
     cover_compose,
@@ -126,18 +123,3 @@ def test_doublings_evaluate_only_new_midpoints():
     assert np.sort(everything).tobytes() == np.linspace(0.0, 1.0, len(everything)).tobytes()
     assert end.tolist() == pytest.approx([math.sin(3.0), 5.0], abs=1e-12)
 
-
-def test_stacked_lorentz_checks_match_the_constructor():
-    # each matrix passes or fails as LorentzMatrix decides, with its message
-    rng = np.random.default_rng(71)
-    good = np.array([rotation_matrix(a).m for a in rng.uniform(-7.0, 7.0, 5)])
-    assert _checked_lorentz(good) is good
-    broken = [np.diag([1.0, 1.0, 1.0 + 1e-6]), np.diag([1.0, -1.0, 1.0]),
-              np.diag([-1.0, -1.0, 1.0]), np.full((3, 3), np.nan),
-              np.diag([1e200, 1.0, 1.0])]
-    for m in broken:
-        with pytest.raises(ValueError) as single:
-            LorentzMatrix(m)
-        stack = np.concatenate([good[:2], m[None], good[2:]])
-        with pytest.raises(ValueError, match=re.escape(str(single.value))):
-            _checked_lorentz(stack)

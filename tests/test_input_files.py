@@ -166,6 +166,17 @@ def test_scene_rejects_a_sheet_beyond_float(tmp_path, capsys, entry, sheet):
     assert "cones[0]: center_angle + 2 pi sheet must be a finite number" in err
 
 
+@pytest.mark.parametrize("entry", [{"kind": "cone"},
+                                   {"kind": "wedge", "half_opening": math.pi / 2}],
+                         ids=["cone", "wedge"])
+def test_scene_names_a_sheet_that_rounds_the_arc(tmp_path, capsys, entry):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(_scene({"sheet": 10 ** 15, **entry})))
+    code, err = _run(capsys, "winding", "--scene", str(path))
+    assert code == 2
+    assert f"cones[0]: sheet {10 ** 15} is too far from 0" in err
+
+
 @pytest.mark.parametrize("mass, named", [
     (True, "mass must be a finite positive number, got True"),
     ([1], "mass must be a finite positive number, got [1]"),

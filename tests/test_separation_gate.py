@@ -60,12 +60,16 @@ def test_twist_and_vacuum_swap_refuse_an_overlapping_pair(z3):
         vacuum_swap((FieldSymbol(1, A, later), FieldSymbol(1, B, c)), z3)
 
 
-@pytest.mark.parametrize("suite, public", [("braid", 0), ("twist", 4), ("cpt", 0)])
-def test_suite_decides_no_pair_twice(z3, monkeypatch, suite, public):
-    # every pair a check draws was certified by its generator, so the only
-    # decisions left are twist's public calls, one pair each: relative_winding
-    # on the two reference wedge pairs, and the negative control's
-    # twist_conjugate and relative_winding
+@pytest.mark.parametrize("suite, decided", [("braid", []), ("twist", [1] * 4), ("cpt", []),
+                                             ("geometry", [150, 400])],
+                         ids=["braid-0", "twist-4", "cpt-0", "geometry-150-400"])
+def test_suite_decides_no_pair_twice(z3, monkeypatch, suite, decided):
+    # every pair a check draws was certified by its generator, and its
+    # transported, reflected, rebased or rotated images are not decided again;
+    # what is left: twist's public calls, one pair each (relative_winding on
+    # the two reference wedge pairs, and the negative control's
+    # twist_conjugate and relative_winding), and geometry's stacks of oracle
+    # pairs and of precedes triples in four orders
     real, calls = cones._separated_many, []
 
     def separated_many(pairs):
@@ -76,4 +80,4 @@ def test_suite_decides_no_pair_twice(z3, monkeypatch, suite, public):
     rep = run_suite(suite, z3, None, 7)
     assert rep.checks and all(c.status == PASS for c in rep.checks), \
         [c.to_dict() for c in rep.checks if c.status != PASS]
-    assert calls == [1] * public
+    assert calls == decided
