@@ -158,8 +158,10 @@ class ConePath:
                 raise ValueError("wedge arcs must have width exactly pi")
         elif self.arc.width > math.pi - ARC_TOL:
             raise ValueError("cone arcs must have width strictly below pi")
+        # transported normals grow like e^r under a boost of rapidity r, and
+        # the float error of n.n with them, so the bound is relative to n0^2
         for n in self.normals:
-            if abs(minkowski_norm2(n)) > NORM2_TOL:
+            if abs(minkowski_norm2(n)) > NORM2_TOL * max(1.0, n.x0 * n.x0):
                 raise ValueError("boundary normals must be light-like")
 
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:

@@ -10,6 +10,12 @@ factors, and each side of an identity is one Kronecker product of the site
 products.  U and V are monomial (one nonzero per row and column), so that
 product is held as a row index and a value per column, d = N^L of each
 (N^L <= 1024), and the sides are compared in O(d) time and memory.
+
+The oracle builds the site products of one identity family as a single
+(W, L, N, N) stack: the word with its L-1 exchanged words, or the L adjoints
+beside their symbols.  Each factor position is one batched matrix product
+over the stack, and one check finds the whole stack monomial.  The Kronecker
+expansion then runs one side at a time, so at most two O(d) sides are alive.
 """
 
 from __future__ import annotations
@@ -44,19 +50,26 @@ def _clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
     return clock, shift
 
 
-def _monomial(factors: list[np.ndarray]) -> Monomial:
-    """reduce(np.kron, factors) in monomial form; values are multiplied left to
-    right from 1, as np.kron does, so each is bitwise the entry it gives."""
-    rows, vals = np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)
-    for f in factors:
-        nonzero = f != 0
-        if not ((nonzero.sum(axis=0) == 1).all() and (nonzero.sum(axis=1) == 1).all()):
-            raise OracleError("site product is not monomial: it needs exactly one "
-                              "nonzero in each row and column")
-        r = nonzero.argmax(axis=0)
-        rows = (rows[:, None] * len(f) + r).ravel()
-        vals = (vals[:, None] * f[r, np.arange(len(f))]).ravel()
-    return rows, vals
+def _monomials(prods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and value per column, each (..., N), of a stack of N x N
+    site products, all checked monomial at once."""
+    nonzero = prods != 0
+    if not ((nonzero.sum(axis=-2) == 1).all() and (nonzero.sum(axis=-1) == 1).all()):
+        raise OracleError("site product is not monomial: it needs exactly one "
+                          "nonzero in each row and column")
+    rows = nonzero.argmax(axis=-2)
+    return rows, np.take_along_axis(prods, rows[..., None, :], axis=-2)[..., 0, :]
+
+
+def _kron(rows: np.ndarray, vals: np.ndarray) -> Monomial:
+    """reduce(np.kron, site products) in monomial form, from one word's (L, N)
+    rows and values; values are multiplied left to right from 1, as np.kron
+    does, so each is bitwise the entry it gives."""
+    out_rows, out_vals = np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)
+    for r, v in zip(rows, vals):
+        out_rows = np.add.outer(out_rows * len(r), r).ravel()
+        out_vals = np.multiply.outer(out_vals, v).ravel()
+    return out_rows, out_vals
 
 
 def _dense(mono: Monomial) -> np.ndarray:
@@ -111,6 +124,9 @@ class ClockShiftLattice:
             raise OracleError("omega is not an N-th root of unity")
         clock, self._v = _clock_shift(n)
         self._u = np.linalg.matrix_power(clock, int(turns * n))
+        self._eye = np.eye(n, dtype=complex)
+        # charge -> (U^c, V^c), each power taken once
+        self._powers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def dimension(self) -> int:
@@ -122,28 +138,36 @@ class ClockShiftLattice:
         a negative charge."""
         if not 0 <= site < self.n_sites:
             raise IndexError(f"site {site} is not on the {self.n_sites}-site chain")
-        u, v = (self._u, self._v) if charge >= 0 else (self._u.conj().T, self._v.conj().T)
-        u, v = (np.linalg.matrix_power(m, abs(charge)) for m in (u, v))
-        return [u] * site + [v] + [np.eye(len(u), dtype=complex)] * (self.n_sites - site - 1)
+        if charge not in self._powers:
+            u, v = (self._u, self._v) if charge >= 0 else (self._u.conj().T, self._v.conj().T)
+            self._powers[charge] = tuple(np.linalg.matrix_power(m, abs(charge)) for m in (u, v))
+        u, v = self._powers[charge]
+        return [u] * site + [v] + [self._eye] * (self.n_sites - site - 1)
 
-    def _symbol(self, sym: FieldSymbol, site: int) -> Monomial:
-        return _monomial(self._factors(site, _charge(sym)))
+    def _site_products(self, words: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and values, each (W, L, N), of the L site products of W words
+        of one length, each word a list of (charge, site) from left to right.
+        Factor position k multiplies all W x L site products by their k-th
+        factors in one batched product."""
+        n = self.model.group_order
+        prods = np.broadcast_to(self._eye, (len(words), self.n_sites, n, n))
+        for column in zip(*words, strict=True):
+            prods = prods @ np.array([self._factors(site, charge) for charge, site in column])
+        return _monomials(prods)
 
-    def _word(self, word: FieldWord, sites: list[int]) -> Monomial:
-        per_site = [np.eye(self.model.group_order, dtype=complex)] * self.n_sites
-        for sym, site in zip(word.factors, sites):
-            per_site = [p @ f for p, f in zip(per_site, self._factors(site, _charge(sym)))]
-        rows, vals = _monomial(per_site)
-        return rows, vals * word.coeff.to_complex()
+    def _side(self, factors: list[tuple[int, int]]) -> Monomial:
+        rows, vals = self._site_products([factors])
+        return _kron(rows[0], vals[0])
 
     def site_operator(self, j: int) -> np.ndarray:
-        return _dense(_monomial(self._factors(j, 1)))
+        return _dense(self._side([(1, j)]))
 
     def symbol_matrix(self, sym: FieldSymbol, site: int) -> np.ndarray:
-        return _dense(self._symbol(sym, site))
+        return _dense(self._side([(_charge(sym), site)]))
 
     def word_matrix(self, word: FieldWord, sites: list[int]) -> np.ndarray:
-        return _dense(self._word(word, sites))
+        rows, vals = self._side([(_charge(sym), s) for sym, s in zip(word.factors, sites)])
+        return _dense((rows, vals * word.coeff.to_complex()))
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:
@@ -166,6 +190,40 @@ class LatticeReport:
         return self.exchange_residual < LATTICE_TOL and self.adjoint_residual < LATTICE_TOL
 
 
+def _exchange_residual(lat: ClockShiftLattice, model: AnyonModel, word: FieldWord,
+                       sites: list[int]) -> float:
+    """max |S(word) - S(exchange(word, i))| over i, the exchanged word on the
+    sites swapped at i; the word and its L-1 exchanged words are one stack."""
+    stack = [[(_charge(sym), s) for sym, s in zip(word.factors, sites)]]
+    coeffs = [word.coeff.to_complex()]
+    for i in range(len(word.factors) - 1):
+        swapped = exchange(word, i, model)
+        swapped_sites = list(sites)
+        swapped_sites[i], swapped_sites[i + 1] = swapped_sites[i + 1], swapped_sites[i]
+        stack.append([(_charge(sym), s) for sym, s in zip(swapped.factors, swapped_sites)])
+        coeffs.append(swapped.coeff.to_complex())
+    rows, vals = lat._site_products(stack)
+
+    def side(k: int) -> Monomial:
+        # one Kronecker expansion at a time, so at most two O(N^L) sides live
+        r, v = _kron(rows[k], vals[k])
+        v *= coeffs[k]
+        return r, v
+
+    unswapped = side(0)
+    return max((_distance(unswapped, side(k)) for k in range(1, len(stack))), default=0.0)
+
+
+def _adjoint_residual(lat: ClockShiftLattice, word: FieldWord, sites: list[int]) -> float:
+    """max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
+    over the factors; each adjoint sits beside its symbol in one stack of 2L."""
+    rows, vals = lat._site_products([[(_charge(s), site)]
+                                     for sym, site in zip(word.factors, sites)
+                                     for s in (adjoint(sym), sym)])
+    return max((_distance(_dagger(_kron(rows[k], vals[k])), _kron(rows[k + 1], vals[k + 1]))
+                for k in range(0, len(rows), 2)), default=0.0)
+
+
 def lattice_oracle(model: AnyonModel, word: FieldWord,
                    sites: list[int] | None = None) -> LatticeReport:
     """Verify the symbolic exchange and adjoint identities as matrix
@@ -175,27 +233,11 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
     pairwise windings must then lie in {-1, 0}.  Residuals are max-norm
     distances between the matrix sides.
     """
-    if len(word.factors) > 6:
+    length = len(word.factors)
+    if length > 6:
         raise OracleError("lattice oracle supports words of length <= 6")
     if sites is None:
         sites = _sites_by_angle(word)
-    lat = ClockShiftLattice(model, max(len(word.factors), 1))
-
-    unswapped = lat._word(word, sites)
-    exch_res = 0.0
-    checks = 0
-    for i in range(len(word.factors) - 1):
-        swapped = exchange(word, i, model)
-        new_sites = list(sites)
-        new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
-        exch_res = max(exch_res, _distance(unswapped, lat._word(swapped, new_sites)))
-        checks += 1
-
-    adj_res = 0.0
-    # max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
-    for sym, site in zip(word.factors, sites):
-        adj_res = max(adj_res, _distance(_dagger(lat._symbol(adjoint(sym), site)),
-                                         lat._symbol(sym, site)))
-        checks += 1
-
-    return LatticeReport(lat.dimension, exch_res, adj_res, checks)
+    lat = ClockShiftLattice(model, max(length, 1))
+    return LatticeReport(lat.dimension, _exchange_residual(lat, model, word, sites),
+                         _adjoint_residual(lat, word, sites), max(length - 1, 0) + length)

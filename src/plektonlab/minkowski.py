@@ -105,26 +105,7 @@ class LorentzMatrix:
     __slots__ = ("m",)
 
     def __init__(self, m) -> None:
-        m = np.asarray(m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError("Lorentz matrix must be 3x3")
-        size = float(np.abs(m).max())
-        if not math.isfinite(size * size):
-            raise ValueError(f"matrix entries are not finite or too large (max |L| = {size:.3e})")
-        scale = max(1.0, size ** 2)
-        # NaN fails each test; cofactor det = LAPACK's +- 1.2e-14 * scale to rapidity 6
-        err = np.abs((m.T * ETA_SIGNS) @ m - ETA).max()
-        if not err <= MAT_TOL * scale:
-            raise ValueError(f"matrix does not preserve the metric (residual {err:.3e})")
-        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if not abs(det - 1.0) <= DET_TOL * scale:
-            raise ValueError("matrix is not proper (det != 1)")
-        if not m[0, 0] >= 1.0 - ORTHOCHRONOUS_TOL:
-            raise ValueError("matrix is not orthochronous (L00 < 1)")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _lorentz_rows(m, 1.0))
 
     @staticmethod
     def identity() -> "LorentzMatrix":
@@ -149,6 +130,33 @@ class LorentzMatrix:
     def __repr__(self) -> str:
         rows = "; ".join(", ".join(f"{x:.6g}" for x in row) for row in self.m)
         return f"LorentzMatrix([{rows}])"
+
+
+def _lorentz_rows(m, scale: float) -> np.ndarray:
+    """m as a read-only float (3, 3) array, checked to be a proper
+    orthochronous Lorentz matrix; every bound grows with max(1, |m|^2, scale),
+    the float error allowed for the matrix."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (3, 3):
+        raise ValueError("Lorentz matrix must be 3x3")
+    size = float(np.abs(m).max())
+    if not math.isfinite(size * size):
+        raise ValueError(f"matrix entries are not finite or too large (max |L| = {size:.3e})")
+    scale = max(1.0, size ** 2, scale)
+    # NaN fails each test; cofactor det = LAPACK's +- 1.2e-14 * scale to rapidity 6
+    err = np.abs((m.T * ETA_SIGNS) @ m - ETA).max()
+    if not err <= MAT_TOL * scale:
+        raise ValueError(f"matrix does not preserve the metric (residual {err:.3e})")
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if not abs(det - 1.0) <= DET_TOL * scale:
+        raise ValueError("matrix is not proper (det != 1)")
+    # a Lorentz matrix has L00 >= 1 or L00 <= -1, so the slack stops at L00 >= 0
+    if not m[0, 0] >= 1.0 - min(1.0, ORTHOCHRONOUS_TOL * scale):
+        raise ValueError("matrix is not orthochronous (L00 < 1)")
+    m = m.copy()
+    m.setflags(write=False)
+    return m
 
 
 def _rotation_rows(theta: float) -> np.ndarray:
@@ -190,6 +198,16 @@ def polar_rotation_angle(L: LorentzMatrix) -> float:
     return _polar_angle_raw(L.m)
 
 
+def _check_projection(m: np.ndarray, angle: float, scale: float) -> None:
+    """Raise unless the lifted angle projects to the polar angle of m.  The
+    polar angle of a float matrix is determined only up to eps * cond(boost)^2,
+    so the bound grows with max(1, |m|^2, scale)."""
+    base = _polar_angle_raw(m)
+    scale = max(1.0, float(np.abs(m).max()) ** 2, scale)
+    if not abs(wrap_angle(angle - base)) <= max(PROJECTION_ATOL, PROJECTION_RTOL * scale):
+        raise ValueError(f"lifted angle {angle} does not project to the polar angle {base}")
+
+
 @dataclass(frozen=True)
 class CoveringLorentz:
     """Element of the universal cover: matrix plus lifted polar rotation angle."""
@@ -200,15 +218,7 @@ class CoveringLorentz:
     def __post_init__(self) -> None:
         if not math.isfinite(self.angle):
             raise ValueError(f"lifted angle {self.angle} is not finite")
-        base = polar_rotation_angle(self.matrix)
-        # the polar angle of a float matrix is determined only up to
-        # eps * cond(boost)^2, so the check loosens for extreme boosts
-        scale = max(1.0, float(np.abs(self.matrix.m).max()) ** 2)
-        tol = max(PROJECTION_ATOL, PROJECTION_RTOL * scale)
-        if not abs(wrap_angle(self.angle - base)) <= tol:
-            raise ValueError(
-                f"lifted angle {self.angle} does not project to the polar angle {base}"
-            )
+        _check_projection(self.matrix.m, self.angle, 1.0)
 
     @staticmethod
     def identity() -> "CoveringLorentz":
@@ -299,7 +309,14 @@ def _product(g1: CoveringLorentz, g2: CoveringLorentz) -> tuple[np.ndarray, floa
 
 def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
     m, theta = _product(g1, g2)
-    return CoveringLorentz(LorentzMatrix(m), theta)
+    # float error compounds in a product, so its allowance is the product of
+    # its factors' allowances max(1, |L|^2), not its own |m|^2: g g^-1 of a
+    # strong boost is near the identity but carries eps |L|^2 in its entries.
+    # L00 is the largest entry of a proper orthochronous Lorentz matrix.
+    scale = float(g1.matrix.m[0, 0] * g2.matrix.m[0, 0]) ** 2
+    m = _lorentz_rows(m, scale)
+    _check_projection(m, theta, scale)
+    return _trusted(m, theta)
 
 
 def _trusted(m: np.ndarray, angle: float) -> CoveringLorentz:

@@ -4,17 +4,18 @@ They decide validity checks, separation and winding verdicts, branches of closed
 forms and whether a `verify` row passes; strict or not is decided where each is used.
 """
 
-# Lorentz matrices and the universal cover (minkowski)
-MAT_TOL = 1e-12  # |L^T eta L - eta| per max(1, |L|^2); default matrix-entry closeness
-DET_TOL = 1e-9  # |det L - 1| per max(1, |L|^2)
-ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1
+# Lorentz matrices and the universal cover (minkowski); the float-error
+# allowance of a matrix is max(1, |L|^2), that of a product its factors' multiplied
+MAT_TOL = 1e-12  # |L^T eta L - eta| per allowance; default matrix-entry closeness
+DET_TOL = 1e-9  # |det L - 1| per allowance
+ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1, per allowance (never below 0)
 LIFT_TOL = 1e-9  # difference of two lifted angles that still counts as agreement
 PROJECTION_ATOL = 1e-6  # floor of |lifted angle - polar angle| mod 2 pi ...
-PROJECTION_RTOL = 1e-13  # ... and its growth per unit of max(1, |L|^2)
+PROJECTION_RTOL = 1e-13  # ... and its growth per unit of allowance
 PURE_ROTATION_BOOST = 1e-12  # max(|L01|, |L02|) up to which an element is a pure rotation
 POLAR_BRANCH_BOOST = 1e-6  # |(L01, L02)| up to which theta reads the rotation block (~1e-12)
 # Directions, arcs and regions (cones, scenes)
-NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions and light-like normals
+NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions, per max(1, n0^2) for normals
 ARC_TOL = 1e-9  # lifted-arc endpoint comparisons and arc widths
 HALF_OPENING_MARGIN = 1e-12  # how far below pi/2 a cone's half-opening must stay
 WEDGE_HALF_OPENING_TOL = 1e-9  # |half_opening - pi/2| accepted for a wedge in a scene file

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -504,6 +505,29 @@ def test_act_preserves_wedge_width():
         w2 = act(rnd_cover(rng), w)
         assert w2.arc.width == pytest.approx(math.pi, abs=1e-12)
         assert w2.kind == "wedge"
+
+
+def test_act_keeps_paths_under_strong_boosts():
+    # r(a) b1(8) r(b) stretches the normals by up to e^8, and with them the
+    # float error of n.n, which the light-like check reads relative to n0^2
+    rng = np.random.default_rng(8)
+    for k in range(600):
+        a, b = rng.uniform(-3, 3, 2)
+        g = cover_compose(cover_rotation(a), cover_compose(cover_boost1(8.0), cover_rotation(b)))
+        c = (cone_path(ZERO_VEC, rng.uniform(-3, 3), rng.uniform(0.05, 1.4)) if k % 2
+             else wedge_path(ZERO_VEC, rng.uniform(-3, 3)))
+        moved = act(g, c)
+        assert moved.kind == c.kind
+
+
+def test_normals_off_the_light_cone_are_rejected_at_any_scale():
+    c = cone_path(ZERO_VEC, 0.3, 0.4)
+    for size in (1.0, math.exp(8)):
+        n = size * np.array([1.0, math.cos(0.7), math.sin(0.7)])
+        replace(c, normals=(MVec3(*n), c.normals[1]))
+        n[1:] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="light-like"):
+            replace(c, normals=(MVec3(*n), c.normals[1]))
 
 
 # ---------------------------------------------------------------------------

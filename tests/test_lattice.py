@@ -7,7 +7,7 @@ import pytest
 from plektonlab.cones import cone_path
 from plektonlab.fields import FieldSymbol, FieldWord, ObservableWord
 import plektonlab.lattice
-from plektonlab.lattice import ClockShiftLattice, OracleError, lattice_oracle
+from plektonlab.lattice import ClockShiftLattice, LatticeReport, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
 from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
 
@@ -291,3 +291,102 @@ def test_oracle_refuses_a_site_product_that_is_not_monomial(z3, monkeypatch):
     monkeypatch.setattr(ClockShiftLattice, "_factors", smeared)
     with pytest.raises(OracleError, match="monomial"):
         lattice_oracle(z3, _four_factor_word())
+
+
+def _model(n_group):
+    return AnyonModel(n_group, CyclotomicPhase(Fraction(1, n_group)),
+                      CyclotomicPhase.from_pair(*_ROOTS[n_group]), Fraction(1, n_group))
+
+
+# the longest word admitted for each N under MAX_DIMENSION
+_MAX_LENGTH = {2: 6, 3: 6, 4: 5, 5: 4}
+
+
+def test_oracle_residuals_equal_dense_sides_over_random_words(monkeypatch):
+    # 400 seeded words, the first one on each admitted (N, length), with
+    # default and explicit sites; every other word has a wrong exchange
+    # coefficient and an identity adjoint, so most residuals compared are not
+    # rounding noise.  Later lengths are the shorter of two draws: the dense
+    # reference costs up to 0.3 s a word at the top of each ladder, which the
+    # cap tests cover
+    exchange = plektonlab.lattice.exchange
+    third = CyclotomicPhase.from_pair(1, 3)
+
+    def wrong(word, i, model):
+        swapped = exchange(word, i, model)
+        return FieldWord(swapped.coeff * third, swapped.factors)
+
+    pairs = [(n, length) for n, top in _MAX_LENGTH.items() for length in range(1, top + 1)]
+    rng = np.random.default_rng(20)
+    nonzero = 0
+    for k in range(400):
+        if k < len(pairs):
+            n_group, length = pairs[k]
+        else:
+            n_group = int(rng.integers(2, 6))
+            length = int(rng.integers(1, _MAX_LENGTH[n_group] + 1, 2).min())
+        cones = fan(length)
+        locs = [cones[j] for j in rng.permutation(length)]
+        word = FieldWord.of(*(FieldSymbol(int(c), I, loc)
+                              for c, loc in zip(rng.integers(-3, 4, length), locs)),
+                            coeff=CyclotomicPhase.from_pair(int(rng.integers(0, 6)), 6))
+        explicit = rng.random() < 0.5
+        sites = ([int(s) for s in rng.integers(0, length, length)] if explicit
+                 else plektonlab.lattice._sites_by_angle(word))
+        with monkeypatch.context() as m:
+            if k % 2:
+                for module in (plektonlab.lattice, plektonlab.fields):
+                    m.setattr(module, "exchange", wrong)
+                    m.setattr(module, "adjoint", lambda sym: sym)
+            rep = lattice_oracle(_model(n_group), word, sites if explicit else None)
+            want = _dense_residuals(_model(n_group), word, sites)
+        assert (rep.exchange_residual, rep.adjoint_residual) == want, (k, n_group, length)
+        nonzero += max(want) > 0
+    assert nonzero > 200
+
+
+def test_oracle_reports_the_empty_and_one_factor_words(z3, semion):
+    loc = fan(1)[0]
+    sixth = CyclotomicPhase.from_pair(1, 6)
+    assert lattice_oracle(z3, FieldWord.of()) == LatticeReport(3, 0.0, 0.0, 0)
+    assert lattice_oracle(z3, FieldWord.of(coeff=sixth)) == LatticeReport(3, 0.0, 0.0, 0)
+    one = FieldWord.of(FieldSymbol(2, I, loc), coeff=sixth)
+    assert lattice_oracle(z3, one) == LatticeReport(3, 0.0, 0.0, 1)
+    one = FieldWord.of(FieldSymbol(-3, I, loc))
+    assert lattice_oracle(semion, one, [0]) == LatticeReport(4, 0.0, 0.0, 1)
+
+
+def test_oracle_holds_no_dense_side_at_the_cap(semion):
+    # Z_4 with 5 sites, d = 1024: one side in monomial form is 24 d bytes (an
+    # index and a complex value per column), and the word's stack holds five
+    # sides, so a peak below five sides' bytes means they were never all alive
+    import tracemalloc
+
+    side = 24 * 4 ** 5
+    for charges, locs in (((1, 2, 3, 2, 1), fan(5)), ((-1, -2, 1, -2, -1), fan(5)[::-1])):
+        word = FieldWord.of(*(FieldSymbol(c, I, loc) for c, loc in zip(charges, locs)))
+        lattice_oracle(semion, word)  # first-call caches are not the oracle's sides
+        tracemalloc.start()
+        try:
+            assert lattice_oracle(semion, word).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * side, peak
+
+
+def test_oracle_calls_exchange_and_adjoint_once_per_identity(z3, monkeypatch):
+    calls = {"exchange": 0, "adjoint": 0}
+    for name in calls:
+        original = getattr(plektonlab.lattice, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(plektonlab.lattice, name, counted)
+    for length in range(6):
+        calls.update(exchange=0, adjoint=0)
+        word = FieldWord.of(*(FieldSymbol(1, I, loc) for loc in fan(length)))
+        assert lattice_oracle(z3, word).checks == max(length - 1, 0) + length
+        assert calls == {"exchange": max(length - 1, 0), "adjoint": length}

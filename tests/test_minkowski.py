@@ -225,6 +225,34 @@ def test_inverse_at_rapidity_5():
     assert cover_compose(g, inv).angle == pytest.approx(0.0, abs=1e-9)
 
 
+def test_strong_boost_times_its_inverse_composes():
+    # g g^-1 is near the identity, but its entries carry eps |g|^2, so the
+    # product is checked against its factors' allowances, not its own size
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        a, b = rng.uniform(-3, 3, 2)
+        g = cover_compose(cover_rotation(a),
+                          cover_compose(cover_boost1(rng.uniform(-10, 10)), cover_rotation(b)))
+        e = cover_compose(g, cover_inverse(g)).matrix.m
+        assert np.abs(e - np.eye(3)).max() <= 1e-12 * np.abs(g.matrix.m).max() ** 2
+
+
+@pytest.mark.parametrize("target, push, message", [
+    ("_renormalize", lambda m: m * (1 + 1e-6), "does not preserve the metric"),
+    ("_lift_product", lambda theta: theta + 1e-3, "does not project"),
+])
+def test_a_product_pushed_off_the_group_is_rejected(monkeypatch, target, push, message):
+    import plektonlab.minkowski as minkowski
+
+    g = cover_compose(cover_rotation(0.4),
+                      cover_compose(cover_boost1(2.0), cover_rotation(-1.1)))
+    inv = cover_inverse(g)
+    original = getattr(minkowski, target)
+    monkeypatch.setattr(minkowski, target, lambda *args: push(original(*args)))
+    with pytest.raises(ValueError, match=message):
+        cover_compose(g, inv)
+
+
 def test_reflect_examples():
     r = reflect_conjugate(cover_rotation(0.9))
     assert r.is_close(cover_rotation(-0.9), 1e-14)
