@@ -12,7 +12,8 @@ Conventions used throughout the package:
   over SU(1,1) ~ SO(2,1)_0 the lifted angle is twice the lifted argument of
   alpha, and the product law of the cover (V. Bargmann, Ann. Math. 48 (1947)
   568) gives the lift of a product from the lifts and boost factors of its
-  factors.  Path continuation survives only as the independent oracle in
+  factors (for strong boosts that nearly cancel, only its sheet: see
+  `_product`).  Path continuation survives only as the independent oracle in
   ``plektonlab.continuation``.
 
 Exact integers and phases never pass through the float matrices; only the
@@ -198,11 +199,22 @@ def polar_rotation_angle(L: LorentzMatrix) -> float:
     return _polar_angle_raw(L.m)
 
 
+def _block_angle(m: np.ndarray) -> float:
+    """The polar angle of m read off its spatial block.  For L = R(theta) B
+    that block is R(theta) times the spatial block of B, which is symmetric
+    with trace 1 + L00 >= 2, so theta = atan2(L21 - L12, L11 + L22) with no
+    branch and no division by the size of the boost: it errs by about the
+    float error of the entries over 1 + L00.  `_polar_angle_raw`, which the
+    continuation oracle and `polar_rotation_angle` keep, divides that error
+    by the boost |(L01, L02)| down to POLAR_BRANCH_BOOST."""
+    return math.atan2(m[2, 1] - m[1, 2], m[1, 1] + m[2, 2])
+
+
 def _check_projection(m: np.ndarray, angle: float, scale: float) -> None:
     """Raise unless the lifted angle projects to the polar angle of m.  The
-    polar angle of a float matrix is determined only up to eps * cond(boost)^2,
-    so the bound grows with max(1, |m|^2, scale)."""
-    base = _polar_angle_raw(m)
+    entries of a float matrix, and with them its polar angle, carry a float
+    error that grows with max(1, |m|^2, scale)."""
+    base = _block_angle(m)
     scale = max(1.0, float(np.abs(m).max()) ** 2, scale)
     if not abs(wrap_angle(angle - base)) <= max(PROJECTION_ATOL, PROJECTION_RTOL * scale):
         raise ValueError(f"lifted angle {angle} does not project to the polar angle {base}")
@@ -302,18 +314,30 @@ def _lift_product(theta1, r1, theta2, r2):
 
 
 def _product(g1: CoveringLorentz, g2: CoveringLorentz) -> tuple[np.ndarray, float]:
-    """The renormalised matrix and the lifted angle of g1 g2, unchecked."""
-    return (_renormalize(g1.matrix.m @ g2.matrix.m),
-            float(_lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0])))
+    """The renormalised matrix and the lifted angle of g1 g2, unchecked.
+
+    The closed form divides the float error of its factors, about
+    eps L00_1 L00_2, by |1 + gamma_1 conj(gamma_2) e^{-i theta_2}|, which is
+    about sqrt(2 L00 / (L00_1 L00_2)) for a product with m00 = L00; the
+    spatial block of the product reads its angle to about eps L00_1 L00_2 L00.
+    Where the first error is the larger, L00_1 L00_2 > L00^3 (strong boosts
+    that nearly cancel, as in g g^-1), the lift keeps the closed form's sheet
+    and takes the block's angle.
+    """
+    m = _renormalize(g1.matrix.m @ g2.matrix.m)
+    theta = float(_lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0]))
+    if g1.matrix.m[0, 0] * g2.matrix.m[0, 0] > m[0, 0] ** 3:
+        theta += wrap_angle(_block_angle(m) - theta)
+    return m, theta
 
 
 def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
     m, theta = _product(g1, g2)
-    # float error compounds in a product, so its allowance is the product of
-    # its factors' allowances max(1, |L|^2), not its own |m|^2: g g^-1 of a
-    # strong boost is near the identity but carries eps |L|^2 in its entries.
-    # L00 is the largest entry of a proper orthochronous Lorentz matrix.
-    scale = float(g1.matrix.m[0, 0] * g2.matrix.m[0, 0]) ** 2
+    # the entries of a product carry eps L00_1 L00_2 (L00 is the largest entry
+    # of a proper orthochronous Lorentz matrix), so that is its allowance
+    # beside its own |m|^2: g g^-1 of a strong boost is near the identity but
+    # carries eps |g|^2 in its entries
+    scale = float(g1.matrix.m[0, 0] * g2.matrix.m[0, 0])
     m = _lorentz_rows(m, scale)
     _check_projection(m, theta, scale)
     return _trusted(m, theta)

@@ -5,7 +5,7 @@ forms and whether a `verify` row passes; strict or not is decided where each is 
 """
 
 # Lorentz matrices and the universal cover (minkowski); the float-error
-# allowance of a matrix is max(1, |L|^2), that of a product its factors' multiplied
+# allowance of a matrix is max(1, |L|^2), that of a product also L00_1 L00_2
 MAT_TOL = 1e-12  # |L^T eta L - eta| per allowance; default matrix-entry closeness
 DET_TOL = 1e-9  # |det L - 1| per allowance
 ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1, per allowance (never below 0)

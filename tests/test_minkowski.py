@@ -225,32 +225,81 @@ def test_inverse_at_rapidity_5():
     assert cover_compose(g, inv).angle == pytest.approx(0.0, abs=1e-9)
 
 
+def _strong(rapidity):
+    return cover_compose(cover_rotation(0.4),
+                         cover_compose(cover_boost1(rapidity), cover_rotation(-1.1)))
+
+
 def test_strong_boost_times_its_inverse_composes():
     # g g^-1 is near the identity, but its entries carry eps |g|^2, so the
-    # product is checked against its factors' allowances, not its own size
+    # product is checked against its factors' L00_1 L00_2, not its own size,
+    # and its angle is read off its spatial block: the closed form would
+    # multiply that error by about |g|
     rng = np.random.default_rng(5)
     for _ in range(2000):
         a, b = rng.uniform(-3, 3, 2)
         g = cover_compose(cover_rotation(a),
                           cover_compose(cover_boost1(rng.uniform(-10, 10)), cover_rotation(b)))
-        e = cover_compose(g, cover_inverse(g)).matrix.m
-        assert np.abs(e - np.eye(3)).max() <= 1e-12 * np.abs(g.matrix.m).max() ** 2
+        e = cover_compose(g, cover_inverse(g))
+        size = np.abs(g.matrix.m).max() ** 2
+        assert np.abs(e.matrix.m - np.eye(3)).max() <= 1e-12 * size
+        assert abs(e.angle) <= 1e-15 * size
 
 
-@pytest.mark.parametrize("target, push, message", [
-    ("_renormalize", lambda m: m * (1 + 1e-6), "does not preserve the metric"),
-    ("_lift_product", lambda theta: theta + 1e-3, "does not project"),
+def test_near_cancelling_strong_boosts_keep_the_lift():
+    # g (g^-1 h) is h up to float error: about eps |g|^2 |h| once the angle
+    # comes from the product's spatial block, not the closed form's eps |g|^3
+    rng = np.random.default_rng(6)
+    for _ in range(1000):
+        a, b, c, d = rng.uniform(-3, 3, 4)
+        g = cover_compose(cover_rotation(a),
+                          cover_compose(cover_boost1(rng.uniform(-8, 8)), cover_rotation(b)))
+        h = cover_compose(cover_rotation(c),
+                          cover_compose(cover_boost1(rng.uniform(-2, 2)), cover_rotation(d)))
+        gh = cover_compose(g, cover_compose(cover_inverse(g), h))
+        assert abs(gh.angle - h.angle) <= 1e-14 * g.matrix.m[0, 0] ** 2 * h.matrix.m[0, 0]
+
+
+@pytest.mark.parametrize("boost", [5e-7, 1e-6, 2e-6, 1e-5])
+def test_near_cancelling_strong_boosts_at_the_polar_branch_switch(boost):
+    # the product is b1(boost) with entries off by eps |g|^2 ~ 1e-8; a polar
+    # angle read from the directions of row 0 and column 0 divides that by
+    # the boost, the spatial block does not
+    g = _strong(10.0)
+    gh = cover_compose(g, cover_compose(cover_inverse(g), cover_boost1(boost)))
+    assert abs(gh.angle) <= 1e-14 * g.matrix.m[0, 0] ** 2
+
+
+@pytest.mark.parametrize("rapidity, push, message", [
+    (2.0, lambda m: m * (1 + 1e-6), "does not preserve the metric"),
+    (8.0, lambda m: m * (1 + 1e-3), "does not preserve the metric"),
+    (10.0, lambda m: m * 1.5, "does not preserve the metric"),
+    (10.0, lambda m: m @ np.diag([1.0, 1.0, -1.0]), "not proper"),
 ])
-def test_a_product_pushed_off_the_group_is_rejected(monkeypatch, target, push, message):
+def test_a_product_pushed_off_the_group_is_rejected(monkeypatch, rapidity, push, message):
     import plektonlab.minkowski as minkowski
 
-    g = cover_compose(cover_rotation(0.4),
-                      cover_compose(cover_boost1(2.0), cover_rotation(-1.1)))
+    # g g^-1 of a strong boost: its allowance L00_1 L00_2 is |g|^2, which
+    # absorbs the product's float error but not these pushes
+    g = _strong(rapidity)
     inv = cover_inverse(g)
-    original = getattr(minkowski, target)
-    monkeypatch.setattr(minkowski, target, lambda *args: push(original(*args)))
+    original = minkowski._renormalize
+    monkeypatch.setattr(minkowski, "_renormalize", lambda m: push(original(m)))
     with pytest.raises(ValueError, match=message):
         cover_compose(g, inv)
+
+
+@pytest.mark.parametrize("rapidity, partner", [(2.0, None), (10.0, 0.3)])
+def test_a_pushed_lift_is_rejected(monkeypatch, rapidity, partner):
+    import plektonlab.minkowski as minkowski
+
+    # products that do not cancel take their angle from the closed form
+    g = _strong(rapidity)
+    h = g if partner is None else cover_rotation(partner)
+    original = minkowski._lift_product
+    monkeypatch.setattr(minkowski, "_lift_product", lambda *args: original(*args) + 1e-3)
+    with pytest.raises(ValueError, match="does not project"):
+        cover_compose(g, h)
 
 
 def test_reflect_examples():

@@ -75,7 +75,13 @@ def _wigner_full(g, pts):
 
 def _compose_full(g1, g2):
     m = _renormalize_chained(g1.matrix.m @ g2.matrix.m)
-    return m, float(_lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m))
+    theta = float(_lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m))
+    if g1.matrix.m[0, 0] * g2.matrix.m[0, 0] > m[0, 0] ** 3:
+        # near-cancelling factors: the sheet of the closed form, the angle of
+        # the product's spatial block
+        block = math.atan2(m[2, 1] - m[1, 2], m[1, 1] + m[2, 2])
+        theta += minkowski.wrap_angle(block - theta)
+    return m, theta
 
 
 def _act_per_vector(g, path):
