@@ -6,22 +6,27 @@ Conventions used throughout the package:
 * a proper orthochronous Lorentz matrix factors uniquely as ``R(theta) @ B``
   with ``R`` a spatial rotation and ``B`` a symmetric positive boost (the
   polar decomposition);
-* an element of the universal covering group is the matrix together with the
-  polar rotation angle lifted to the real line, so rotations by multiples of
-  2*pi stay distinct from the identity.  Lifts are computed in closed form:
-  over SU(1,1) ~ SO(2,1)_0 the lifted angle is twice the lifted argument of
-  alpha, and the product law of the cover (V. Bargmann, Ann. Math. 48 (1947)
-  568) gives the lift of a product from the lifts and boost factors of its
-  factors (for strong boosts that nearly cancel, only its sheet: see
-  `_product`).  Path continuation survives only as the independent oracle in
-  ``plektonlab.continuation``.
+* an element of the universal covering group is held in the SU(1,1) polar
+  chart (theta, chi, phi): the polar rotation angle lifted to the real line,
+  so rotations by multiples of 2*pi stay distinct from the identity, the
+  rapidity chi >= 0 and the direction phi of the boost B(chi, phi).  Every
+  triple is a group element, so products need no renormalising and no
+  re-validation.  Over SU(1,1) ~ SO(2,1)_0 the element is
+  alpha = e^{i theta/2} cosh(chi/2), beta = e^{i theta/2} sinh(chi/2) e^{i phi},
+  and the product law of the cover (V. Bargmann, Ann. Math. 48 (1947) 568)
+  gives the lift of a product in closed form.  The matrix R(theta) B(chi, phi)
+  is built from cos, sin, cosh and sinh when it is first read.  Path
+  continuation survives only as the independent oracle in
+  ``plektonlab.continuation``, which reads the matrix, never the chart.
 
 Exact integers and phases never pass through the float matrices; only the
-matrices themselves and the lifted angles are floating point.
+matrices, the chart coordinates and the lifted angles are floating point.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .tolerances import (DET_TOL, LIFT_TOL, MAT_TOL, ORTHOCHRONOUS_TOL, POLAR_BRANCH_BOOST,
-                         PROJECTION_ATOL, PROJECTION_RTOL, PURE_ROTATION_BOOST)
+                         PURE_ROTATION_BOOST)
 
 ETA = np.diag([1.0, -1.0, -1.0])
 ETA.setflags(write=False)
@@ -106,7 +111,7 @@ class LorentzMatrix:
     __slots__ = ("m",)
 
     def __init__(self, m) -> None:
-        object.__setattr__(self, "m", _lorentz_rows(m, 1.0))
+        object.__setattr__(self, "m", _lorentz_rows(m))
 
     @staticmethod
     def identity() -> "LorentzMatrix":
@@ -114,13 +119,6 @@ class LorentzMatrix:
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
         return LorentzMatrix(self.m @ other.m)
-
-    def inverse(self) -> "LorentzMatrix":
-        # L^-1 = eta L^T eta for Lorentz matrices.  Its columns are the rows
-        # of L, which may meet the metric less closely than the columns that
-        # validated L, so the inverse is renormalised like a product.  The
-        # + 0.0 gives exact zeros the sign that the product eta L^T eta gives.
-        return LorentzMatrix(_renormalize((self.m * ETA_SIGNS).T * ETA_SIGNS + 0.0))
 
     def apply(self, v: MVec3) -> MVec3:
         return MVec3._make((self.m @ v).tolist())
@@ -133,55 +131,50 @@ class LorentzMatrix:
         return f"LorentzMatrix([{rows}])"
 
 
-def _lorentz_rows(m, scale: float) -> np.ndarray:
+def _lorentz_rows(m) -> np.ndarray:
     """m as a read-only float (3, 3) array, checked to be a proper
-    orthochronous Lorentz matrix; every bound grows with max(1, |m|^2, scale),
-    the float error allowed for the matrix."""
+    orthochronous Lorentz matrix; the metric and orthochronous bounds grow
+    with max(1, |m|^2), the float error allowed for the matrix, the
+    determinant's with max(1, |m|)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError("Lorentz matrix must be 3x3")
     size = float(np.abs(m).max())
     if not math.isfinite(size * size):
         raise ValueError(f"matrix entries are not finite or too large (max |L| = {size:.3e})")
-    scale = max(1.0, size ** 2, scale)
-    # NaN fails each test; cofactor det = LAPACK's +- 1.2e-14 * scale to rapidity 6
+    scale = max(1.0, size ** 2)
+    # NaN fails each test
     err = np.abs((m.T * ETA_SIGNS) @ m - ETA).max()
     if not err <= MAT_TOL * scale:
         raise ValueError(f"matrix does not preserve the metric (residual {err:.3e})")
-    (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if not abs(det - 1.0) <= DET_TOL * scale:
+    # det L is the cofactor of L00 over L00 for a Lorentz matrix: that reads
+    # det to eps |L|, where the full expansion rounds to eps |L|^3, past any
+    # |L|^2 allowance from rapidity about 18.  The slack stops at 1, so
+    # det = -1 is refused at every rapidity
+    (a, _, _), (_, e, f), (_, h, i) = m.tolist()
+    if not abs((e * i - f * h) - a) <= min(1.0, DET_TOL * max(1.0, size)) * abs(a):
         raise ValueError("matrix is not proper (det != 1)")
     # a Lorentz matrix has L00 >= 1 or L00 <= -1, so the slack stops at L00 >= 0
-    if not m[0, 0] >= 1.0 - min(1.0, ORTHOCHRONOUS_TOL * scale):
+    if not a >= 1.0 - min(1.0, ORTHOCHRONOUS_TOL * scale):
         raise ValueError("matrix is not orthochronous (L00 < 1)")
     m = m.copy()
     m.setflags(write=False)
     return m
 
 
-def _rotation_rows(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def _boost1_rows(t: float) -> np.ndarray:
-    ch, sh = math.cosh(t), math.sinh(t)
-    return np.array([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-
-
 def rotation_matrix(theta: float) -> LorentzMatrix:
     if not math.isfinite(theta):
         raise ValueError(f"rotation angle {theta} is not finite")
-    return LorentzMatrix(_rotation_rows(theta))
+    c, s = math.cos(theta), math.sin(theta)
+    return LorentzMatrix([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def boost1_matrix(t: float) -> LorentzMatrix:
     try:
-        rows = _boost1_rows(t)
+        ch, sh = math.cosh(t), math.sinh(t)
     except OverflowError:
         raise ValueError(f"rapidity {t} overflows a float boost") from None
-    return LorentzMatrix(rows)
+    return LorentzMatrix([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _polar_angle_raw(m: np.ndarray) -> float:
@@ -199,42 +192,56 @@ def polar_rotation_angle(L: LorentzMatrix) -> float:
     return _polar_angle_raw(L.m)
 
 
-def _block_angle(m: np.ndarray) -> float:
-    """The polar angle of m read off its spatial block.  For L = R(theta) B
-    that block is R(theta) times the spatial block of B, which is symmetric
-    with trace 1 + L00 >= 2, so theta = atan2(L21 - L12, L11 + L22) with no
-    branch and no division by the size of the boost: it errs by about the
-    float error of the entries over 1 + L00.  `_polar_angle_raw`, which the
-    continuation oracle and `polar_rotation_angle` keep, divides that error
-    by the boost |(L01, L02)| down to POLAR_BRANCH_BOOST."""
-    return math.atan2(m[2, 1] - m[1, 2], m[1, 1] + m[2, 2])
-
-
-def _check_projection(m: np.ndarray, angle: float, scale: float) -> None:
-    """Raise unless the lifted angle projects to the polar angle of m.  The
-    entries of a float matrix, and with them its polar angle, carry a float
-    error that grows with max(1, |m|^2, scale)."""
-    base = _block_angle(m)
-    scale = max(1.0, float(np.abs(m).max()) ** 2, scale)
-    if not abs(wrap_angle(angle - base)) <= max(PROJECTION_ATOL, PROJECTION_RTOL * scale):
-        raise ValueError(f"lifted angle {angle} does not project to the polar angle {base}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class CoveringLorentz:
-    """Element of the universal cover: matrix plus lifted polar rotation angle."""
+    """Element of the universal cover in the SU(1,1) polar chart: the lifted
+    polar angle theta, the rapidity chi >= 0 and the boost direction phi (an
+    angle mod 2 pi), with matrix R(theta) B(chi, phi).
 
-    matrix: LorentzMatrix
+    The public constructor takes a Lorentz matrix and a lifted angle of it,
+    reads chi and phi off row 0 of the matrix (row 0 of B) and refuses an
+    angle whose chart matrix misses the given one by more than
+    MAT_TOL max(1, |L|): a lift moved by delta moves the entries by about
+    delta |L|.  Products, inverses and j-conjugates are chart arithmetic and
+    are never re-checked.
+    """
+
     angle: float
+    rapidity: float
+    direction: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"lifted angle {self.angle} is not finite")
-        _check_projection(self.matrix.m, self.angle, 1.0)
+    def __init__(self, matrix: LorentzMatrix, angle: float) -> None:
+        if not math.isfinite(angle):
+            raise ValueError(f"lifted angle {angle} is not finite")
+        m = matrix.m
+        _set_chart(self, angle, math.asinh(math.hypot(m[0, 1], m[0, 2])),
+                   math.atan2(m[0, 2], m[0, 1]))
+        err = float(np.abs(self.matrix.m - m).max())
+        if not err <= MAT_TOL * max(1.0, float(np.abs(m).max())):
+            raise ValueError(f"lifted angle {angle} does not project to the polar angle "
+                             f"of the matrix (chart matrix off by {err:.3e})")
+
+    @functools.cached_property
+    def matrix(self) -> LorentzMatrix:
+        """R(theta) B(chi, phi) from cos, sin, cosh and sinh; cosh chi - 1 is
+        2 sinh(chi/2)^2, so weak boosts keep their digits."""
+        c, s = math.cos(self.angle), math.sin(self.angle)
+        u, v = math.cos(self.direction), math.sin(self.direction)
+        half_c, half_s = math.cosh(0.5 * self.rapidity), math.sinh(0.5 * self.rapidity)
+        k, sh = 2.0 * half_s * half_s, 2.0 * half_c * half_s
+        b1 = (sh * u, 1.0 + k * u * u, k * u * v)
+        b2 = (sh * v, k * u * v, 1.0 + k * v * v)
+        rows = np.array([(1.0 + k, sh * u, sh * v),
+                         [c * x - s * y for x, y in zip(b1, b2)],
+                         [s * x + c * y for x, y in zip(b1, b2)]])
+        rows.setflags(write=False)
+        matrix = object.__new__(LorentzMatrix)
+        object.__setattr__(matrix, "m", rows)
+        return matrix
 
     @staticmethod
     def identity() -> "CoveringLorentz":
-        return CoveringLorentz(LorentzMatrix.identity(), 0.0)
+        return _chart(0.0, 0.0, 0.0)
 
     def is_pure_rotation(self) -> bool:
         # row 0 of L = R(theta) B is row 0 of B, (cosh t, sinh t n)
@@ -247,7 +254,22 @@ class CoveringLorentz:
         ) <= tol
 
     def __repr__(self) -> str:
-        return f"CoveringLorentz(angle={self.angle:.6g}, {self.matrix!r})"
+        return (f"CoveringLorentz(angle={self.angle:.6g}, rapidity={self.rapidity:.6g}, "
+                f"direction={self.direction:.6g})")
+
+
+def _set_chart(g: CoveringLorentz, theta: float, chi: float, phi: float) -> None:
+    object.__setattr__(g, "angle", theta)
+    object.__setattr__(g, "rapidity", chi)
+    object.__setattr__(g, "direction", phi)
+
+
+def _chart(theta: float, chi: float, phi: float) -> CoveringLorentz:
+    """The element with chart coordinates (theta, chi, phi), chi >= 0; every
+    such triple is a group element."""
+    g = object.__new__(CoveringLorentz)
+    _set_chart(g, theta, chi, phi)
+    return g
 
 
 @dataclass(frozen=True)
@@ -288,15 +310,6 @@ def cover_translation(a: MVec3) -> CoveringPoincare:
     return CoveringPoincare(a, CoveringLorentz.identity())
 
 
-def _renormalize(m: np.ndarray) -> np.ndarray:
-    """One first-order Lorentz orthogonalisation step m (1 - eta E / 2), with
-    E = m^T eta m - eta.  It keeps accumulated float drift out of long
-    composition chains so products stay Lorentz to 1e-12.  Unlike Gram-Schmidt
-    on the columns it does not push the row residual m eta m^T - eta up to
-    eps |m|^4, so eta m^T eta stays an accurate inverse."""
-    return m - (0.5 * m * ETA_SIGNS) @ ((m.T * ETA_SIGNS) @ m - ETA)
-
-
 def _lift_product(theta1, r1, theta2, r2):
     """Lifted polar angle of the product of covering elements (theta1, L1)
     and (theta2, L2) from row 0 alone, r1 = L1[0] and r2 = L2[0]; vectorised.
@@ -313,46 +326,21 @@ def _lift_product(theta1, r1, theta2, r2):
     return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
 
 
-def _product(g1: CoveringLorentz, g2: CoveringLorentz) -> tuple[np.ndarray, float]:
-    """The renormalised matrix and the lifted angle of g1 g2, unchecked.
-
-    The closed form divides the float error of its factors, about
-    eps L00_1 L00_2, by |1 + gamma_1 conj(gamma_2) e^{-i theta_2}|, which is
-    about sqrt(2 L00 / (L00_1 L00_2)) for a product with m00 = L00; the
-    spatial block of the product reads its angle to about eps L00_1 L00_2 L00.
-    Where the first error is the larger, L00_1 L00_2 > L00^3 (strong boosts
-    that nearly cancel, as in g g^-1), the lift keeps the closed form's sheet
-    and takes the block's angle.
-    """
-    m = _renormalize(g1.matrix.m @ g2.matrix.m)
-    theta = float(_lift_product(g1.angle, g1.matrix.m[0], g2.angle, g2.matrix.m[0]))
-    if g1.matrix.m[0, 0] * g2.matrix.m[0, 0] > m[0, 0] ** 3:
-        theta += wrap_angle(_block_angle(m) - theta)
-    return m, theta
-
-
-def _compose_lorentz(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
-    m, theta = _product(g1, g2)
-    # the entries of a product carry eps L00_1 L00_2 (L00 is the largest entry
-    # of a proper orthochronous Lorentz matrix), so that is its allowance
-    # beside its own |m|^2: g g^-1 of a strong boost is near the identity but
-    # carries eps |g|^2 in its entries
-    scale = float(g1.matrix.m[0, 0] * g2.matrix.m[0, 0])
-    m = _lorentz_rows(m, scale)
-    _check_projection(m, theta, scale)
-    return _trusted(m, theta)
-
-
-def _trusted(m: np.ndarray, angle: float) -> CoveringLorentz:
-    """CoveringLorentz(LorentzMatrix(m), angle) without the checks, for a
-    fresh float (3, 3) array that is Lorentz by construction."""
-    m.setflags(write=False)
-    matrix = object.__new__(LorentzMatrix)
-    object.__setattr__(matrix, "m", m)
-    g = object.__new__(CoveringLorentz)
-    object.__setattr__(g, "matrix", matrix)
-    object.__setattr__(g, "angle", angle)
-    return g
+def _chart_product(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:
+    """g1 g2 in the chart.  R(theta_1) B_1 R(theta_2) B_2 is
+    R(theta_1 + theta_2) B(chi_1, phi_1 - theta_2) B_2, and the two boosts
+    multiply in SU(1,1) to (alpha, beta) with alpha = c_1 c_2 + s_1 s_2 e^{i delta},
+    c = cosh(chi/2), s = sinh(chi/2), delta = phi_1 - theta_2 - phi_2: the lift
+    gains 2 arg alpha (Bargmann's law, in (-pi/2, pi/2) since |alpha| >= 1),
+    and the product's boost is chi = 2 asinh|beta| along arg(beta / alpha).
+    No half angle of a lift enters, and nothing can leave the group."""
+    c1, s1 = math.cosh(0.5 * g1.rapidity), math.sinh(0.5 * g1.rapidity)
+    c2, s2 = math.cosh(0.5 * g2.rapidity), math.sinh(0.5 * g2.rapidity)
+    turned = g1.direction - g2.angle
+    alpha = c1 * c2 + s1 * s2 * cmath.exp(1j * (turned - g2.direction))
+    beta = c1 * s2 * cmath.exp(1j * g2.direction) + s1 * c2 * cmath.exp(1j * turned)
+    return _chart(g1.angle + g2.angle + 2.0 * cmath.phase(alpha),
+                  2.0 * math.asinh(abs(beta)), cmath.phase(beta * alpha.conjugate()))
 
 
 def _poincare(translation: MVec3, lorentz: CoveringLorentz) -> CoveringPoincare:
@@ -364,39 +352,18 @@ def _poincare(translation: MVec3, lorentz: CoveringLorentz) -> CoveringPoincare:
     return p
 
 
-_TRUSTED_IDENTITY = _trusted(np.eye(3), 0.0)
-
-
-def _sampled_element(alpha: float, t: float, beta: float, translation=None):
-    """cover_compose(cover_rotation(alpha), cover_compose(cover_boost1(t),
-    cover_rotation(beta))), after cover_translation(translation) unless that
-    is None, bitwise as those calls give it but without their checks.  The
-    arithmetic is theirs, so the factors and products are Lorentz and the
-    lifts project for the finite angles and moderate rapidities that random
-    sampling draws; public constructors and `cover_compose` still validate.
-    """
-    inner = _trusted(*_product(_trusted(_boost1_rows(t), 0.0),
-                               _trusted(_rotation_rows(beta), beta)))
-    g = _trusted(*_product(_trusted(_rotation_rows(alpha), alpha), inner))
-    if translation is None:
-        return g
-    # + 0.0 is the identity's image of the zero vector added in `cover_compose`
-    return _poincare(translation + ZERO_VEC, _trusted(*_product(_TRUSTED_IDENTITY, g)))
-
-
 def cover_compose(g1, g2):
-    """Product in the universal cover; the lift follows the closed-form
-    product law of `_lift_product`.
+    """Product in the universal cover, in closed form in the chart.
 
     Accepts CoveringLorentz or CoveringPoincare arguments; the result is a
     CoveringPoincare unless both inputs are CoveringLorentz.
     """
     if isinstance(g1, CoveringLorentz) and isinstance(g2, CoveringLorentz):
-        return _compose_lorentz(g1, g2)
+        return _chart_product(g1, g2)
     p1 = _as_poincare(g1)
     p2 = _as_poincare(g2)
     trans = p1.translation + p1.lorentz.matrix.apply(p2.translation)
-    return _poincare(trans, _compose_lorentz(p1.lorentz, p2.lorentz))
+    return _poincare(trans, _chart_product(p1.lorentz, p2.lorentz))
 
 
 def _as_poincare(g) -> CoveringPoincare:
@@ -408,16 +375,13 @@ def _as_poincare(g) -> CoveringPoincare:
 
 
 def cover_inverse(g):
-    """Inverse in the universal cover; the lifted angle is negated."""
+    """Inverse in the universal cover.  (alpha, beta) -> (conj alpha, -beta)
+    negates the lift and turns the boost to phi + theta + pi:
+    (R(theta) B(chi, phi))^-1 = B(chi, phi + pi) R(-theta)."""
     if isinstance(g, CoveringPoincare):
         inv_l = cover_inverse(g.lorentz)
         return _poincare(inv_l.matrix.apply(-g.translation), inv_l)
-    # u^-1 has alpha -> conj(alpha), so the lift is negated
-    return CoveringLorentz(g.matrix.inverse(), -g.angle)
-
-
-_J_MAT = np.diag([-1.0, -1.0, 1.0])
-_J_MAT.setflags(write=False)
+    return _chart(-g.angle, g.rapidity, math.remainder(g.direction + g.angle + math.pi, TWO_PI))
 
 
 def reflect_vector(x: MVec3) -> MVec3:
@@ -428,10 +392,10 @@ def reflect_vector(x: MVec3) -> MVec3:
 def reflect_conjugate(g):
     """The unique lift of Ad(j) to the universal cover: j g j.
 
-    Rotations have their lifted angle negated, boosts along x1 are fixed; the
-    map is a continuous involutive automorphism.
+    j R(theta) B(chi, phi) j = R(-theta) B(chi, -phi), so rotations have
+    their lifted angle negated and boosts along x1 are fixed; the map is a
+    continuous involutive automorphism.
     """
     if isinstance(g, CoveringPoincare):
         return _poincare(reflect_vector(g.translation), reflect_conjugate(g.lorentz))
-    m = LorentzMatrix(_J_MAT @ g.matrix.m @ _J_MAT)
-    return CoveringLorentz(m, -g.angle)
+    return _chart(-g.angle, g.rapidity, -g.direction)

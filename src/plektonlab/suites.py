@@ -138,11 +138,13 @@ def random_separated_pair(rng: np.random.Generator):
 def random_cover_element(rng: np.random.Generator, *, translations: bool = True):
     """cover_compose(cover_rotation(a), cover_compose(cover_boost1(t),
     cover_rotation(b))) for a, t and b drawn in that order, after a random
-    translation if ``translations``; built without re-validating the
-    factors and products, bitwise as those calls would build it."""
+    translation if ``translations``.  In the chart that product is
+    R(a + b) B(|t|, (0 or pi) - b), built directly."""
     alpha, t, beta = rng.uniform(-7.0, 7.0), rng.uniform(-1.2, 1.2), rng.uniform(-3.0, 3.0)
-    a = MVec3(*rng.normal(0.0, 0.5, 3)) if translations else None
-    return minkowski._sampled_element(alpha, t, beta, a)
+    g = minkowski._chart(alpha + beta, abs(t), (0.0 if t >= 0.0 else math.pi) - beta)
+    if not translations:
+        return g
+    return minkowski._poincare(MVec3(*rng.normal(0.0, 0.5, 3)), g)
 
 
 _OBS_NAMES = ("A", "B", "C", "D")

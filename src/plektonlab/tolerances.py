@@ -4,14 +4,14 @@ They decide validity checks, separation and winding verdicts, branches of closed
 forms and whether a `verify` row passes; strict or not is decided where each is used.
 """
 
-# Lorentz matrices and the universal cover (minkowski); the float-error
-# allowance of a matrix is max(1, |L|^2), that of a product also L00_1 L00_2
+# Lorentz matrices and the universal cover (minkowski).  Only matrices met at
+# the public constructors are checked; chart elements are group elements by
+# construction.  A float matrix's entries carry eps |L|, so its metric residual
+# is allowed max(1, |L|^2) and its det, read as cofactor(L00) / L00, max(1, |L|)
 MAT_TOL = 1e-12  # |L^T eta L - eta| per allowance; default matrix-entry closeness
-DET_TOL = 1e-9  # |det L - 1| per allowance
+DET_TOL = 1e-9  # |det L - 1| per max(1, |L|), never more than 1
 ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1, per allowance (never below 0)
 LIFT_TOL = 1e-9  # difference of two lifted angles that still counts as agreement
-PROJECTION_ATOL = 1e-6  # floor of |lifted angle - polar angle| mod 2 pi ...
-PROJECTION_RTOL = 1e-13  # ... and its growth per unit of allowance
 PURE_ROTATION_BOOST = 1e-12  # max(|L01|, |L02|) up to which an element is a pure rotation
 POLAR_BRANCH_BOOST = 1e-6  # |(L01, L02)| up to which theta reads the rotation block (~1e-12)
 # Directions, arcs and regions (cones, scenes)

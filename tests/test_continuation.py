@@ -123,3 +123,27 @@ def test_doublings_evaluate_only_new_midpoints():
     assert np.sort(everything).tobytes() == np.linspace(0.0, 1.0, len(everything)).tobytes()
     assert end.tolist() == pytest.approx([math.sin(3.0), 5.0], abs=1e-12)
 
+
+
+def test_the_oracle_reads_no_chart():
+    # the oracle referees the chart's lifts, so it may read a covering
+    # element's matrix and lifted angle only: no chart coordinate and no
+    # routine of the chart
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(continuation.__file__).read_text(encoding="utf-8"))
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported <= {
+        ("__future__", "annotations"), ("tolerances", "CONTINUATION_RTOL"),
+        ("wigner", "standard_boost"), ("minkowski", "ETA"), ("minkowski", "TWO_PI"),
+        ("minkowski", "CoveringLorentz"), ("minkowski", "LiftError"),
+        ("minkowski", "LorentzMatrix"), ("minkowski", "_polar_angle_raw"),
+        ("minkowski", "rotation_matrix"),
+    }
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    assert modules <= {"math", "numpy"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert read.isdisjoint({"rapidity", "direction"})

@@ -19,6 +19,9 @@ from plektonlab.minkowski import (
     reflect_conjugate,
     rotation_matrix,
 )
+from tests import su11
+
+EPS = np.finfo(float).eps
 
 
 def rnd_element(rng, translations=True):
@@ -262,12 +265,18 @@ def test_near_cancelling_strong_boosts_keep_the_lift():
 
 @pytest.mark.parametrize("boost", [5e-7, 1e-6, 2e-6, 1e-5])
 def test_near_cancelling_strong_boosts_at_the_polar_branch_switch(boost):
-    # the product is b1(boost) with entries off by eps |g|^2 ~ 1e-8; a polar
-    # angle read from the directions of row 0 and column 0 divides that by
-    # the boost, the spatial block does not
+    # g (g^-1 b1(boost)) is b1(boost) with entries off by eps |g|: the chart
+    # carries the float error of its factors, about eps L00, and no more,
+    # even where the matrix's polar angle changes branch
     g = _strong(10.0)
     gh = cover_compose(g, cover_compose(cover_inverse(g), cover_boost1(boost)))
-    assert abs(gh.angle) <= 1e-14 * g.matrix.m[0, 0] ** 2
+    ref = su11.compose(su11.chart(g.angle, g.rapidity, g.direction),
+                       su11.inverse(su11.chart(g.angle, g.rapidity, g.direction)),
+                       su11.boost1(boost))
+    bound = 8.0 * EPS * g.matrix.m[0, 0]
+    assert max(su11.chart_errors(gh, ref)) <= bound
+    assert np.abs(gh.matrix.m - su11.matrix(ref)).max() <= bound
+    assert abs(gh.angle) <= bound
 
 
 @pytest.mark.parametrize("rapidity, push, message", [
@@ -276,30 +285,67 @@ def test_near_cancelling_strong_boosts_at_the_polar_branch_switch(boost):
     (10.0, lambda m: m * 1.5, "does not preserve the metric"),
     (10.0, lambda m: m @ np.diag([1.0, 1.0, -1.0]), "not proper"),
 ])
-def test_a_product_pushed_off_the_group_is_rejected(monkeypatch, rapidity, push, message):
-    import plektonlab.minkowski as minkowski
-
-    # g g^-1 of a strong boost: its allowance L00_1 L00_2 is |g|^2, which
-    # absorbs the product's float error but not these pushes
-    g = _strong(rapidity)
-    inv = cover_inverse(g)
-    original = minkowski._renormalize
-    monkeypatch.setattr(minkowski, "_renormalize", lambda m: push(original(m)))
+def test_a_product_pushed_off_the_group_is_rejected(rapidity, push, message):
+    # products cannot leave the group, so the public constructor is where
+    # a matrix meets the checks: the product's own matrix passes them, the
+    # pushed one does not
+    gh = cover_compose(_strong(rapidity), cover_rotation(0.3))
+    back = CoveringLorentz(LorentzMatrix(gh.matrix.m), gh.angle)
+    assert np.abs(back.matrix.m - gh.matrix.m).max() <= 1e-12 * gh.matrix.m[0, 0]
     with pytest.raises(ValueError, match=message):
-        cover_compose(g, inv)
+        CoveringLorentz(LorentzMatrix(push(gh.matrix.m)), gh.angle)
 
 
 @pytest.mark.parametrize("rapidity, partner", [(2.0, None), (10.0, 0.3)])
-def test_a_pushed_lift_is_rejected(monkeypatch, rapidity, partner):
-    import plektonlab.minkowski as minkowski
-
-    # products that do not cancel take their angle from the closed form
+def test_a_pushed_lift_is_rejected(rapidity, partner):
+    # the product's lift agrees with the 80-digit product to 1e-12; moved by
+    # 1e-3 it no longer projects to the product's matrix
     g = _strong(rapidity)
     h = g if partner is None else cover_rotation(partner)
-    original = minkowski._lift_product
-    monkeypatch.setattr(minkowski, "_lift_product", lambda *args: original(*args) + 1e-3)
-    with pytest.raises(ValueError, match="does not project"):
-        cover_compose(g, h)
+    gh = cover_compose(g, h)
+    ref = su11.compose(*(su11.chart(x.angle, x.rapidity, x.direction) for x in (g, h)))
+    assert max(su11.chart_errors(gh, ref)) <= 1e-12
+    for pushed in (gh.angle + 1e-3, gh.angle - 1e-3):
+        with pytest.raises(ValueError, match="does not project"):
+            CoveringLorentz(gh.matrix, pushed)
+
+
+@pytest.mark.parametrize("rapidity", [17.0, 18.0, 19.0, 20.0, 21.0, 22.0])
+def test_accurate_strong_matrices_are_accepted(rapidity):
+    # R(theta) B(chi, phi) rounded once from 80 digits; the cofactor of L00
+    # rounds to eps |L|^2 where the full determinant rounds to eps |L|^3
+    rng = np.random.default_rng(int(rapidity))
+    for _ in range(40):
+        theta, phi = rng.uniform(-math.pi, math.pi, 2)
+        m = su11.matrix(su11.chart(theta, rapidity, phi))
+        g = CoveringLorentz(LorentzMatrix(m), theta)
+        assert abs(g.rapidity - rapidity) <= 1e-12 * rapidity
+
+
+@pytest.mark.parametrize("rapidity", [17.0, 18.0, 19.0, 20.0, 21.0, 22.0])
+def test_strong_matrices_pushed_off_the_group_are_refused(rapidity):
+    # entries moved by 1e-3 of the largest, an improper or a time-reversing
+    # matrix, and a lift moved by 1e-3.  (A uniform scaling by 1 + 1e-3 is
+    # not among them: it moves L^T eta L by 2e-3, below that product's eps |L|^2
+    # rounding at these rapidities.)
+    rng = np.random.default_rng(100 + int(rapidity))
+    for _ in range(10):
+        theta, phi = rng.uniform(-math.pi, math.pi, 2)
+        m = su11.matrix(su11.chart(theta, rapidity, phi))
+        noise = rng.standard_normal((3, 3))
+        cases = [
+            (m + 1e-3 * np.abs(m).max() * noise / np.abs(noise).max(),
+             "does not preserve the metric"),
+            (m @ np.diag([1.0, 1.0, -1.0]), "not proper"),
+            (-m, "not proper"),
+            (m @ np.diag([-1.0, -1.0, 1.0]), "not orthochronous"),
+        ]
+        for pushed, message in cases:
+            with pytest.raises(ValueError, match=message):
+                LorentzMatrix(pushed)
+        for pushed in (theta + 1e-3, theta - 1e-3):
+            with pytest.raises(ValueError, match="does not project"):
+                CoveringLorentz(LorentzMatrix(m), pushed)
 
 
 def test_reflect_examples():
@@ -310,17 +356,48 @@ def test_reflect_examples():
 
 
 def test_metric_preserved_over_deep_chains():
-    # products of many elements must stay valid Lorentz matrices (1e-12 scaled)
+    # products of many elements stay valid Lorentz matrices (1e-12 scaled)
+    # and stay on the 80-digit product in lift, rapidity and direction
     rng = np.random.default_rng(20)
     g = CoveringPoincare.identity()
+    ref = su11.rotation(0)
     eta = np.diag([1.0, -1.0, -1.0])
     for _ in range(100):
-        h = cover_compose(cover_rotation(rng.uniform(-7, 7)),
-                          cover_boost1(rng.uniform(-0.8, 0.8)))
-        g = cover_compose(g, h)
+        a, t = rng.uniform(-7, 7), rng.uniform(-0.8, 0.8)
+        g = cover_compose(g, cover_compose(cover_rotation(a), cover_boost1(t)))
+        ref = su11.compose(ref, su11.rotation(a), su11.boost1(t))
         m = g.lorentz.matrix.m
         scale = max(1.0, float(np.abs(m).max()) ** 2)
         assert np.abs(m.T @ eta @ m - eta).max() <= 1e-12 * scale
+        assert max(su11.chart_errors(g.lorentz, ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
+    # r(a) b1(t) r(b) with |t| <= 1.2 composed 200 times walks up to
+    # rapidity 23-26; every step is a group element that the public
+    # constructor accepts back, within 1e-9 of the 80-digit chain
+    rng = np.random.default_rng(seed)
+    acc, ref = CoveringLorentz.identity(), su11.rotation(0)
+    for _ in range(200):
+        a, t = rng.uniform(-math.pi, math.pi), rng.uniform(-1.2, 1.2)
+        b = rng.uniform(-math.pi, math.pi)
+        acc = cover_compose(acc, cover_compose(cover_rotation(a),
+                                               cover_compose(cover_boost1(t), cover_rotation(b))))
+        ref = su11.compose(ref, su11.rotation(a), su11.boost1(t), su11.rotation(b))
+        assert max(su11.chart_errors(acc, ref)) <= 1e-9
+        back = CoveringLorentz(LorentzMatrix(acc.matrix.m), acc.angle)
+        assert max(su11.chart_errors(back, ref)) <= 1e-9
+    assert acc.rapidity > 20.0
+
+
+def test_reflect_conjugate_matrix_is_j_l_j():
+    j = np.diag([-1.0, -1.0, 1.0])
+    rng = np.random.default_rng(8)
+    for _ in range(500):
+        g = cover_compose(rnd_element(rng, translations=False),
+                          rnd_element(rng, translations=False))
+        assert np.array_equal(reflect_conjugate(g).matrix.m, j @ g.matrix.m @ j)
 
 
 def test_lift_failure_surfaces():

@@ -1,11 +1,14 @@
 """The stacked transport layer against the per-vector and full-matrix formulas
-it replaced, kept here as references.
+it replaced, kept here as references, and the covering group's chart against
+an 80-digit SU(1,1) product.
 
-`act`, `cover_compose`, `cover_inverse`, `standard_boost` and
-`wigner_rotation` perform the references' arithmetic on fewer or larger
-arrays, and `cone_path`, `wedge_path`, `reflect_path`, `closure_rays` and the
-generators' `_cone_rays` build the per-vector regions of the references from
-3-tuples, so every output must agree bit for bit, signed zeros included.
+`act`, `standard_boost` and `wigner_rotation` perform the references'
+arithmetic on fewer or larger arrays, and `cone_path`, `wedge_path`,
+`reflect_path`, `closure_rays` and the generators' `_cone_rays` build the
+per-vector regions of the references from 3-tuples, so every output must
+agree bit for bit, signed zeros included.  `cover_compose`, `cover_inverse`
+and the chart's matrices must agree with mpmath to a few eps of the float
+error their factors carry.
 """
 
 import math
@@ -39,10 +42,9 @@ from plektonlab.minkowski import (
     cover_translation,
 )
 from plektonlab.wigner import shell_points, standard_boost, wigner_rotation
+from tests import su11
 
-
-def _renormalize_chained(m):
-    return m - 0.5 * m @ ETA @ (m.T @ ETA @ m - ETA)
+EPS = np.finfo(float).eps
 
 
 def _lift_product_full(theta1, m1, theta2, m2):
@@ -73,15 +75,8 @@ def _wigner_full(g, pts):
     return _lift_product_full(0.0, b_inv, theta_gbp, m @ bp)
 
 
-def _compose_full(g1, g2):
-    m = _renormalize_chained(g1.matrix.m @ g2.matrix.m)
-    theta = float(_lift_product_full(g1.angle, g1.matrix.m, g2.angle, g2.matrix.m))
-    if g1.matrix.m[0, 0] * g2.matrix.m[0, 0] > m[0, 0] ** 3:
-        # near-cancelling factors: the sheet of the closed form, the angle of
-        # the product's spatial block
-        block = math.atan2(m[2, 1] - m[1, 2], m[1, 1] + m[2, 2])
-        theta += minkowski.wrap_angle(block - theta)
-    return m, theta
+def _reference(g):
+    return su11.chart(g.angle, g.rapidity, g.direction)
 
 
 def _act_per_vector(g, path):
@@ -158,26 +153,37 @@ def test_act_matches_per_vector_reference():
 
 
 def test_compose_and_inverse_match_full_matrix_reference():
+    # each product's chart within 8 eps sqrt(L00_1 L00_2) max(1, |lifts|) of the
+    # 80-digit product, its matrix within 8 eps L00_1 L00_2 max(1, |lifts|);
+    # an inverse within 8 eps max(1, |lift|), its matrix 8 eps L00 max(1, |lift|)
     rng = np.random.default_rng(102)
     elements = _elements(rng, 200)
     for k, g in enumerate(elements):
         # strong with mild partners, and each element with its own inverse
         for h in (elements[-1 - k], cover_inverse(g)):
-            m, theta = _compose_full(g, h)
             gh = cover_compose(g, h)
-            _assert_same_bits(gh.matrix.m, m)
-            _assert_same_bits(gh.angle, theta)
+            ref = su11.compose(_reference(g), _reference(h))
+            size = g.matrix.m[0, 0] * h.matrix.m[0, 0]
+            lifts = max(1.0, abs(g.angle), abs(h.angle))
+            assert max(su11.chart_errors(gh, ref)) <= 8.0 * EPS * math.sqrt(size) * lifts
+            assert np.abs(gh.matrix.m - su11.matrix(ref)).max() <= 8.0 * EPS * size * lifts
         inv = cover_inverse(g)
-        _assert_same_bits(inv.matrix.m, _renormalize_chained(ETA @ g.matrix.m.T @ ETA))
-        _assert_same_bits(inv.angle, -g.angle)
+        ref = su11.inverse(_reference(g))
+        lift = max(1.0, abs(g.angle))
+        assert inv.angle == -g.angle and inv.rapidity == g.rapidity
+        assert max(su11.chart_errors(inv, ref)) <= 8.0 * EPS * lift
+        assert np.abs(inv.matrix.m - su11.matrix(ref)).max() <= 8.0 * EPS * g.matrix.m[0, 0] * lift
 
 
-def test_renormalize_matches_chained_products():
+def test_chart_matrix_matches_mpmath():
+    # R(theta) B(chi, phi) from cos, sin, cosh and sinh against the matrix
+    # rounded once from 80 digits, and back through the public constructor
     rng = np.random.default_rng(103)
     for g in _elements(rng, 100):
         m = g.matrix.m
-        for x in (m, ETA @ m.T @ ETA, m + rng.normal(0.0, 1e-13, (3, 3))):
-            _assert_same_bits(minkowski._renormalize(x), _renormalize_chained(x))
+        assert np.abs(m - su11.matrix(_reference(g))).max() <= 4.0 * EPS * m[0, 0]
+        back = minkowski.CoveringLorentz(minkowski.LorentzMatrix(m), g.angle)
+        assert max(su11.chart_errors(back, _reference(g))) <= 4.0 * EPS * max(1.0, abs(g.angle))
 
 
 def test_standard_boost_and_wigner_match_full_matrix_reference():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plektonlab.minkowski import (
     LorentzMatrix,
@@ -13,10 +15,12 @@ from plektonlab.minkowski import (
     cover_rotation,
     polar_rotation_angle,
 )
+from plektonlab.cli import main
 from plektonlab.sectors import sector_phase
 from plektonlab.wigner import (
     GaussianSum,
     MassShellPoint,
+    WaveFunction,
     apply_j,
     apply_rep,
     sample_shell,
@@ -27,6 +31,7 @@ from plektonlab.wigner import (
     verify_j_relations,
     wigner_rotation,
 )
+from tests.conftest import ASSETS
 
 TWO_PI = 2 * math.pi
 
@@ -113,6 +118,45 @@ def test_norm_preservation():
         a = MVec3(*rng.normal(0, 0.3, 3))
         n1 = shell_norm2(apply_rep(a, g, 1.0 / 3.0, PSI), 1.0)
         assert abs(n1 - n0) / n0 < 1e-6
+
+
+class _Decaying(WaveFunction):
+    """|psi|^2 = exp(-b omega)."""
+
+    def __init__(self, b):
+        self.b = b
+
+    def evaluate(self, pts):
+        return np.exp(-0.5 * self.b * pts[..., 0])
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 2.0, 4.0])
+@pytest.mark.parametrize("mass", [0.5, 1.0, 2.0])
+def test_shell_rule_integrates_the_closed_form(b, mass):
+    # int exp(-b omega) d^2 p / (2 omega) = pi exp(-b m) / b
+    want = math.pi * math.exp(-b * mass) / b
+    assert abs(shell_norm2(_Decaying(b), mass) - want) <= 1e-12 * want
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.floats(0.0, 1.2), st.floats(-math.pi, math.pi), st.floats(-20.0, 20.0),
+       st.floats(-1.0, 1.0), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_boosted_states_keep_their_norm(rapidity, direction, angle, spin, a):
+    # every boost the suites draw (rapidity up to 1.2); the rule's range is
+    # stated in `wigner._shell_rule`
+    g = cover_compose(cover_rotation(angle + direction),
+                      cover_compose(cover_boost1(rapidity), cover_rotation(-direction)))
+    n0 = shell_norm2(PSI, 1.0)
+    n1 = shell_norm2(apply_rep(MVec3(*a), g, spin, PSI), 1.0)
+    assert abs(n1 - n0) <= 1e-12 * n0
+
+
+def test_verify_all_passes_at_quarter_sweep_seed_3(monkeypatch, capsys):
+    # the [-8, 8]^2 box rule read unitarity 7.3e-6 here, against 1e-6
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.25")
+    code = main(["verify", "--suite", "all", "--model", str(ASSETS / "z3_anyon.json"),
+                 "--scene", str(ASSETS / "antipodal_scene.json"), "--seed", "3"])
+    assert code == 0, capsys.readouterr().out
 
 
 def test_apply_j_involution_and_antilinearity():
