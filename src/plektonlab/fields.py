@@ -25,6 +25,7 @@ from .cones import (
     ReferenceFrame,
     DEFAULT_FRAME,
     _require_separated,
+    _separated_many,
     _winding,
     causally_separated,
     path_within_wedge,
@@ -193,12 +194,23 @@ def exchange(w: FieldWord, i: int, model: AnyonModel) -> FieldWord:
     """Swap factors i (left, acting last) and i+1, multiplying the
     coefficient with omega^(c1 c2 (2n+1)), n the relative winding of the
     left factor's path with respect to the right one's."""
-    left, right = w.factors[i], w.factors[i + 1]
-    if not (left.is_localized() and right.is_localized()):
-        raise ValueError("cannot exchange a delocalized symbol")
-    if not causally_separated(left.loc, right.loc):
-        raise ValueError("exchange requires causally separated localisations")
+    (refusal,) = _exchange_refusals((w.factors[i], w.factors[i + 1]))
+    if refusal is not None:
+        raise refusal
     return _exchange(w, i, model)
+
+
+def _exchange_refusals(factors: tuple[FieldSymbol, ...]) -> list:
+    """Per adjacent pair of factors, the error `exchange` raises on it, or
+    None; the localised pairs are decided in one stack."""
+    pairs = [(a.loc, b.loc) if a.is_localized() and b.is_localized() else None
+             for a, b in zip(factors, factors[1:])]
+    verdicts = iter(_separated_many([pair for pair in pairs if pair]))
+    # a verdict is True, False or the SeparationError its decision raised
+    return [ValueError("cannot exchange a delocalized symbol") if pair is None
+            else None if (verdict := next(verdicts)) is True
+            else verdict or ValueError("exchange requires causally separated localisations")
+            for pair in pairs]
 
 
 def _exchange(w: FieldWord, i: int, model: AnyonModel) -> FieldWord:

@@ -4,18 +4,17 @@ For a Z_N model, builds N x N clock/shift matrices U, V with U V = omega V U
 and represents a charge-c symbol at site j of an L-site chain as the string
 operator (U_1 ... U_{j-1} V_j)^c.  Site order follows the angular order of
 the localisations, so pairwise windings lie in {-1, 0} and the matrix
-algebra reproduces every exchange and adjoint identity of the symbolic
-layer to machine precision.  Products are taken site by site in N x N
-factors, and each side of an identity is one Kronecker product of the site
-products.  U and V are monomial (one nonzero per row and column), so that
-product is held as a row index and a value per column, d = N^L of each
-(N^L <= 1024), and the sides are compared in O(d) time and memory.
-
-The oracle builds the site products of one identity family as a single
-(W, L, N, N) stack: the word with its L-1 exchanged words, or the L adjoints
-beside their symbols.  Each factor position is one batched matrix product
-over the stack, and one check finds the whole stack monomial.  The Kronecker
-expansion then runs one side at a time, so at most two O(d) sides are alive.
+algebra reproduces every exchange and adjoint identity of the symbolic layer
+to machine precision.  Each side of an identity is the Kronecker product of
+L site products of N x N factors (d = N^L <= 1024).  U and V are monomial
+(one nonzero per row and column), so a site product is a row index and a
+value per column; one identity family (the word and its L-1 exchanged words,
+or the adjoints beside their symbols) is one (W, L, N, N) stack with one
+batched product per factor position.  By the mixed-product rule two sides'
+rows agree at a column iff every site's rows agree, so rows stay (L, N) and
+an adjoint's dagger is taken per site; only the values are expanded to d,
+one side at a time, so at most two O(d) sides are alive.  The word's
+adjacent pairs are decided in one stack before any side is built.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import FieldWord, FieldSymbol, adjoint, angular_order, exchange
+from .fields import FieldWord, FieldSymbol, _exchange, _exchange_refusals, adjoint, angular_order
 from .sectors import AnyonModel
 from .tolerances import LATTICE_TOL
 
@@ -32,22 +31,12 @@ from .tolerances import LATTICE_TOL
 # (site_operator, symbol_matrix, word_matrix) return 268 MB matrices
 MAX_DIMENSION = 1024
 
-# a matrix with one nonzero in each row and column, as (row index per column,
-# value per column)
-Monomial = tuple[np.ndarray, np.ndarray]
+# a Kronecker product of monomial site products: (L, N) site rows, d values
+Side = tuple[np.ndarray, np.ndarray]
 
 
 class OracleError(ValueError):
     """The lattice oracle cannot represent the requested configuration."""
-
-
-def _clock_shift(n: int) -> tuple[np.ndarray, np.ndarray]:
-    zeta = np.exp(2j * np.pi / n)
-    clock = np.diag(zeta ** np.arange(n))
-    shift = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        shift[(k + 1) % n, k] = 1.0
-    return clock, shift
 
 
 def _monomials(prods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -61,37 +50,31 @@ def _monomials(prods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.take_along_axis(prods, rows[..., None, :], axis=-2)[..., 0, :]
 
 
-def _kron(rows: np.ndarray, vals: np.ndarray) -> Monomial:
-    """reduce(np.kron, site products) in monomial form, from one word's (L, N)
-    rows and values; values are multiplied left to right from 1, as np.kron
-    does, so each is bitwise the entry it gives."""
-    out_rows, out_vals = np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex)
-    for r, v in zip(rows, vals):
-        out_rows = np.add.outer(out_rows * len(r), r).ravel()
-        out_vals = np.multiply.outer(out_vals, v).ravel()
-    return out_rows, out_vals
-
-
-def _dense(mono: Monomial) -> np.ndarray:
-    """The monomial matrix scattered into zeros."""
-    rows, vals = mono
-    out = np.zeros((len(rows), len(rows)), dtype=complex)
-    out[rows, np.arange(len(rows))] = vals
+def _expand(ufunc, start, per_site: np.ndarray) -> np.ndarray:
+    """The d entries of the Kronecker expansion of (L, N) site entries,
+    combined by ufunc left to right from start; site values multiplied from
+    1 are bitwise the entries np.kron gives."""
+    out = np.array([start])
+    for entries in per_site:
+        out = ufunc.outer(out, entries).ravel()
     return out
 
 
-def _distance(a: Monomial, b: Monomial) -> float:
-    """Max-norm distance |a - b|; a - b is 0 outside the nonzeros of a and b."""
+def _side(rows: np.ndarray, vals: np.ndarray, coeff: complex = 1.0) -> Side:
+    return rows, _expand(np.multiply, 1 + 0j, vals) * coeff
+
+
+def _distance(a: Side, b: Side) -> float:
+    """Max-norm distance |a - b|.  The rows agree at a column iff they agree
+    at every site; there a - b is the difference of the values, elsewhere
+    its nonzeros are the two values in their own rows."""
     (ra, va), (rb, vb) = a, b
-    apart = np.maximum(np.abs(va), np.abs(vb))
-    return float(np.where(ra == rb, np.abs(va - vb), apart).max())
-
-
-def _dagger(mono: Monomial) -> Monomial:
-    """The conjugate transpose: the inverse row map with conjugated values."""
-    rows, vals = mono
-    inverse = np.argsort(rows)
-    return inverse, vals[inverse].conj()
+    gap = np.abs(va - vb)
+    same = ra == rb
+    if not same.all():
+        gap = np.where(_expand(np.logical_and, True, same), gap,
+                       np.maximum(np.abs(va), np.abs(vb)))
+    return float(gap.max())
 
 
 def _charge(sym: FieldSymbol) -> int:
@@ -122,8 +105,9 @@ class ClockShiftLattice:
         # validator condition omega^N = 1
         if (turns * n).denominator != 1:
             raise OracleError("omega is not an N-th root of unity")
-        clock, self._v = _clock_shift(n)
+        clock = np.diag(np.exp(2j * np.pi / n) ** np.arange(n))
         self._u = np.linalg.matrix_power(clock, int(turns * n))
+        self._v = np.eye(n, k=-1, dtype=complex) + np.eye(n, k=n - 1, dtype=complex)
         self._eye = np.eye(n, dtype=complex)
         # charge -> (U^c, V^c), each power taken once
         self._powers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -155,19 +139,24 @@ class ClockShiftLattice:
             prods = prods @ np.array([self._factors(site, charge) for charge, site in column])
         return _monomials(prods)
 
-    def _side(self, factors: list[tuple[int, int]]) -> Monomial:
+    def _matrix(self, factors: list[tuple[int, int]], coeff: complex = 1.0) -> np.ndarray:
+        """One word's side scattered into a d x d matrix of zeros."""
         rows, vals = self._site_products([factors])
-        return _kron(rows[0], vals[0])
+        rows, vals = _side(rows[0], vals[0], coeff)
+        weights = self.model.group_order ** np.arange(self.n_sites - 1, -1, -1)
+        out = np.zeros((len(vals), len(vals)), dtype=complex)
+        out[_expand(np.add, 0, rows * weights[:, None]), np.arange(len(vals))] = vals
+        return out
 
     def site_operator(self, j: int) -> np.ndarray:
-        return _dense(self._side([(1, j)]))
+        return self._matrix([(1, j)])
 
     def symbol_matrix(self, sym: FieldSymbol, site: int) -> np.ndarray:
-        return _dense(self._side([(_charge(sym), site)]))
+        return self._matrix([(_charge(sym), site)])
 
     def word_matrix(self, word: FieldWord, sites: list[int]) -> np.ndarray:
-        rows, vals = self._side([(_charge(sym), s) for sym, s in zip(word.factors, sites)])
-        return _dense((rows, vals * word.coeff.to_complex()))
+        return self._matrix([(_charge(sym), s) for sym, s in zip(word.factors, sites)],
+                            word.coeff.to_complex())
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:
@@ -196,32 +185,31 @@ def _exchange_residual(lat: ClockShiftLattice, model: AnyonModel, word: FieldWor
     sites swapped at i; the word and its L-1 exchanged words are one stack."""
     stack = [[(_charge(sym), s) for sym, s in zip(word.factors, sites)]]
     coeffs = [word.coeff.to_complex()]
-    for i in range(len(word.factors) - 1):
-        swapped = exchange(word, i, model)
-        swapped_sites = list(sites)
-        swapped_sites[i], swapped_sites[i + 1] = swapped_sites[i + 1], swapped_sites[i]
+    for i, refusal in enumerate(_exchange_refusals(word.factors)):
+        if refusal is not None:
+            raise refusal
+        swapped = _exchange(word, i, model)
+        swapped_sites = [*sites[:i], sites[i + 1], sites[i], *sites[i + 2:]]
         stack.append([(_charge(sym), s) for sym, s in zip(swapped.factors, swapped_sites)])
         coeffs.append(swapped.coeff.to_complex())
     rows, vals = lat._site_products(stack)
-
-    def side(k: int) -> Monomial:
-        # one Kronecker expansion at a time, so at most two O(N^L) sides live
-        r, v = _kron(rows[k], vals[k])
-        v *= coeffs[k]
-        return r, v
-
-    unswapped = side(0)
-    return max((_distance(unswapped, side(k)) for k in range(1, len(stack))), default=0.0)
+    unswapped = _side(rows[0], vals[0], coeffs[0])
+    return max((_distance(unswapped, _side(rows[k], vals[k], coeffs[k]))
+                for k in range(1, len(stack))), default=0.0)
 
 
 def _adjoint_residual(lat: ClockShiftLattice, word: FieldWord, sites: list[int]) -> float:
     """max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
-    over the factors; each adjoint sits beside its symbol in one stack of 2L."""
+    over the factors; each adjoint sits beside its symbol in one stack of 2L.
+    The dagger is taken per site, as the inverse row map with conjugated
+    values; the Kronecker product of the site daggers is exactly the dagger."""
     rows, vals = lat._site_products([[(_charge(s), site)]
                                      for sym, site in zip(word.factors, sites)
                                      for s in (adjoint(sym), sym)])
-    return max((_distance(_dagger(_kron(rows[k], vals[k])), _kron(rows[k + 1], vals[k + 1]))
-                for k in range(0, len(rows), 2)), default=0.0)
+    dag_rows = np.argsort(rows[0::2], axis=-1)
+    dag_vals = np.take_along_axis(vals[0::2], dag_rows, axis=-1).conj()
+    return max((_distance(_side(*dagger), _side(*sym)) for dagger, sym
+                in zip(zip(dag_rows, dag_vals), zip(rows[1::2], vals[1::2]))), default=0.0)
 
 
 def lattice_oracle(model: AnyonModel, word: FieldWord,

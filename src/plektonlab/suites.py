@@ -674,8 +674,8 @@ def wigner_suite(model: AnyonModel, scene, seed: int) -> Report:
     coarse = continuation.wigner_angles(g, pts, initial_steps=64)
     fine = continuation.wigner_angles(g, pts, initial_steps=128)
     worst = float(np.abs(coarse - fine).max())
-    rep.add_outcome("continuation-step-independence", worst < STEP_INDEPENDENCE_TOL,
-                    residual=worst, note="halving the step changes the lift below 1e-10")
+    rep.add_outcome("continuation-step-independence", worst < STEP_INDEPENDENCE_TOL, residual=worst,
+                    note=f"halving the step changes the lift below {STEP_INDEPENDENCE_TOL:g}")
 
     n_orc = _n(4)
     worst = 0.0

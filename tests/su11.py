@@ -67,6 +67,22 @@ def matrix(g):
     return np.array((r * b).tolist(), dtype=float)
 
 
+def arc_end(g, angle) -> float:
+    """The lifted angle to which g moves a space-like ray at lifted angle
+    `angle`: theta + angle plus the turn of the ray under the boost
+    B(chi, phi).  The boost stretches the ray's component along (cos phi,
+    sin phi) by cosh chi and keeps the other, so the turn lies in
+    (-pi/2, pi/2) and is the principal angle from the ray to its image."""
+    theta, _, beta = g
+    chi, phi = 2 * mp.asinh(abs(beta)), mp.arg(beta * mp.expj(-theta / 2))
+    angle = mp.mpf(angle)
+    u, n = (mp.cos(angle), mp.sin(angle)), (mp.cos(phi), mp.sin(phi))
+    stretch = (mp.cosh(chi) - 1) * (u[0] * n[0] + u[1] * n[1])
+    image = (u[0] + stretch * n[0], u[1] + stretch * n[1])
+    turn = mp.atan2(u[0] * image[1] - u[1] * image[0], u[0] * image[0] + u[1] * image[1])
+    return float(angle + theta + turn)
+
+
 def direction_gap(phi1: float, phi2: float) -> float:
     """|phi1 - phi2| mod 2 pi, in [0, pi]."""
     return abs(math.remainder(phi1 - phi2, 2.0 * math.pi))

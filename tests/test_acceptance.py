@@ -48,6 +48,7 @@ from plektonlab.sectors import (
     twist_phase,
 )
 from plektonlab.suites import random_cover_element, random_separated_pair, random_symbol
+from plektonlab.tolerances import LATTICE_TOL
 from tests.conftest import ASSETS
 
 TWO_PI = 2 * math.pi
@@ -257,8 +258,8 @@ def test_criterion_7_lattice_oracle():
             rep = lattice_oracle(model, word)
             worst = max(worst, rep.exchange_residual, rep.adjoint_residual)
     elapsed = time.monotonic() - t0
-    report("AC-7", worst < 1e-12 and elapsed < 30.0,
-           f"max residual {worst:.2e} < 1e-12, {elapsed:.1f}s < 30s")
+    report("AC-7", worst < LATTICE_TOL and elapsed < 30.0,
+           f"max residual {worst:.2e} < {LATTICE_TOL:g}, {elapsed:.1f}s < 30s")
 
 
 def test_criterion_8_wigner_suite():

@@ -1,11 +1,12 @@
+import math
 from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from plektonlab.cones import cone_path
-from plektonlab.fields import FieldSymbol, FieldWord, ObservableWord
+from plektonlab.cones import SeparationError, WindingError, cone_path
+from plektonlab.fields import DELOCALIZED, FieldSymbol, FieldWord, ObservableWord, _exchange
 import plektonlab.lattice
 from plektonlab.lattice import ClockShiftLattice, LatticeReport, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
@@ -149,20 +150,73 @@ def test_oracle_rejections(z3, boson, semion):
         lattice_oracle(z3, word)
 
 
+_RELATED = "exchange requires causally separated localisations"
+_DELOCALIZED = "cannot exchange a delocalized symbol"
+_AMBIGUOUS = "separation undecidable within tolerance"
+
+
+@pytest.mark.parametrize("names, sites, error, match", [
+    ("base later", None, ValueError, _RELATED),
+    ("opposite base later", None, ValueError, _RELATED),
+    ("base delocalized", [0, 1], ValueError, _DELOCALIZED),
+    ("base grazing", None, SeparationError, _AMBIGUOUS),
+    # two failing pairs: the lower index's refusal wins
+    ("grazing base later", None, SeparationError, _AMBIGUOUS),
+    ("later base grazing", None, ValueError, _RELATED),
+    ("later base delocalized", [0, 1, 2], ValueError, _RELATED),
+    ("delocalized base grazing", [0, 1, 2], ValueError, _DELOCALIZED),
+    # a separated pair with no winding raises when it is exchanged, before
+    # the next pair's refusal
+    ("west east later", None, WindingError, "share an endpoint"),
+])
+def test_oracle_refuses_a_pair_exchange_refuses(z3, monkeypatch, names, sites, error, match):
+    # each adjacent pair is refused as `exchange` refuses it, the lowest
+    # index first, and before any site product is built
+    def unbuilt(self, words):
+        raise AssertionError("site products built before the refusal")
+
+    monkeypatch.setattr(ClockShiftLattice, "_site_products", unbuilt)
+    base = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
+    locs = {
+        "base": base,
+        "opposite": cone_path(MVec3(0, 0, 0), math.pi, 0.3),
+        # a later apex in base's own direction: causally related to base
+        "later": base.translated(MVec3(2.0, 0, 0)),
+        # apexes light-like to base's up to 1e-8: inside the ambiguity band
+        "grazing": cone_path(MVec3(1 + 1e-8, -1, 0), math.pi, 0.3),
+        "delocalized": DELOCALIZED,
+        # arcs (-0.4, 0) and (0, 0.4) at one apex: separated, but grazing
+        "west": cone_path(MVec3(0, 0, 0), -0.2, 0.2),
+        "east": cone_path(MVec3(0, 0, 0), 0.2, 0.2),
+    }
+    word = FieldWord.of(*(FieldSymbol(1, I, locs[name]) for name in names.split()))
+    with pytest.raises(error, match=match):
+        lattice_oracle(z3, word, sites)
+
+
 def _four_factor_word():
     return FieldWord.of(*(FieldSymbol(c, I, loc)
                           for c, loc in zip((1, 2, -1, 1), fan(4))))
 
 
+def _off_by_a_third(word, i, model):
+    """The exchanged word with a coefficient one third of a turn off."""
+    swapped = _exchange(word, i, model)
+    return FieldWord(swapped.coeff * CyclotomicPhase.from_pair(1, 3), swapped.factors)
+
+
+def _mutate(patch, mutation):
+    """Patch the oracle's hook and the dense reference's alike: the unchecked
+    exchange, which `fields.exchange` calls after its checks, or adjoint."""
+    for module in (plektonlab.lattice, plektonlab.fields):
+        if mutation == "exchange":
+            patch.setattr(module, "_exchange", _off_by_a_third)
+        elif mutation == "adjoint":
+            patch.setattr(module, "adjoint", lambda sym: sym)
+
+
 def test_oracle_detects_wrong_exchange_coefficient(z3, monkeypatch):
-    exchange = plektonlab.lattice.exchange
-    third = CyclotomicPhase.from_pair(1, 3)
-
-    def off_by_a_third(word, i, model):
-        swapped = exchange(word, i, model)
-        return FieldWord(swapped.coeff * third, swapped.factors)
-
-    monkeypatch.setattr(plektonlab.lattice, "exchange", off_by_a_third)
+    monkeypatch.setattr(plektonlab.lattice, "_exchange", _off_by_a_third)
     rep = lattice_oracle(z3, _four_factor_word())
     assert rep.exchange_residual > 1
     assert not rep.ok
@@ -211,20 +265,39 @@ def _dense_residuals(model, word, sites):
 def test_oracle_residuals_equal_dense_sides(z3, monkeypatch, mutation):
     # the mutations make both residuals nonzero in turn, so the equality is
     # checked on values other than rounding noise
-    if mutation == "exchange":
-        exchange = plektonlab.lattice.exchange
-        third = CyclotomicPhase.from_pair(1, 3)
-        wrong = lambda word, i, model: FieldWord(
-            exchange(word, i, model).coeff * third, exchange(word, i, model).factors)
-        monkeypatch.setattr(plektonlab.lattice, "exchange", wrong)
-        monkeypatch.setattr(plektonlab.fields, "exchange", wrong)
-    elif mutation == "adjoint":
-        monkeypatch.setattr(plektonlab.lattice, "adjoint", lambda sym: sym)
-        monkeypatch.setattr(plektonlab.fields, "adjoint", lambda sym: sym)
+    _mutate(monkeypatch, mutation)
     word = _four_factor_word()
     sites = [1, 3, 0, 2]
     rep = lattice_oracle(z3, word, sites)
     assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(z3, word, sites)
+
+
+def test_site_wise_distance_equals_dense_distance():
+    # clock and shift products agree at all or none of a site's columns, so
+    # the oracle's sides never give a mixed column mask; random site rows
+    # with one transposition at some sites do, and random values
+    from plektonlab.lattice import _distance, _side
+
+    def dense(rows, vals):
+        sites = [np.zeros((len(r), len(r)), dtype=complex) for r in rows]
+        for m, r, v in zip(sites, rows, vals):
+            m[r, np.arange(len(r))] = v
+        return reduce(np.kron, sites, np.ones((1, 1), dtype=complex))
+
+    rng = np.random.default_rng(12)
+    mixed = 0
+    for _ in range(60):
+        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        rows_a = np.array([rng.permutation(n) for _ in range(length)])
+        rows_b = rows_a.copy()
+        for k in np.flatnonzero(rng.random(length) < 0.5):
+            i, j = rng.choice(n, 2, replace=False)
+            rows_b[k, [i, j]] = rows_b[k, [j, i]]
+        vals_a, vals_b = (np.exp(2j * np.pi * rng.random((length, n))) for _ in range(2))
+        got = _distance(_side(rows_a, vals_a), _side(rows_b, vals_b))
+        assert got == np.abs(dense(rows_a, vals_a) - dense(rows_b, vals_b)).max()
+        mixed += n > 2 and not (rows_a == rows_b).all()
+    assert mixed > 10
 
 
 def test_oracle_holds_no_dense_side(z3):
@@ -256,16 +329,7 @@ def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, len
     # the largest word admitted for each N: d = 64, 729, 1024 and 625
     model = AnyonModel(n_group, CyclotomicPhase(Fraction(1, n_group)),
                        CyclotomicPhase.from_pair(*_ROOTS[n_group]), Fraction(1, n_group))
-    if mutation == "exchange":
-        exchange = plektonlab.lattice.exchange
-        third = CyclotomicPhase.from_pair(1, 3)
-        wrong = lambda word, i, model: FieldWord(
-            exchange(word, i, model).coeff * third, exchange(word, i, model).factors)
-        monkeypatch.setattr(plektonlab.lattice, "exchange", wrong)
-        monkeypatch.setattr(plektonlab.fields, "exchange", wrong)
-    elif mutation == "adjoint":
-        monkeypatch.setattr(plektonlab.lattice, "adjoint", lambda sym: sym)
-        monkeypatch.setattr(plektonlab.fields, "adjoint", lambda sym: sym)
+    _mutate(monkeypatch, mutation)
     rng = np.random.default_rng(1000 * n_group + length)
     charges = [int(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], length)]
     cones = fan(length)
@@ -309,13 +373,6 @@ def test_oracle_residuals_equal_dense_sides_over_random_words(monkeypatch):
     # rounding noise.  Later lengths are the shorter of two draws: the dense
     # reference costs up to 0.3 s a word at the top of each ladder, which the
     # cap tests cover
-    exchange = plektonlab.lattice.exchange
-    third = CyclotomicPhase.from_pair(1, 3)
-
-    def wrong(word, i, model):
-        swapped = exchange(word, i, model)
-        return FieldWord(swapped.coeff * third, swapped.factors)
-
     pairs = [(n, length) for n, top in _MAX_LENGTH.items() for length in range(1, top + 1)]
     rng = np.random.default_rng(20)
     nonzero = 0
@@ -335,9 +392,8 @@ def test_oracle_residuals_equal_dense_sides_over_random_words(monkeypatch):
                  else plektonlab.lattice._sites_by_angle(word))
         with monkeypatch.context() as m:
             if k % 2:
-                for module in (plektonlab.lattice, plektonlab.fields):
-                    m.setattr(module, "exchange", wrong)
-                    m.setattr(module, "adjoint", lambda sym: sym)
+                _mutate(m, "exchange")
+                _mutate(m, "adjoint")
             rep = lattice_oracle(_model(n_group), word, sites if explicit else None)
             want = _dense_residuals(_model(n_group), word, sites)
         assert (rep.exchange_residual, rep.adjoint_residual) == want, (k, n_group, length)
@@ -376,17 +432,22 @@ def test_oracle_holds_no_dense_side_at_the_cap(semion):
 
 
 def test_oracle_calls_exchange_and_adjoint_once_per_identity(z3, monkeypatch):
-    calls = {"exchange": 0, "adjoint": 0}
-    for name in calls:
-        original = getattr(plektonlab.lattice, name)
+    # the L-1 unchecked exchanges and the L adjoints, after one stacked
+    # decision of the adjacent pairs and no decision of a pair on its own
+    calls = {"_exchange": 0, "adjoint": 0, "_separated_many": 0}
+    for module, name in ((plektonlab.lattice, "_exchange"), (plektonlab.lattice, "adjoint"),
+                         (plektonlab.fields, "_separated_many")):
+        original = getattr(module, name)
 
         def counted(*args, name=name, original=original):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(plektonlab.lattice, name, counted)
+        monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(plektonlab.fields, "causally_separated", None)
     for length in range(6):
-        calls.update(exchange=0, adjoint=0)
+        calls.update(_exchange=0, adjoint=0, _separated_many=0)
         word = FieldWord.of(*(FieldSymbol(1, I, loc) for loc in fan(length)))
         assert lattice_oracle(z3, word).checks == max(length - 1, 0) + length
-        assert calls == {"exchange": max(length - 1, 0), "adjoint": length}
+        assert calls == {"_exchange": max(length - 1, 0), "adjoint": length,
+                         "_separated_many": 1}

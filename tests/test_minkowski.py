@@ -372,11 +372,9 @@ def test_metric_preserved_over_deep_chains():
         assert max(su11.chart_errors(g.lorentz, ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("seed", [3, 4, 5])
-def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
-    # r(a) b1(t) r(b) with |t| <= 1.2 composed 200 times walks up to
-    # rapidity 23-26; every step is a group element that the public
-    # constructor accepts back, within 1e-9 of the 80-digit chain
+def _mild_chain(seed):
+    """(acc, ref) after each of 200 steps acc = acc r(a) b1(t) r(b), |t| <= 1.2:
+    the package's product and the 80-digit one."""
     rng = np.random.default_rng(seed)
     acc, ref = CoveringLorentz.identity(), su11.rotation(0)
     for _ in range(200):
@@ -385,10 +383,49 @@ def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
         acc = cover_compose(acc, cover_compose(cover_rotation(a),
                                                cover_compose(cover_boost1(t), cover_rotation(b))))
         ref = su11.compose(ref, su11.rotation(a), su11.boost1(t), su11.rotation(b))
+        yield acc, ref
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
+    # r(a) b1(t) r(b) with |t| <= 1.2 composed 200 times walks up to
+    # rapidity 23-26; every step is a group element that the public
+    # constructor accepts back, within 1e-9 of the 80-digit chain
+    for acc, ref in _mild_chain(seed):
         assert max(su11.chart_errors(acc, ref)) <= 1e-9
         back = CoveringLorentz(LorentzMatrix(acc.matrix.m), acc.angle)
         assert max(su11.chart_errors(back, ref)) <= 1e-9
     assert acc.rapidity > 20.0
+
+
+# act's images of these paths stay within 1.7e-12 of the 80-digit arc ends
+# wherever act returns one, up to the chains' top rapidity of 26.4.  From
+# rapidity 23.1 on act refuses some images: most are cones whose exact arc
+# is within ARC_TOL of pi, but at seed 4 it refuses two valid ones as
+# "boundary normals must be light-like" (rapidity 23.1 and 24.6)
+ACT_EXACT_UP_TO = 23.0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_act_along_long_chains_agrees_with_mpmath(seed):
+    from plektonlab.cones import act, cone_path, wedge_path
+    from plektonlab.tolerances import ARC_TOL
+
+    paths = [cone_path(MVec3(0, 0, 0), 0.4, 0.3), cone_path(MVec3(0, 0, 0), -2.0, 0.05, sheet=1),
+             wedge_path(MVec3(0, 0, 0), 1.0)]
+    checked = 0
+    for acc, ref in _mild_chain(seed):
+        for path in paths:
+            want = [su11.arc_end(ref, end) for end in (path.arc.alpha_minus, path.arc.alpha_plus)]
+            try:
+                arc = act(acc, path).arc
+            except ValueError:
+                assert su11.coordinates(ref)[1] > ACT_EXACT_UP_TO
+                continue
+            assert abs(arc.alpha_minus - want[0]) <= ARC_TOL
+            assert abs(arc.alpha_plus - want[1]) <= ARC_TOL
+            checked += 1
+    assert checked > 590
 
 
 def test_reflect_conjugate_matrix_is_j_l_j():
