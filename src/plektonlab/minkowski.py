@@ -14,9 +14,10 @@ Conventions used throughout the package:
   re-validation.  Over SU(1,1) ~ SO(2,1)_0 the element is
   alpha = e^{i theta/2} cosh(chi/2), beta = e^{i theta/2} sinh(chi/2) e^{i phi},
   and the product law of the cover (V. Bargmann, Ann. Math. 48 (1947) 568)
-  gives the lift of a product in closed form.  The matrix R(theta) B(chi, phi)
-  is built from cos, sin, cosh and sinh when it is first read.  Path
-  continuation survives only as the independent oracle in
+  gives the lift of a product in closed form; ``plektonlab.wigner`` reads
+  Wigner rotations off the same law, never off a matrix.  The matrix
+  R(theta) B(chi, phi) is built from cos, sin, cosh and sinh when it is first
+  read.  Path continuation survives only as the independent oracle in
   ``plektonlab.continuation``, which reads the matrix, never the chart.
 
 Exact integers and phases never pass through the float matrices; only the
@@ -244,9 +245,7 @@ class CoveringLorentz:
         return _chart(0.0, 0.0, 0.0)
 
     def is_pure_rotation(self) -> bool:
-        # row 0 of L = R(theta) B is row 0 of B, (cosh t, sinh t n)
-        m = self.matrix.m
-        return bool(max(abs(m[0, 1]), abs(m[0, 2])) <= PURE_ROTATION_BOOST)
+        return self.rapidity <= PURE_ROTATION_BOOST
 
     def is_close(self, other: "CoveringLorentz", tol: float = LIFT_TOL) -> bool:
         return self.matrix.is_close(other.matrix, max(tol, MAT_TOL)) and abs(
@@ -308,22 +307,6 @@ def cover_boost1(t: float) -> CoveringLorentz:
 
 def cover_translation(a: MVec3) -> CoveringPoincare:
     return CoveringPoincare(a, CoveringLorentz.identity())
-
-
-def _lift_product(theta1, r1, theta2, r2):
-    """Lifted polar angle of the product of covering elements (theta1, L1)
-    and (theta2, L2) from row 0 alone, r1 = L1[0] and r2 = L2[0]; vectorised.
-
-    With gamma = (L01 + i L02) / (1 + L00), the ratio beta / alpha of the
-    SU(1,1) element over L, the product law of the cover is
-
-        theta_12 = theta_1 + theta_2 + 2 arg(1 + gamma_1 conj(gamma_2) e^{-i theta_2}).
-
-    |gamma| < 1, so the argument stays in (-pi/2, pi/2) and needs no path.
-    """
-    g1 = (r1[..., 1] + 1j * r1[..., 2]) / (1.0 + r1[..., 0])
-    g2 = (r2[..., 1] - 1j * r2[..., 2]) / (1.0 + r2[..., 0])
-    return theta1 + theta2 + 2.0 * np.angle(1.0 + g1 * g2 * np.exp(-1j * theta2))
 
 
 def _chart_product(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:

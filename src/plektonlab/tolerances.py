@@ -12,7 +12,7 @@ MAT_TOL = 1e-12  # |L^T eta L - eta| per allowance; default matrix-entry closene
 DET_TOL = 1e-9  # |det L - 1| per max(1, |L|), never more than 1
 ORTHOCHRONOUS_TOL = 1e-9  # how far L00 may fall below 1, per allowance (never below 0)
 LIFT_TOL = 1e-9  # difference of two lifted angles that still counts as agreement
-PURE_ROTATION_BOOST = 1e-12  # max(|L01|, |L02|) up to which an element is a pure rotation
+PURE_ROTATION_BOOST = 1e-12  # rapidity chi up to which an element is a pure rotation
 POLAR_BRANCH_BOOST = 1e-6  # |(L01, L02)| up to which theta reads the rotation block (~1e-12)
 # Directions, arcs and regions (cones, scenes)
 NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions, per max(1, n0^2) for normals

@@ -3,9 +3,9 @@
 The representation acts on momentum-space wave functions over the mass shell
 as (U(a, g) psi)(p) = exp(i s Omega(g, p)) exp(i a.p) psi(L^-1 p), where the
 Wigner rotation Omega is the lifted angle of B_{Lp}^-1 g B_p in the universal
-cover, computed in closed form by the product law of `minkowski` with the
-standard boosts at lift 0.  The standard boost B_p is the pure (symmetric
-positive) boost; the cocycle depends on this convention.
+cover, read in closed form off the SU(1,1) chart of g by the product law of
+the cover.  The standard boost B_p is the pure (symmetric positive) boost at
+lift 0; the cocycle depends on this convention.
 
 Wave functions are closed-form objects (finite Gaussian combinations with
 lazily stacked group actions) evaluated pointwise on batches of shell
@@ -14,13 +14,14 @@ points; the invariant measure is fixed as d^2 p / (2 omega(p)).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .minkowski import ETA_SIGNS, TWO_PI, CoveringLorentz, MVec3, _lift_product, cover_inverse
+from .minkowski import TWO_PI, CoveringLorentz, MVec3, cover_inverse
 
 
 @dataclass(frozen=True)
@@ -56,11 +57,6 @@ def _as_points(p) -> np.ndarray:
     return np.asarray(p, dtype=float)
 
 
-def _unit(pts: np.ndarray) -> np.ndarray:
-    m = np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)
-    return pts / m[..., None]
-
-
 def standard_boost(p) -> np.ndarray:
     """Pure boost B_p with B_p (m, 0, 0) = p; batched over leading axes.
 
@@ -68,7 +64,7 @@ def standard_boost(p) -> np.ndarray:
     Wigner cocycle convention used throughout.
     """
     pts = _as_points(p)
-    u = _unit(pts)
+    u = pts / np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)[..., None]
     s = u[..., 1:]
     out = np.empty(pts.shape[:-1] + (3, 3))
     out[..., 0, :] = u
@@ -79,21 +75,24 @@ def standard_boost(p) -> np.ndarray:
 
 def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:
     """Lifted angle Omega(g, p) of B_{Lp}^-1 g B_p, in closed form for all
-    shell points at once: the lift of g B_p, then of B_{Lp}^-1 times it.
+    shell points at once.  With g B_p = R(theta') B', B_{Lp} is
+    R(theta') B' R(-theta'), so Omega is the lift of g B_p; with B_p the chart
+    element (0, chi_p, phi_p) and m = sqrt(p.p), the product law gives
 
-    The product law reads row 0 of each factor only, L[0] @ B_p of g B_p and
-    (q / m(q)) eta of B_q^-1 = eta B_q eta with q = L p, so B_{Lp} is never built.
+        Omega = theta + 2 arg(cosh(chi/2) (m + p0) + sinh(chi/2) e^{i phi} (p1 - i p2)),
+
+    an argument in (-pi/2, pi/2), as the first term outweighs the second.
 
     Accepts a MassShellPoint or an (..., 3) array of shell points; returns
     the matching array of lifted angles (a scalar for a single point).
     """
     pts = _as_points(p)
-    scalar = isinstance(p, MassShellPoint) or np.asarray(p).ndim == 1
-    m = g.matrix.m
-    bp = standard_boost(pts)
-    theta_gbp = _lift_product(g.angle, m[0], 0.0, bp[..., 0, :])
-    lifted = _lift_product(0.0, _unit(pts @ m.T) * ETA_SIGNS, theta_gbp, m[0] @ bp)
-    return float(lifted) if scalar else lifted
+    p0, p1, p2 = pts[..., 0], pts[..., 1], pts[..., 2]
+    m = np.sqrt(p0 ** 2 - p1 ** 2 - p2 ** 2)
+    c, s = math.cosh(0.5 * g.rapidity), math.sinh(0.5 * g.rapidity)
+    alpha = c * (m + p0) + s * cmath.exp(1j * g.direction) * (p1 - 1j * p2)
+    lifted = g.angle + 2.0 * np.angle(alpha)
+    return float(lifted) if pts.ndim == 1 else lifted
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,24 @@ def coordinates(g):
     return float(theta), float(2 * mp.asinh(abs(beta))), float(phi)
 
 
-def matrix(g):
-    """R(theta) B(chi, phi), rounded once from 80 digits."""
+def boost_to(p):
+    """The standard boost B_p at lift 0: the pure boost carrying (m, 0, 0),
+    m = sqrt(p.p), to the momentum p = (p0, p1, p2)."""
+    p0, p1, p2 = (mp.mpf(x) for x in p)
+    return chart(0, mp.asinh(mp.hypot(p1, p2) / mp.sqrt(p0**2 - p1**2 - p2**2)), mp.atan2(p2, p1))
+
+
+def wigner(g, momenta):
+    """The Wigner rotations at the given momenta, from their definition: the
+    lifts of B_{Lp}^-1 g B_p, with L p formed at 80 digits."""
+    lorentz, out = _matrix(g), []
+    for p in momenta:
+        q = lorentz * mp.matrix([mp.mpf(x) for x in p])
+        out.append(compose(inverse(boost_to([q[0], q[1], q[2]])), g, boost_to(p))[0])
+    return out
+
+
+def _matrix(g):
     theta, _, beta = g
     chi, phi = 2 * mp.asinh(abs(beta)), mp.arg(beta * mp.expj(-theta / 2))
     ch, sh, k = mp.cosh(chi), mp.sinh(chi), mp.cosh(chi) - 1
@@ -64,7 +80,12 @@ def matrix(g):
                    [sh * v, k * u * v, 1 + k * v * v]])
     c, s = mp.cos(theta), mp.sin(theta)
     r = mp.matrix([[1, 0, 0], [0, c, -s], [0, s, c]])
-    return np.array((r * b).tolist(), dtype=float)
+    return r * b
+
+
+def matrix(g):
+    """R(theta) B(chi, phi), rounded once from 80 digits."""
+    return np.array(_matrix(g).tolist(), dtype=float)
 
 
 def arc_end(g, angle) -> float:

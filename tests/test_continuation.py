@@ -147,3 +147,25 @@ def test_the_oracle_reads_no_chart():
     assert modules <= {"math", "numpy"}
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert read.isdisjoint({"rapidity", "direction"})
+
+
+def test_the_wigner_closed_form_reads_no_matrix():
+    # the oracle's Wigner angles referee wigner_rotation, so the closed form
+    # reads the chart only: no matrix, no standard boost and nothing of the
+    # oracle, and the two share no arithmetic
+    import ast
+    import inspect
+    from pathlib import Path
+
+    from plektonlab import wigner
+
+    body = ast.parse(inspect.getsource(wigner.wigner_rotation))
+    named = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    read = {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert "matrix" not in read
+    oracle = ast.parse(Path(continuation.__file__).read_text(encoding="utf-8")).body
+    symbols = {node.name for node in oracle if isinstance(node, ast.FunctionDef)}
+    symbols |= {target.id for node in oracle if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert symbols >= {"canonical_path", "continue_angles", "wigner_angles", "_CHUNK"}
+    assert (named | read).isdisjoint(symbols | {"standard_boost", "continuation"})

@@ -31,7 +31,9 @@ from plektonlab.wigner import (
     verify_j_relations,
     wigner_rotation,
 )
+from tests import su11
 from tests.conftest import ASSETS
+from tests.test_minkowski import _mild_chain
 
 TWO_PI = 2 * math.pi
 
@@ -96,6 +98,21 @@ def test_cocycle_relation():
     assert verify_cocycle(cover_rotation(1.3), cover_rotation(-2.6), pts) < 1e-10
     for _ in range(10):
         assert verify_cocycle(rnd_lorentz(rng), rnd_lorentz(rng), pts) < 1e-9
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_wigner_rotation_along_long_chains_agrees_with_mpmath(seed):
+    # the 200-step chains walk g up to rapidity 23-26, where forming L p in
+    # floats cancels catastrophically: Omega read off the chart stays finite
+    # and within 1e-13 of the 80-digit lift of B_{Lp}^-1 g B_p at every step
+    rng = np.random.default_rng(100 + seed)
+    for acc, _ in _mild_chain(seed):
+        pts = shell_points(1.0, rng.uniform(-2.5, 2.5, (12, 2)))
+        got = wigner_rotation(acc, pts)
+        assert np.isfinite(got).all()
+        g = su11.chart(acc.angle, acc.rapidity, acc.direction)
+        assert max(abs(float(x) - w) for x, w in zip(got, su11.wigner(g, pts))) <= 1e-13
+    assert acc.rapidity > 20.0
 
 
 def test_apply_rep_identity_and_translation():
