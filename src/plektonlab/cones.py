@@ -158,10 +158,14 @@ class ConePath:
                 raise ValueError("wedge arcs must have width exactly pi")
         elif self.arc.width > math.pi - ARC_TOL:
             raise ValueError("cone arcs must have width strictly below pi")
-        # transported normals grow like e^r under a boost of rapidity r, and
-        # the float error of n.n with them, so the bound is relative to n0^2
+        # a normal transported by L carries eps |L| in each entry, so its n.n
+        # is off by about 2 eps |n0| |L|, and the largest normal of a cone or
+        # wedge image is about |L|: the bound is relative to |n0| times the
+        # largest |n0|, which is read only when n0^2 does not suffice
         for n in self.normals:
-            if abs(minkowski_norm2(n)) > NORM2_TOL * max(1.0, n.x0 * n.x0):
+            err = abs(minkowski_norm2(n))
+            if err > NORM2_TOL * max(1.0, n.x0 * n.x0) and err > NORM2_TOL * max(
+                    1.0, abs(n.x0) * max(abs(m.x0) for m in self.normals)):
                 raise ValueError("boundary normals must be light-like")
 
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:

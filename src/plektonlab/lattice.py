@@ -1,37 +1,37 @@
 """Finite-dimensional oracle for the symbolic field algebra.
 
-For a Z_N model, builds N x N clock/shift matrices U, V with U V = omega V U
-and represents a charge-c symbol at site j of an L-site chain as the string
-operator (U_1 ... U_{j-1} V_j)^c.  Site order follows the angular order of
-the localisations, so pairwise windings lie in {-1, 0} and the matrix
-algebra reproduces every exchange and adjoint identity of the symbolic layer
-to machine precision.  Each side of an identity is the Kronecker product of
-L site products of N x N factors (d = N^L <= 1024).  U and V are monomial
-(one nonzero per row and column), so a site product is a row index and a
-value per column; one identity family (the word and its L-1 exchanged words,
-or the adjoints beside their symbols) is one (W, L, N, N) stack with one
-batched product per factor position.  By the mixed-product rule two sides'
-rows agree at a column iff every site's rows agree, so rows stay (L, N) and
-an adjoint's dagger is taken per site; only the values are expanded to d,
-one side at a time, so at most two O(d) sides are alive.  The word's
-adjacent pairs are decided in one stack before any side is built.
+For a Z_N model, the clock U and shift V (U V = omega V U) make a charge-c
+symbol at site j of an L-site chain the string operator (U_1 ... U_{j-1} V_j)^c.
+Site order follows the angular order of the localisations, so pairwise
+windings lie in {-1, 0} and the string operators reproduce every exchange and
+adjoint identity of the symbolic layer.  Each side of an identity is the
+Kronecker product of L site products (d = N^L <= 1024).  U and V are monomial
+with N-th roots of unity as values, so a site product is exactly a row and a
+power of zeta = exp(2 pi i / N) per column, both ints, computed in closed form
+for a whole identity family at once (the word and its L-1 exchanged words, or
+the adjoints beside their symbols).  By the mixed-product rule two sides' rows
+agree at a column iff every site's rows agree, so rows are compared and
+daggers taken per site; only the exponent gaps are expanded to d, on ints, so
+a correct identity reads a residual of exactly 0.  The word's adjacent pairs
+are decided in one stack before any side is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import FieldWord, FieldSymbol, _exchange, _exchange_refusals, adjoint, angular_order
-from .sectors import AnyonModel
+from .sectors import AnyonModel, CyclotomicPhase
 from .tolerances import LATTICE_TOL
 
 # Z_4 with 5 sites; one more site would make the dense public builders
 # (site_operator, symbol_matrix, word_matrix) return 268 MB matrices
 MAX_DIMENSION = 1024
 
-# a Kronecker product of monomial site products: (L, N) site rows, d values
+# a Kronecker product of monomial site products: (L, N) rows, (L, N) exponents of zeta
 Side = tuple[np.ndarray, np.ndarray]
 
 
@@ -39,41 +39,32 @@ class OracleError(ValueError):
     """The lattice oracle cannot represent the requested configuration."""
 
 
-def _monomials(prods: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row index and value per column, each (..., N), of a stack of N x N
-    site products, all checked monomial at once."""
-    nonzero = prods != 0
-    if not ((nonzero.sum(axis=-2) == 1).all() and (nonzero.sum(axis=-1) == 1).all()):
-        raise OracleError("site product is not monomial: it needs exactly one "
-                          "nonzero in each row and column")
-    rows = nonzero.argmax(axis=-2)
-    return rows, np.take_along_axis(prods, rows[..., None, :], axis=-2)[..., 0, :]
-
-
 def _expand(ufunc, start, per_site: np.ndarray) -> np.ndarray:
     """The d entries of the Kronecker expansion of (L, N) site entries,
-    combined by ufunc left to right from start; site values multiplied from
-    1 are bitwise the entries np.kron gives."""
+    combined by ufunc left to right from start."""
     out = np.array([start])
     for entries in per_site:
         out = ufunc.outer(out, entries).ravel()
     return out
 
 
-def _side(rows: np.ndarray, vals: np.ndarray, coeff: complex = 1.0) -> Side:
-    return rows, _expand(np.multiply, 1 + 0j, vals) * coeff
-
-
-def _distance(a: Side, b: Side) -> float:
-    """Max-norm distance |a - b|.  The rows agree at a column iff they agree
-    at every site; there a - b is the difference of the values, elsewhere
-    its nonzeros are the two values in their own rows."""
-    (ra, va), (rb, vb) = a, b
-    gap = np.abs(va - vb)
+def _distance(a: Side, b: Side, n: int, ratio: CyclotomicPhase = CyclotomicPhase.one()) -> float:
+    """Max-norm distance |A - r B| of two Kronecker sides of N-th roots of
+    unity, r = ratio a root of unity.  Where the rows agree it is
+    2 |sin(pi delta / k)|, delta the exponent gap in units of 1/k turn,
+    k = lcm(N, denominator of r); elsewhere the two unit entries sit in
+    different rows and it is 1."""
+    (ra, ea), (rb, eb) = a, b
+    k = math.lcm(n, ratio.denominator)
+    # delta is a sum of L + 1 terms in [0, k), so int64 holds it
+    if k > np.iinfo(np.int64).max // (len(ra) + 1):
+        raise OracleError(f"coefficient ratio {ratio.turns} turns is too fine for int64")
+    delta = _expand(np.add, ratio.numerator * (k // ratio.denominator),
+                    (eb - ea) % n * (k // n)) % k
+    gap = 2.0 * np.abs(np.sin(np.pi * delta / k))
     same = ra == rb
     if not same.all():
-        gap = np.where(_expand(np.logical_and, True, same), gap,
-                       np.maximum(np.abs(va), np.abs(vb)))
+        gap = np.where(_expand(np.logical_and, True, same), gap, 1.0)
     return float(gap.max())
 
 
@@ -81,6 +72,13 @@ def _charge(sym: FieldSymbol) -> int:
     if not sym.obs.is_identity():
         raise OracleError("lattice oracle models trivial observable labels only")
     return sym.charge
+
+
+def _charged(word: FieldWord, sites: list[int]) -> list[tuple[int, int]]:
+    """(charge, site) of each factor of the word, from left to right."""
+    if len(sites) != len(word.factors):
+        raise OracleError(f"{len(sites)} sites given for a word of {len(word.factors)} factors")
+    return [(_charge(sym), s) for sym, s in zip(word.factors, sites)]
 
 
 @dataclass
@@ -105,47 +103,40 @@ class ClockShiftLattice:
         # validator condition omega^N = 1
         if (turns * n).denominator != 1:
             raise OracleError("omega is not an N-th root of unity")
-        clock = np.diag(np.exp(2j * np.pi / n) ** np.arange(n))
-        self._u = np.linalg.matrix_power(clock, int(turns * n))
-        self._v = np.eye(n, k=-1, dtype=complex) + np.eye(n, k=n - 1, dtype=complex)
-        self._eye = np.eye(n, dtype=complex)
-        # charge -> (U^c, V^c), each power taken once
-        self._powers: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._clock = int(turns * n)
 
     @property
     def dimension(self) -> int:
         return self.model.group_order ** self.n_sites
 
-    def _factors(self, site: int, charge: int) -> list[np.ndarray]:
-        """Site factors of (U_1 ... U_{site-1} V_site)^charge: U^c before the
-        site, V^c on it and the identity after it; U^dagger and V^dagger for
-        a negative charge."""
-        if not 0 <= site < self.n_sites:
-            raise IndexError(f"site {site} is not on the {self.n_sites}-site chain")
-        if charge not in self._powers:
-            u, v = (self._u, self._v) if charge >= 0 else (self._u.conj().T, self._v.conj().T)
-            self._powers[charge] = tuple(np.linalg.matrix_power(m, abs(charge)) for m in (u, v))
-        u, v = self._powers[charge]
-        return [u] * site + [v] + [self._eye] * (self.n_sites - site - 1)
-
     def _site_products(self, words: list[list[tuple[int, int]]]) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and values, each (W, L, N), of the L site products of W words
-        of one length, each word a list of (charge, site) from left to right.
-        Factor position k multiplies all W x L site products by their k-th
-        factors in one batched product."""
+        """Rows and exponents of zeta, each (W, L, N) ints, of the L site
+        products of W words of one length, each word a list of (charge,
+        site) from left to right.  The factors of (U_1 ... U_{j-1} V_j)^c
+        are U^c before site j, V^c on it and the identity after it, and
+        they act on a column from the right: U^c multiplies basis state r
+        by zeta^(a c r), V^c moves it to r + c."""
         n = self.model.group_order
-        prods = np.broadcast_to(self._eye, (len(words), self.n_sites, n, n))
-        for column in zip(*words, strict=True):
-            prods = prods @ np.array([self._factors(site, charge) for charge, site in column])
-        return _monomials(prods)
+        chain = np.arange(self.n_sites)[:, None]
+        rows = np.broadcast_to(np.arange(n), (len(words), self.n_sites, n))
+        exps = np.zeros_like(rows)
+        for column in reversed(list(zip(*words, strict=True))):
+            # U^N = V^N = 1, so charges mod N keep the products in int64
+            charge, site = np.array([(c % n, s) for c, s in column]).T[..., None, None]
+            if site.min() < 0 or site.max() >= self.n_sites:
+                raise IndexError(f"sites {site.ravel()} leave the {self.n_sites}-site chain")
+            exps = (exps + self._clock * charge * rows * (chain < site)) % n
+            rows = (rows + charge * (chain == site)) % n
+        return rows, exps
 
     def _matrix(self, factors: list[tuple[int, int]], coeff: complex = 1.0) -> np.ndarray:
         """One word's side scattered into a d x d matrix of zeros."""
-        rows, vals = self._site_products([factors])
-        rows, vals = _side(rows[0], vals[0], coeff)
-        weights = self.model.group_order ** np.arange(self.n_sites - 1, -1, -1)
-        out = np.zeros((len(vals), len(vals)), dtype=complex)
-        out[_expand(np.add, 0, rows * weights[:, None]), np.arange(len(vals))] = vals
+        n, d = self.model.group_order, self.dimension
+        rows, exps = self._site_products([factors])
+        weights = n ** np.arange(self.n_sites - 1, -1, -1)
+        out = np.zeros((d, d), dtype=complex)
+        out[_expand(np.add, 0, rows[0] * weights[:, None]), np.arange(d)] = (
+            coeff * np.exp(2j * np.pi / n * (_expand(np.add, 0, exps[0]) % n)))
         return out
 
     def site_operator(self, j: int) -> np.ndarray:
@@ -155,8 +146,7 @@ class ClockShiftLattice:
         return self._matrix([(_charge(sym), site)])
 
     def word_matrix(self, word: FieldWord, sites: list[int]) -> np.ndarray:
-        return self._matrix([(_charge(sym), s) for sym, s in zip(word.factors, sites)],
-                            word.coeff.to_complex())
+        return self._matrix(_charged(word, sites), word.coeff.to_complex())
 
 
 def _sites_by_angle(word: FieldWord) -> list[int]:
@@ -182,34 +172,33 @@ class LatticeReport:
 def _exchange_residual(lat: ClockShiftLattice, model: AnyonModel, word: FieldWord,
                        sites: list[int]) -> float:
     """max |S(word) - S(exchange(word, i))| over i, the exchanged word on the
-    sites swapped at i; the word and its L-1 exchanged words are one stack."""
-    stack = [[(_charge(sym), s) for sym, s in zip(word.factors, sites)]]
-    coeffs = [word.coeff.to_complex()]
+    sites swapped at i; the word and its L-1 exchanged words are one stack,
+    compared through the ratio of their coefficients."""
+    stack = [_charged(word, sites)]
+    ratios = []
     for i, refusal in enumerate(_exchange_refusals(word.factors)):
         if refusal is not None:
             raise refusal
         swapped = _exchange(word, i, model)
-        swapped_sites = [*sites[:i], sites[i + 1], sites[i], *sites[i + 2:]]
-        stack.append([(_charge(sym), s) for sym, s in zip(swapped.factors, swapped_sites)])
-        coeffs.append(swapped.coeff.to_complex())
-    rows, vals = lat._site_products(stack)
-    unswapped = _side(rows[0], vals[0], coeffs[0])
-    return max((_distance(unswapped, _side(rows[k], vals[k], coeffs[k]))
-                for k in range(1, len(stack))), default=0.0)
+        stack.append(_charged(swapped, [*sites[:i], sites[i + 1], sites[i], *sites[i + 2:]]))
+        ratios.append(swapped.coeff / word.coeff)
+    rows, exps = lat._site_products(stack)
+    return max((_distance((rows[0], exps[0]), (rows[k], exps[k]), model.group_order, ratio)
+                for k, ratio in enumerate(ratios, 1)), default=0.0)
 
 
 def _adjoint_residual(lat: ClockShiftLattice, word: FieldWord, sites: list[int]) -> float:
     """max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
     over the factors; each adjoint sits beside its symbol in one stack of 2L.
-    The dagger is taken per site, as the inverse row map with conjugated
-    values; the Kronecker product of the site daggers is exactly the dagger."""
-    rows, vals = lat._site_products([[(_charge(s), site)]
+    The dagger is taken per site, as the inverse row map with negated
+    exponents; the Kronecker product of the site daggers is the dagger."""
+    rows, exps = lat._site_products([[(_charge(s), site)]
                                      for sym, site in zip(word.factors, sites)
                                      for s in (adjoint(sym), sym)])
     dag_rows = np.argsort(rows[0::2], axis=-1)
-    dag_vals = np.take_along_axis(vals[0::2], dag_rows, axis=-1).conj()
-    return max((_distance(_side(*dagger), _side(*sym)) for dagger, sym
-                in zip(zip(dag_rows, dag_vals), zip(rows[1::2], vals[1::2]))), default=0.0)
+    dag_exps = -np.take_along_axis(exps[0::2], dag_rows, axis=-1)
+    return max((_distance(dagger, sym, lat.model.group_order) for dagger, sym
+                in zip(zip(dag_rows, dag_exps), zip(rows[1::2], exps[1::2]))), default=0.0)
 
 
 def lattice_oracle(model: AnyonModel, word: FieldWord,

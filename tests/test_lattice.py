@@ -11,6 +11,7 @@ import plektonlab.lattice
 from plektonlab.lattice import ClockShiftLattice, LatticeReport, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
 from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
+from plektonlab.tolerances import LATTICE_TOL
 
 I = ObservableWord.identity()
 
@@ -62,13 +63,20 @@ def test_oracle_word_report(z3):
     assert rep.adjoint_residual < 1e-12
 
 
+def _clock_and_shift(model):
+    """U = clock^a (omega = zeta^a) and the cyclic shift V, as dense N x N
+    matrices built here."""
+    n = model.group_order
+    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
+    return (np.linalg.matrix_power(clock, int(model.omega.turns * n)),
+            np.roll(np.eye(n, dtype=complex), 1, axis=0))
+
+
 def _dense_string_operators(model, n_sites):
     """The string operators U_1 ... U_{j-1} V_j as dense matrices, each site
     operator embedded by explicit Kronecker products with identities."""
     n = model.group_order
-    clock = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
-    u = np.linalg.matrix_power(clock, int(model.omega.turns * n))
-    shift = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+    u, shift = _clock_and_shift(model)
 
     def embed(op, site):
         out = np.eye(1, dtype=complex)
@@ -148,6 +156,14 @@ def test_oracle_rejections(z3, boson, semion):
     word = FieldWord.of(FieldSymbol(1, ObservableWord.symbol("A"), locs[0]))
     with pytest.raises(OracleError, match="observable"):
         lattice_oracle(z3, word)
+    # sites must pair one to one with the factors
+    w3 = FieldWord.of(*(FieldSymbol(1, I, loc) for loc in fan(3)))
+    with pytest.raises(OracleError, match="4 sites given for a word of 3 factors"):
+        lattice_oracle(z3, w3, [2, 1, 0, 5])
+    with pytest.raises(OracleError, match="2 sites given for a word of 3 factors"):
+        lattice_oracle(z3, w3, [0, 1])
+    with pytest.raises(OracleError, match="1 sites given for a word of 3 factors"):
+        ClockShiftLattice(z3, 3).word_matrix(w3, [0])
 
 
 _RELATED = "exchange requires causally separated localisations"
@@ -229,12 +245,17 @@ def test_oracle_detects_wrong_adjoint(z3, monkeypatch):
     assert not rep.ok
 
 
-def _kron_side(lat, charges, sites, coeff=1.0):
+def _kron_side(model, n_sites, charges, sites, coeff=1.0):
     """One side as a dense matrix: the per-site products of the symbols'
-    site factors, then np.kron over the sites, then the coefficient."""
-    per_site = [np.eye(lat.model.group_order, dtype=complex)] * lat.n_sites
+    site factors (U^c before the site, V^c on it, the identity after it,
+    from this file's own clock and shift), then np.kron over the sites,
+    then the coefficient."""
+    u, v = _clock_and_shift(model)
+    eye = np.eye(len(u), dtype=complex)
+    per_site = [eye] * n_sites
     for c, s in zip(charges, sites):
-        per_site = [p @ f for p, f in zip(per_site, lat._factors(s, c))]
+        per_site = [p @ _dense_power(u if k < s else v if k == s else eye, c)
+                    for k, p in enumerate(per_site)]
     return reduce(np.kron, per_site, np.ones((1, 1), dtype=complex)) * coeff
 
 
@@ -243,10 +264,11 @@ def _dense_residuals(model, word, sites):
     max |A - B| over the entries."""
     from plektonlab.fields import adjoint, exchange
 
-    lat = ClockShiftLattice(model, len(word.factors))
+    n_sites = len(word.factors)
 
     def side(w, s):
-        return _kron_side(lat, [sym.charge for sym in w.factors], s, w.coeff.to_complex())
+        return _kron_side(model, n_sites, [sym.charge for sym in w.factors], s,
+                          w.coeff.to_complex())
 
     unswapped = side(word, sites)
     exch = 0.0
@@ -255,54 +277,67 @@ def _dense_residuals(model, word, sites):
         new_sites[i], new_sites[i + 1] = new_sites[i + 1], new_sites[i]
         rhs = side(exchange(word, i, model), new_sites)
         exch = max(exch, float(np.abs(unswapped - rhs).max()))
-    adj = max(float(np.abs(_kron_side(lat, [adjoint(sym).charge], [s])
-                           - _kron_side(lat, [sym.charge], [s]).conj().T).max())
+    adj = max(float(np.abs(_kron_side(model, n_sites, [adjoint(sym).charge], [s])
+                           - _kron_side(model, n_sites, [sym.charge], [s]).conj().T).max())
               for sym, s in zip(word.factors, sites))
     return exch, adj
 
 
+def _assert_matches_dense(rep, want):
+    """Each residual is within 1e-12 of the dense one, and exactly 0.0 iff
+    the dense one is below LATTICE_TOL."""
+    for got, dense in zip((rep.exchange_residual, rep.adjoint_residual), want):
+        assert abs(got - dense) <= 1e-12, (got, dense)
+        assert (got == 0.0) == (dense < LATTICE_TOL), (got, dense)
+
+
 @pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
 def test_oracle_residuals_equal_dense_sides(z3, monkeypatch, mutation):
-    # the mutations make both residuals nonzero in turn, so the equality is
+    # the mutations make both residuals nonzero in turn, so the agreement is
     # checked on values other than rounding noise
     _mutate(monkeypatch, mutation)
     word = _four_factor_word()
     sites = [1, 3, 0, 2]
-    rep = lattice_oracle(z3, word, sites)
-    assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(z3, word, sites)
+    _assert_matches_dense(lattice_oracle(z3, word, sites), _dense_residuals(z3, word, sites))
 
 
 def test_site_wise_distance_equals_dense_distance():
     # clock and shift products agree at all or none of a site's columns, so
     # the oracle's sides never give a mixed column mask; random site rows
-    # with one transposition at some sites do, and random values
-    from plektonlab.lattice import _distance, _side
+    # with one transposition at some sites do, and random int exponents of
+    # exp(2 pi i / k) with a random ratio of roots of unity
+    from plektonlab.lattice import _distance
 
-    def dense(rows, vals):
+    def dense(rows, exps, k):
         sites = [np.zeros((len(r), len(r)), dtype=complex) for r in rows]
-        for m, r, v in zip(sites, rows, vals):
-            m[r, np.arange(len(r))] = v
+        for m, r, e in zip(sites, rows, exps):
+            m[r, np.arange(len(r))] = np.exp(2j * np.pi * e / k)
         return reduce(np.kron, sites, np.ones((1, 1), dtype=complex))
 
     rng = np.random.default_rng(12)
     mixed = 0
     for _ in range(60):
         n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        k = int(rng.integers(2, 13))
         rows_a = np.array([rng.permutation(n) for _ in range(length)])
         rows_b = rows_a.copy()
-        for k in np.flatnonzero(rng.random(length) < 0.5):
+        for s in np.flatnonzero(rng.random(length) < 0.5):
             i, j = rng.choice(n, 2, replace=False)
-            rows_b[k, [i, j]] = rows_b[k, [j, i]]
-        vals_a, vals_b = (np.exp(2j * np.pi * rng.random((length, n))) for _ in range(2))
-        got = _distance(_side(rows_a, vals_a), _side(rows_b, vals_b))
-        assert got == np.abs(dense(rows_a, vals_a) - dense(rows_b, vals_b)).max()
+            rows_b[s, [i, j]] = rows_b[s, [j, i]]
+        exps_a, exps_b = (rng.integers(0, k, (length, n)) for _ in range(2))
+        ratio = CyclotomicPhase.from_pair(int(rng.integers(0, 12)), int(rng.integers(1, 13)))
+        got = _distance((rows_a, exps_a), (rows_b, exps_b), k, ratio)
+        want = np.abs(dense(rows_a, exps_a, k)
+                      - ratio.to_complex() * dense(rows_b, exps_b, k)).max()
+        assert abs(got - want) <= 1e-12
         mixed += n > 2 and not (rows_a == rows_b).all()
     assert mixed > 10
 
 
 def test_oracle_holds_no_dense_side(z3):
     # one d x d complex side is 16 d^2 bytes; the oracle keeps each side as a
-    # row index and a value per column, whatever the charges and the order
+    # row index and an exponent per site column, whatever the charges and
+    # the order
     import tracemalloc
 
     side = 16 * 3 ** 10
@@ -339,22 +374,10 @@ def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, len
     sites = plektonlab.lattice._sites_by_angle(word)
     rep = lattice_oracle(model, word)
     assert rep.dimension == n_group ** length
-    assert (rep.exchange_residual, rep.adjoint_residual) == _dense_residuals(model, word, sites)
+    _assert_matches_dense(rep, _dense_residuals(model, word, sites))
     # the Z_2 string operators are Hermitian, so a wrong adjoint that
     # returns its symbol unchanged is right there
     assert rep.ok == (mutation is None or (mutation, n_group) == ("adjoint", 2))
-
-
-def test_oracle_refuses_a_site_product_that_is_not_monomial(z3, monkeypatch):
-    factors = ClockShiftLattice._factors
-
-    def smeared(self, site, charge):
-        return [f + (f != 0).T * 0.5 if k == site else f
-                for k, f in enumerate(factors(self, site, charge))]
-
-    monkeypatch.setattr(ClockShiftLattice, "_factors", smeared)
-    with pytest.raises(OracleError, match="monomial"):
-        lattice_oracle(z3, _four_factor_word())
 
 
 def _model(n_group):
@@ -396,7 +419,7 @@ def test_oracle_residuals_equal_dense_sides_over_random_words(monkeypatch):
                 _mutate(m, "adjoint")
             rep = lattice_oracle(_model(n_group), word, sites if explicit else None)
             want = _dense_residuals(_model(n_group), word, sites)
-        assert (rep.exchange_residual, rep.adjoint_residual) == want, (k, n_group, length)
+        _assert_matches_dense(rep, want)
         nonzero += max(want) > 0
     assert nonzero > 200
 
@@ -413,9 +436,10 @@ def test_oracle_reports_the_empty_and_one_factor_words(z3, semion):
 
 
 def test_oracle_holds_no_dense_side_at_the_cap(semion):
-    # Z_4 with 5 sites, d = 1024: one side in monomial form is 24 d bytes (an
-    # index and a complex value per column), and the word's stack holds five
-    # sides, so a peak below five sides' bytes means they were never all alive
+    # Z_4 with 5 sites, d = 1024: one comparison of two sides expands 24 d
+    # bytes (an int exponent gap, its float distance and a row mask per
+    # column), and the word's stack holds five sides, so a peak below five
+    # sides' bytes means they were never all alive
     import tracemalloc
 
     side = 24 * 4 ** 5
@@ -451,3 +475,47 @@ def test_oracle_calls_exchange_and_adjoint_once_per_identity(z3, monkeypatch):
         assert lattice_oracle(z3, word).checks == max(length - 1, 0) + length
         assert calls == {"_exchange": max(length - 1, 0), "adjoint": length,
                          "_separated_many": 1}
+
+
+def test_site_products_are_ints(z3, semion):
+    # rows and exponents of zeta are exact: no float ever enters a side
+    for model, n_sites in ((z3, 3), (semion, 5)):
+        lat = ClockShiftLattice(model, n_sites)
+        rows, exps = lat._site_products([[(1, 0), (-2, 2), (3, 1)], [(2, 1), (0, 0), (-1, 2)]])
+        assert rows.shape == exps.shape == (2, n_sites, model.group_order)
+        assert np.issubdtype(rows.dtype, np.integer)
+        assert np.issubdtype(exps.dtype, np.integer)
+
+
+def test_lattice_names_no_float_matrix_routine():
+    # site products are built in closed form on ints, never by multiplying
+    # or powering float matrices
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(plektonlab.lattice))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"linalg", "matrix_power"}
+
+
+def test_oracle_refuses_a_ratio_too_fine_for_int64(z3, monkeypatch):
+    # the exchanged sides are compared through their coefficient over the
+    # word's: a ratio off by 1/q turn is read in units of 1/lcm(N, q) turn,
+    # exactly while that fits int64, and refused once it does not
+    def off_by(q):
+        def exchanged(word, i, model):
+            swapped = _exchange(word, i, model)
+            return FieldWord(swapped.coeff * CyclotomicPhase.from_pair(1, q), swapped.factors)
+        return exchanged
+
+    word = FieldWord.of(*(FieldSymbol(1, I, loc) for loc in fan(3)),
+                        coeff=CyclotomicPhase.from_pair(1, 2 ** 61 - 1))
+    q = 2 ** 55 - 55  # k = 3 q fits int64 with room for four terms
+    monkeypatch.setattr(plektonlab.lattice, "_exchange", off_by(q))
+    rep = lattice_oracle(z3, word)
+    assert rep.exchange_residual == pytest.approx(2 * math.sin(math.pi / q), rel=1e-12)
+    assert rep.ok and rep.adjoint_residual == 0.0
+    monkeypatch.setattr(plektonlab.lattice, "_exchange", off_by(2 ** 61 - 1))
+    with pytest.raises(OracleError, match="too fine for int64"):
+        lattice_oracle(z3, word)

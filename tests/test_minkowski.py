@@ -398,16 +398,11 @@ def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
     assert acc.rapidity > 20.0
 
 
-# act's images of these paths stay within 1.7e-12 of the 80-digit arc ends
-# wherever act returns one, up to the chains' top rapidity of 26.4.  From
-# rapidity 23.1 on act refuses some images: most are cones whose exact arc
-# is within ARC_TOL of pi, but at seed 4 it refuses two valid ones as
-# "boundary normals must be light-like" (rapidity 23.1 and 24.6)
-ACT_EXACT_UP_TO = 23.0
-
-
 @pytest.mark.parametrize("seed", [3, 4, 5])
 def test_act_along_long_chains_agrees_with_mpmath(seed):
+    # act's images of these paths stay within 1.7e-12 of the 80-digit arc
+    # ends wherever act returns one, up to the chains' top rapidity of 26.4;
+    # it refuses only cones whose exact image arc is within ARC_TOL of pi
     from plektonlab.cones import act, cone_path, wedge_path
     from plektonlab.tolerances import ARC_TOL
 
@@ -419,8 +414,9 @@ def test_act_along_long_chains_agrees_with_mpmath(seed):
             want = [su11.arc_end(ref, end) for end in (path.arc.alpha_minus, path.arc.alpha_plus)]
             try:
                 arc = act(acc, path).arc
-            except ValueError:
-                assert su11.coordinates(ref)[1] > ACT_EXACT_UP_TO
+            except ValueError as err:
+                assert str(err) == "cone arcs must have width strictly below pi"
+                assert abs(want[1] - want[0] - math.pi) <= ARC_TOL
                 continue
             assert abs(arc.alpha_minus - want[0]) <= ARC_TOL
             assert abs(arc.alpha_plus - want[1]) <= ARC_TOL
