@@ -1,12 +1,14 @@
 """Space-like cones, wedges and their lifted angular arcs.
 
-A region is stored as its apex, the light-like normals of its boundary
-planes, the extreme rays of its closure, and a lifted angular arc locating
-the sheet of the universal cover of the manifold of space-like directions.
-All winding-number arithmetic happens on the arcs; the rays and normals
-carry the rapidity extent and decide causal separation.  The separation
-certificate runs over a stack of pairs with one candidate layout per row
-count, so each pair's violations are bitwise those of a single call.
+A region is stored as one read-only float array of rows (its apex, the
+light-like normals of its boundary planes and the extreme rays of its
+closure) and a lifted angular arc locating the sheet of the universal cover
+of the manifold of space-like directions.  The group action moves the rows
+with one matrix product.  All winding-number arithmetic happens on the
+arcs; the rays and normals carry the rapidity extent and decide causal
+separation.  The separation certificate runs over a stack of pairs with one
+candidate layout per row count, so each pair's violations are bitwise those
+of a single call.
 
 Roles of the stored extreme rays (order is fixed and preserved by the
 orientation-preserving group action):
@@ -22,7 +24,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +36,7 @@ from .minkowski import (
     MVec3,
     _as_poincare,
     _finite_vector,
-    minkowski_inner,
     minkowski_norm2,
-    reflect_vector,
     wrap_angle,
 )
 from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_COMMON_APEX,
@@ -46,6 +46,8 @@ from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORAC
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
 KIND_CONE_COMPLEMENT = "cone-complement"
+# a region's rows: its apex, its boundary normals and 4 corners
+_ROWS = {KIND_CONE: 9, KIND_WEDGE: 7, KIND_CONE_COMPLEMENT: 9}
 
 
 class SeparationError(ValueError):
@@ -134,9 +136,16 @@ class ReferenceFrame:
 DEFAULT_FRAME = ReferenceFrame()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ConePath:
     """A path class: apex, lifted arc, kind, boundary data.
+
+    The vectors are the rows of one read-only float array ``rows``: the
+    apex, the light-like boundary normals (4 for a cone, 2 for a wedge) and
+    the 4 corners.  ``apex``, ``normals`` and ``corners`` are `MVec3` views
+    of those rows, built when first read.  Two paths are equal when their
+    kinds and arcs are and their rows are elementwise (so -0.0 equals 0.0);
+    equal paths hash equal.
 
     For ``kind == 'cone-complement'`` the stored arc, normals and corners are
     those of the complemented cone; the projected region is its causal
@@ -144,60 +153,111 @@ class ConePath:
     by the ordering and winding operations.
     """
 
-    apex: MVec3
+    rows: np.ndarray
     arc: LiftedArc
     kind: str
-    normals: tuple[MVec3, ...]
-    corners: tuple[MVec3, ...]
 
-    def __post_init__(self) -> None:
-        if self.kind not in (KIND_CONE, KIND_WEDGE, KIND_CONE_COMPLEMENT):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == KIND_WEDGE:
-            if abs(self.arc.width - math.pi) > ARC_TOL:
-                raise ValueError("wedge arcs must have width exactly pi")
-        elif self.arc.width > math.pi - ARC_TOL:
-            raise ValueError("cone arcs must have width strictly below pi")
-        # a normal transported by L carries eps |L| in each entry, so its n.n
-        # is off by about 2 eps |n0| |L|, and the largest normal of a cone or
-        # wedge image is about |L|: the bound is relative to |n0| times the
-        # largest |n0|, which is read only when n0^2 does not suffice
-        for n in self.normals:
-            err = abs(minkowski_norm2(n))
-            if err > NORM2_TOL * max(1.0, n.x0 * n.x0) and err > NORM2_TOL * max(
-                    1.0, abs(n.x0) * max(abs(m.x0) for m in self.normals)):
-                raise ValueError("boundary normals must be light-like")
+    def __init__(self, apex: MVec3, arc: LiftedArc, kind: str, normals: tuple[MVec3, ...],
+                 corners: tuple[MVec3, ...]) -> None:
+        _set_path(self, _rows(apex, *normals, *corners), arc, kind)
+
+    @functools.cached_property
+    def apex(self) -> MVec3:
+        return MVec3._make(self.rows[0].tolist())
+
+    @functools.cached_property
+    def normals(self) -> tuple[MVec3, ...]:
+        return tuple(map(MVec3._make, self.rows[1:-4].tolist()))
+
+    @functools.cached_property
+    def corners(self) -> tuple[MVec3, ...]:
+        return tuple(map(MVec3._make, self.rows[-4:].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind == other.kind and self.arc == other.arc
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.arc, *self.rows.ravel().tolist()))
+
+    def __reduce__(self):
+        # an unpickled array is writable: rebuild (and re-check) through _path
+        return _path, (self.rows, self.arc, self.kind)
 
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:
         if self.kind != other.kind:
             return False
-        if max(map(abs, self.apex - other.apex)) > tol:
+        if max(map(abs, (self.rows[0] - other.rows[0]).tolist())) > tol:
             return False
         return (
             abs(self.arc.alpha_minus - other.arc.alpha_minus) <= tol
             and abs(self.arc.alpha_plus - other.arc.alpha_plus) <= tol
         )
 
-    def translated(self, a: MVec3) -> "ConePath":
-        return replace(self, apex=_finite_vector(self.apex + a, "apex"))
-
     @functools.cached_property
     def closure_rays(self) -> np.ndarray:
         """Generators of the closed region's recession cone as a read-only
-        (k, 3) array; a wedge's closure also holds the full lines through its
-        west and east rays."""
-        rays = np.array(self.corners)
+        (k, 3) array, the corners' rows for a cone; a wedge's closure also
+        holds the full lines through its west and east rays."""
+        rays = self.rows[-4:]
         if self.kind == KIND_WEDGE:  # up, down, west, east, -west, -east
             rays = np.concatenate([rays[2:], rays[:2], -rays[:2]])
-        rays.setflags(write=False)
+            rays.setflags(write=False)
         return rays
 
 
-def _wedge_normals(center: float) -> tuple[MVec3, MVec3]:
+def _rows(*vectors) -> np.ndarray:
+    """3-tuples as the rows of a float array (np.fromiter reads them in a
+    third less time than np.array)."""
+    return np.fromiter(itertools.chain(*vectors), float).reshape(-1, 3)
+
+
+def _path(rows: np.ndarray, arc: LiftedArc, kind: str) -> ConePath:
+    """The path over an (n, 3) float array of rows, which it makes read-only;
+    the package's own regions and images are built here."""
+    path = object.__new__(ConePath)
+    _set_path(path, rows, arc, kind)
+    return path
+
+
+def _set_path(path: ConePath, rows: np.ndarray, arc: LiftedArc, kind: str) -> None:
+    """Validate a region's kind, arc width and rows, then store them."""
+    if kind not in _ROWS:
+        raise ValueError(f"unknown kind {kind!r}")
+    if kind == KIND_WEDGE:
+        if abs(arc.width - math.pi) > ARC_TOL:
+            raise ValueError("wedge arcs must have width exactly pi")
+    elif arc.width > math.pi - ARC_TOL:
+        raise ValueError("cone arcs must have width strictly below pi")
+    if rows.shape != (_ROWS[kind], 3):
+        raise ValueError(f"a {kind} path has {_ROWS[kind]} vectors (apex, normals, 4 corners), "
+                         f"not {len(rows)}")
+    # a normal transported by L carries eps |L| in each entry, so its n.n
+    # is off by about 2 eps |n0| |L|, and the largest normal of a cone or
+    # wedge image is about |L|: the bound is relative to |n0| times the
+    # largest |n0|, which is read only when n0^2 does not suffice
+    normals = rows[1:-4].tolist()
+    for n0, n1, n2 in normals:
+        err = abs(n0 * n0 - n1 * n1 - n2 * n2)
+        if err > NORM2_TOL * max(1.0, n0 * n0) and err > NORM2_TOL * max(
+                1.0, abs(n0) * max(abs(m[0]) for m in normals)):
+            raise ValueError("boundary normals must be light-like")
+    rows.setflags(write=False)
+    object.__setattr__(path, "rows", rows)
+    object.__setattr__(path, "arc", arc)
+    object.__setattr__(path, "kind", kind)
+
+
+_J_SIGNS = np.array([-1.0, -1.0, 1.0])  # j = diag(-1,-1,1) as a row scaling
+
+
+def _wedge_normals(center: float) -> tuple[tuple[float, float, float], ...]:
     # standard wedge W1 (center 0): <l, x> > 0 for l = (-1,-1,0) and (1,-1,0),
     # rotated by center
     c, s = math.cos(center), math.sin(center)
-    return (MVec3(-1.0, -c, -s), MVec3(1.0, -c, -s))
+    return ((-1.0, -c, -s), (1.0, -c, -s))
 
 
 def _cone_corners(center: float, half: float) -> tuple[tuple[float, float, float], ...]:
@@ -233,8 +293,8 @@ def wedge_path(apex: MVec3 = ZERO_VEC, center_angle: float = 0.0,
     """Wedge with direction arc (center - pi/2, center + pi/2) on the given sheet."""
     _finite_vector(apex, "apex")
     arc = _lifted_arc(center_angle, math.pi / 2.0, sheet)
-    corners = tuple(map(MVec3._make, _cone_corners(center_angle, math.pi / 2.0)))
-    return ConePath(apex, arc, KIND_WEDGE, _wedge_normals(center_angle), corners)
+    rows = _rows(apex, *_wedge_normals(center_angle), *_cone_corners(center_angle, math.pi / 2.0))
+    return _path(rows, arc, KIND_WEDGE)
 
 
 def cone_path(apex: MVec3, center_angle: float, half_opening: float,
@@ -253,9 +313,9 @@ def cone_path(apex: MVec3, center_angle: float, half_opening: float,
     _finite_vector(apex, "apex")
     arc = _lifted_arc(center_angle, half_opening, sheet)
     shift = math.pi / 2.0 - half_opening
-    normals = _wedge_normals(center_angle - shift) + _wedge_normals(center_angle + shift)
-    corners = tuple(map(MVec3._make, _cone_corners(center_angle, half_opening)))
-    return ConePath(apex, arc, kind, normals, corners)
+    rows = _rows(apex, *_wedge_normals(center_angle - shift), *_wedge_normals(center_angle + shift),
+                 *_cone_corners(center_angle, half_opening))
+    return _path(rows, arc, kind)
 
 
 def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
@@ -364,10 +424,10 @@ def _separation_rows(c1: ConePath, c2: ConePath) -> np.ndarray:
             raise SeparationError("cone-complement regions are not supported here")
         if c.arc.width <= ARC_TOL:
             raise SeparationError("degenerate (empty-interior) cone")
-    d = c1.apex - c2.apex
+    d = c1.rows[0] - c2.rows[0]
     rows = [c1.closure_rays, -c2.closure_rays]
-    if max(map(abs, d)) > SEP_DEGENERATE:
-        rows.append([d])
+    if max(map(abs, d.tolist())) > SEP_DEGENERATE:
+        rows.append(d[None])
     return np.concatenate(rows)
 
 
@@ -636,42 +696,41 @@ def relative_winding_scan(c2: ConePath, c1: ConePath) -> int:
 def act(g, path: ConePath) -> ConePath:
     """Natural action of the covering Poincare group on path classes.
 
-    The apex and boundary data transform by the matrix part.  Each lifted
-    arc end alpha moves in closed form to alpha + theta plus the turn of its
+    The rows (apex, normals, corners) transform by the matrix part in one
+    stacked product, and the translation moves the apex.  Each lifted arc
+    end alpha moves in closed form to alpha + theta plus the turn of its
     ray, with theta the lifted angle of g.  For a ray at spatial angle beta,
     g r(beta) lifts to theta + beta and factors as R(theta + beta) B' with B'
     a pure boost; B' never turns a space-like ray through pi, so the turn is
     the principal angle of B' r(-beta) ray, measured from the ray's own angle
     and therefore independent of the frame the arc is expressed in.  A pure
     rotation shifts the arc by exactly its lifted angle, so rotations by
-    2 pi n shift the arc by 2 pi n rather than acting trivially.
+    2 pi n shift the arc by 2 pi n rather than acting trivially.  The image
+    is checked like any region, and no per-vector object is built.
     """
     p = _as_poincare(g)
-    lam = p.lorentz.matrix
-    k = 1 + len(path.normals)
-    vecs = np.array((path.apex, *path.normals, *path.corners))
-    # a stacked matmul is bitwise lam.m @ v per vector; vecs @ lam.m.T is not
-    images = list(map(MVec3._make, np.matmul(lam.m, vecs[:, :, None])[:, :, 0].tolist()))
-    apex = p.translation + images[0]
-    normals, corners = tuple(images[1:k]), tuple(images[k:])
+    m, theta = p.lorentz.matrix.m, p.lorentz.angle
+    # a stacked matmul is bitwise m @ v per row; rows @ m.T is not
+    images = np.matmul(m, path.rows[:, :, None])[:, :, 0]
+    (x0, x1, x2), (t0, t1, t2) = images[0].tolist(), p.translation
+    images[0] = (t0 + x0, t1 + x1, t2 + x2)
 
     if p.lorentz.is_pure_rotation():
-        arc = path.arc.shifted(p.lorentz.angle)
-        return ConePath(apex, arc, path.kind, normals, corners)
+        return _path(images, path.arc.shifted(theta), path.kind)
 
-    rays = vecs[k:k + 2]
-    moved = rays @ lam.m.T
-    turn = (np.arctan2(moved[:, 2], moved[:, 1]) - np.arctan2(rays[:, 2], rays[:, 1])
-            - p.lorentz.angle)
-    turn = np.remainder(turn + math.pi, TWO_PI) - math.pi
-    ends = np.array([path.arc.alpha_minus, path.arc.alpha_plus])
-    lo, hi = (ends + p.lorentz.angle + turn).tolist()
+    rays = path.rows[-4:-2]
+    moved = rays @ m.T
+    # numpy's arctan2 is not math.atan2 bit for bit on every machine
+    west, east = (np.arctan2(moved[:, 2], moved[:, 1])
+                  - np.arctan2(rays[:, 2], rays[:, 1])).tolist()
+    # the principal turns in [-pi, pi): float % is np.remainder bit for bit
+    lo = path.arc.alpha_minus + theta + ((west - theta + math.pi) % TWO_PI - math.pi)
+    hi = path.arc.alpha_plus + theta + ((east - theta + math.pi) % TWO_PI - math.pi)
     if path.kind == KIND_WEDGE:
         if abs((hi - lo) - math.pi) > LIFT_TOL:
             raise LiftError("wedge arc endpoints drifted apart under transport")
         hi = lo + math.pi
-    arc = LiftedArc(lo, hi)
-    return ConePath(apex, arc, path.kind, normals, corners)
+    return _path(images, LiftedArc(lo, hi), path.kind)
 
 
 def reflect_path(path: ConePath, frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
@@ -679,15 +738,13 @@ def reflect_path(path: ConePath, frame: ReferenceFrame = DEFAULT_FRAME) -> ConeP
 
     Requires a j-invariant reference cone; lifted angles map orientation-
     reversingly as angle -> c - angle with c fixed by the reference sheet.
+    j reverses orientation, so the west and east corners trade places.
     """
     c = frame.reflection_constant()
-    apex = reflect_vector(path.apex)
-    normals = tuple(reflect_vector(n) for n in path.normals)
-    west, east, *rest = path.corners
-    corners = (reflect_vector(east), reflect_vector(west),
-               *(reflect_vector(v) for v in rest))
+    rows = path.rows * _J_SIGNS
+    rows[[-4, -3]] = rows[[-3, -4]]
     arc = LiftedArc(c - path.arc.alpha_plus, c - path.arc.alpha_minus)
-    return ConePath(apex, arc, path.kind, normals, corners)
+    return _path(rows, arc, path.kind)
 
 
 def rebase(path: ConePath, old_frame: ReferenceFrame, new_frame: ReferenceFrame) -> ConePath:
@@ -699,7 +756,7 @@ def rebase(path: ConePath, old_frame: ReferenceFrame, new_frame: ReferenceFrame)
     connector windings are obtained by composing with act(r(2 pi k), .).
     """
     offset = new_frame.reference_angle - old_frame.reference_angle
-    return replace(path, arc=path.arc.shifted(offset))
+    return _path(path.rows, path.arc.shifted(offset), path.kind)
 
 
 def path_within_wedge(path: ConePath, wedge: ConePath) -> bool:
@@ -714,11 +771,10 @@ def path_within_wedge(path: ConePath, wedge: ConePath) -> bool:
         return False
     if path.arc.alpha_plus > wedge.arc.alpha_plus + WEDGE_TOL:
         return False
-    rel = path.apex - wedge.apex
-    for n in wedge.normals:
-        if minkowski_inner(n, rel) < -WEDGE_TOL:
-            return False
-        for corner in path.corners:
-            if minkowski_inner(n, corner) < -WEDGE_TOL:
+    # n.v for each wedge normal n, v the apex gap and then each corner
+    vectors = [(path.rows[0] - wedge.rows[0]).tolist(), *path.rows[-4:].tolist()]
+    for n0, n1, n2 in wedge.rows[1:-4].tolist():
+        for v0, v1, v2 in vectors:
+            if n0 * v0 - n1 * v1 - n2 * v2 < -WEDGE_TOL:
                 return False
     return True

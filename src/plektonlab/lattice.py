@@ -115,7 +115,9 @@ class ClockShiftLattice:
         site) from left to right.  The factors of (U_1 ... U_{j-1} V_j)^c
         are U^c before site j, V^c on it and the identity after it, and
         they act on a column from the right: U^c multiplies basis state r
-        by zeta^(a c r), V^c moves it to r + c."""
+        by zeta^(a c r), V^c moves it to r + c.  Every public builder and
+        the oracle pass through here, so a site off the chain is refused
+        here."""
         n = self.model.group_order
         chain = np.arange(self.n_sites)[:, None]
         rows = np.broadcast_to(np.arange(n), (len(words), self.n_sites, n))
@@ -124,7 +126,9 @@ class ClockShiftLattice:
             # U^N = V^N = 1, so charges mod N keep the products in int64
             charge, site = np.array([(c % n, s) for c, s in column]).T[..., None, None]
             if site.min() < 0 or site.max() >= self.n_sites:
-                raise IndexError(f"sites {site.ravel()} leave the {self.n_sites}-site chain")
+                off = site[(site < 0) | (site >= self.n_sites)][0]
+                raise OracleError(f"site {off} is off the {self.n_sites}-site chain "
+                                  f"(sites 0 to {self.n_sites - 1})")
             exps = (exps + self._clock * charge * rows * (chain < site)) % n
             rows = (rows + charge * (chain == site)) % n
         return rows, exps

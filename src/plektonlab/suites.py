@@ -294,7 +294,7 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     for c2, c1 in random_separated_pairs(pair_rng, _n(40)):
         g = random_cover_element(rng, translations=False)
         moved = cones.act(g, c1)
-        dense = continuation.ray_angles(g, c1.corners[:2], [c1.arc.alpha_minus, c1.arc.alpha_plus])
+        dense = continuation.ray_angles(g, c1.rows[-4:-2], [c1.arc.alpha_minus, c1.arc.alpha_plus])
         worst = max(worst, abs(moved.arc.alpha_minus - dense[0]),
                     abs(moved.arc.alpha_plus - dense[1]))
     rep.add_outcome("arc-transport-continuation", worst <= LIFT_TOL, residual=worst,

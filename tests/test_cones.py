@@ -1,7 +1,8 @@
 import ast
+import copy
 import inspect
 import math
-from dataclasses import replace
+import pickle
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from plektonlab.minkowski import (
     CoveringLorentz,
     CoveringPoincare,
     MVec3,
+    _finite_vector,
     cover_boost1,
     cover_compose,
     cover_rotation,
@@ -66,6 +68,13 @@ def rnd_pair(rng):
                 return c2, c1
         except SeparationError:
             continue
+
+
+def translated(path, a):
+    """The path with its apex moved by the vector a; ValueError unless the
+    moved apex is finite."""
+    apex = _finite_vector(path.apex + a, "apex")
+    return ConePath(apex, path.arc, path.kind, path.normals, path.corners)
 
 
 def rnd_cover(rng, translations=True):
@@ -126,7 +135,7 @@ def test_constructors_reject_non_finite_vectors(bad, axis):
     for build in (lambda: cone_path(v, 0.0, 0.2), lambda: wedge_path(v),
                   lambda: cone_path(v, 0.0, 0.2, kind=KIND_CONE_COMPLEMENT),
                   lambda: cover_translation(v),
-                  lambda: cone_path(ZERO_VEC, 0.0, 0.2).translated(v),
+                  lambda: translated(cone_path(ZERO_VEC, 0.0, 0.2), v),
                   lambda: CoveringPoincare(v, CoveringLorentz.identity())):
         with pytest.raises(ValueError, match="not finite"):
             build()
@@ -137,7 +146,7 @@ def test_translations_reject_a_nan_vector():
     # opposite cone with winding -1, and act moved the cone to a NaN apex
     c = cone_path(ZERO_VEC, 0.0, 0.2)
     with pytest.raises(ValueError, match="not finite"):
-        c.translated(MVec3(math.nan, 0, 0))
+        translated(c, MVec3(math.nan, 0, 0))
     with pytest.raises(ValueError, match="not finite"):
         act(CoveringPoincare(MVec3(math.nan, 0, 0), CoveringLorentz.identity()), c)
 
@@ -154,7 +163,7 @@ def test_wedge_and_causal_complement_separated():
 
 def test_timelike_translate_not_separated():
     c = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
-    assert not causally_separated(c, c.translated(MVec3(2.0, 0.0, 0.0)))
+    assert not causally_separated(c, translated(c, MVec3(2.0, 0.0, 0.0)))
 
 
 def test_antipodal_narrow_cones_separated():
@@ -250,7 +259,7 @@ def test_certificate_matches_one_nappe_reference():
             g = rnd_cover(rng)
             c1, c2 = act(g, c1), act(g, c2)
         elif k % 3 == 2:
-            c2 = c1.translated(MVec3(*rng.normal(0, 1.0, 3)))
+            c2 = translated(c1, MVec3(*rng.normal(0, 1.0, 3)))
         d = (c1.apex - c2.apex).as_array()
         rows = np.concatenate([c1.closure_rays, -c2.closure_rays]
                               + ([d[None, :]] if np.abs(d).max() > 1e-14 else []))
@@ -276,7 +285,7 @@ def test_stacked_certificates_match_single_calls():
         c1 = region(apex)
         c2 = region(apex if rng.random() < 0.4 else MVec3(*rng.normal(0, 0.4, 3)))
         if rng.random() < 0.1:
-            c2 = c2.translated(c1.apex - c2.apex + MVec3(rng.normal(), 0.0, 0.0))
+            c2 = translated(c2, c1.apex - c2.apex + MVec3(rng.normal(), 0.0, 0.0))
         if rng.random() < 0.3:
             g = cover_compose(cover_rotation(rng.uniform(-7, 7)), cover_compose(
                 cover_boost1(rng.uniform(-3, 3)), cover_rotation(rng.uniform(-3, 3))))
@@ -447,7 +456,7 @@ def test_grazing_cone_arcs_rejected():
 def test_winding_requires_separation():
     c = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
     with pytest.raises(SeparationError):
-        relative_winding(c.translated(MVec3(2.0, 0, 0)), c)
+        relative_winding(translated(c, MVec3(2.0, 0, 0)), c)
 
 
 # ---------------------------------------------------------------------------
@@ -521,13 +530,148 @@ def test_act_keeps_paths_under_strong_boosts():
 
 
 def test_normals_off_the_light_cone_are_rejected_at_any_scale():
+    # through the public constructor and the package's own one over rows
     c = cone_path(ZERO_VEC, 0.3, 0.4)
-    for size in (1.0, math.exp(8)):
-        n = size * np.array([1.0, math.cos(0.7), math.sin(0.7)])
-        replace(c, normals=(MVec3(*n), c.normals[1]))
-        n[1:] *= 1 + 1e-6
-        with pytest.raises(ValueError, match="light-like"):
-            replace(c, normals=(MVec3(*n), c.normals[1]))
+
+    def public(n):
+        return ConePath(c.apex, c.arc, c.kind, (MVec3(*n), *c.normals[1:]), c.corners)
+
+    def over_rows(n):
+        rows = c.rows.copy()
+        rows[1] = n
+        return cones._path(rows, c.arc, c.kind)
+
+    for build in (public, over_rows):
+        for size in (1.0, math.exp(8)):
+            n = size * np.array([1.0, math.cos(0.7), math.sin(0.7)])
+            build(n)
+            n[1:] *= 1 + 1e-6
+            with pytest.raises(ValueError, match="light-like"):
+                build(n)
+
+
+def _built_paths():
+    """(name, path) from every builder: cone_path, wedge_path, act (a boost
+    with a translation, a pure rotation), reflect_path and rebase."""
+    cone = cone_path(MVec3(0.1, -0.2, 0.3), 0.7, 0.4, sheet=1)
+    wedge = wedge_path(MVec3(-0.3, 0.2, 0.1), -1.1, sheet=-1)
+    g = cover_compose(cover_translation(MVec3(0.5, -0.4, 0.3)),
+                      cover_compose(cover_rotation(2.5), cover_boost1(0.8)))
+    f0, f1 = ReferenceFrame(), ReferenceFrame(2.0)
+    out = []
+    for name, c in (("cone", cone), ("wedge", wedge),
+                     ("complement", cone_path(ZERO_VEC, -2.0, 0.3, kind=KIND_CONE_COMPLEMENT))):
+        out += [(name, c), (f"act-{name}", act(g, c)),
+                (f"rotate-{name}", act(cover_rotation(-TWO_PI), c)),
+                (f"reflect-{name}", reflect_path(c)), (f"rebase-{name}", rebase(c, f0, f1))]
+    return out
+
+
+_BUILT = dict(_built_paths())
+
+
+@pytest.mark.parametrize("name", list(_BUILT))
+def test_rows_are_read_only_and_the_views_are_their_bits(name):
+    path = _BUILT[name]
+    assert path.rows.dtype == float and not path.rows.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        path.rows[0, 0] = 1.0
+    k = 2 if path.kind == "wedge" else 4
+    assert path.rows.shape == (5 + k, 3)
+    assert len(path.normals) == k and len(path.corners) == 4
+    vecs = (path.apex, *path.normals, *path.corners)
+    assert all(type(v) is MVec3 and all(type(x) is float for x in v) for v in vecs)
+    assert np.array(vecs).tobytes() == path.rows.tobytes()
+    # read once, then cached
+    assert path.apex is path.apex and path.corners is path.corners
+
+
+def test_a_path_has_the_rows_of_its_kind():
+    c, w = cone_path(ZERO_VEC, 0.3, 0.4), wedge_path(ZERO_VEC, 0.3)
+    with pytest.raises(ValueError, match="^a cone path has 9 vectors .*, not 7$"):
+        ConePath(c.apex, c.arc, c.kind, c.normals[:2], c.corners)
+    with pytest.raises(ValueError, match="^a wedge path has 7 vectors .*, not 9$"):
+        ConePath(w.apex, w.arc, w.kind, w.normals * 2, w.corners)
+    with pytest.raises(ValueError, match="unknown kind"):
+        ConePath(c.apex, c.arc, "cone complement", c.normals, c.corners)
+
+
+def test_a_pickled_path_comes_back_read_only():
+    # verify --suite all sends the scene's paths to its workers by pickle
+    for path in _BUILT.values():
+        for back in (pickle.loads(pickle.dumps(path)), copy.deepcopy(path)):
+            assert back == path and not back.rows.flags.writeable
+            assert back.rows.tobytes() == path.rows.tobytes()
+
+
+def _as_tuple(path):
+    """The parent's field tuple of a path, whose == and hash it kept."""
+    return (path.apex, path.arc, path.kind, path.normals, path.corners)
+
+
+def test_equality_and_hash_follow_the_vector_tuples():
+    # separately built equal paths, a -0.0/0.0 apex pair, and unequal paths
+    # that differ in the apex, the arc, the sheet or the kind
+    a = cone_path(MVec3(0.1, 0.2, 0.3), 0.4, 0.3)
+    paths = [a, cone_path(MVec3(0.1, 0.2, 0.3), 0.4, 0.3),
+             cone_path(MVec3(-0.0, 0.0, -0.0), 0.4, 0.3), cone_path(MVec3(0.0, -0.0, 0.0), 0.4, 0.3),
+             cone_path(MVec3(0.1, 0.2, 0.30000000000000004), 0.4, 0.3),
+             cone_path(MVec3(0.1, 0.2, 0.3), 0.4, 0.3, sheet=1),
+             cone_path(MVec3(0.1, 0.2, 0.3), 0.4, 0.3, kind=KIND_CONE_COMPLEMENT),
+             cone_path(MVec3(0.1, 0.2, 0.3), 0.4, 0.31),
+             wedge_path(MVec3(0.1, 0.2, 0.3), 0.4), wedge_path(MVec3(0.1, 0.2, 0.3), 0.4),
+             rebase(a, ReferenceFrame(), ReferenceFrame()), act(cover_rotation(0.0), a)]
+    assert paths[2].rows.tobytes() != paths[3].rows.tobytes()
+    equal_pairs = 0
+    for p in paths:
+        for q in paths:
+            assert (p == q) == (_as_tuple(p) == _as_tuple(q))
+            assert (p != q) == (_as_tuple(p) != _as_tuple(q))
+            if p == q:
+                assert hash(p) == hash(q)
+                equal_pairs += p is not q
+    # the classes {0, 1, 10, 11}, {2, 3} and {8, 9}, ordered pairs of distinct members
+    assert equal_pairs == 12 + 2 + 2
+    assert a != _as_tuple(a) and len({*paths}) == 7
+
+
+def test_act_builds_no_vector(monkeypatch):
+    # MVec3 constructions counted through both constructors of the class,
+    # while act moves a cone and a wedge by a boost with a translation, a
+    # pure rotation and a wedge that drifts nowhere
+    c = cone_path(MVec3(0.1, -0.2, 0.3), 0.7, 0.4, sheet=1)
+    w = wedge_path(MVec3(-0.3, 0.2, 0.1), -1.1)
+    elements = [cover_compose(cover_translation(MVec3(0.5, -0.4, 0.3)),
+                              cover_compose(cover_rotation(2.5), cover_boost1(0.8))),
+                cover_boost1(-3.0), cover_rotation(TWO_PI), CoveringPoincare.identity()]
+    built = []
+    new, make = MVec3.__new__, MVec3._make
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    def counted_make(cls, iterable):
+        built.append(iterable)
+        return make(iterable)
+
+    monkeypatch.setattr(MVec3, "__new__", counted_new)
+    monkeypatch.setattr(MVec3, "_make", classmethod(counted_make))
+    assert MVec3(1.0, 2.0, 3.0) == (1.0, 2.0, 3.0) and len(built) == 1
+    built.clear()
+    images = [act(g, path) for g in elements for path in (c, w)]
+    assert built == []
+    # the views are built when read, through the counted constructors
+    assert len(images[0].corners) == 4 and len(built) == 4
+
+
+def test_act_names_no_vector_type():
+    # act moves the rows array: no per-vector object and no array packing
+    tree = ast.parse(inspect.getsource(act))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    calls = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
+    assert "MVec3" not in names and ("np", "array") not in calls
 
 
 # ---------------------------------------------------------------------------

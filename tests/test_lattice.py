@@ -12,6 +12,7 @@ from plektonlab.lattice import ClockShiftLattice, LatticeReport, OracleError, la
 from plektonlab.minkowski import MVec3
 from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
 from plektonlab.tolerances import LATTICE_TOL
+from tests.test_cones import translated
 
 I = ObservableWord.identity()
 
@@ -120,8 +121,10 @@ def test_tensor_factors_match_dense_reference(request, model_name, n_sites):
         for c, s in zip(charges, sites):
             want = want @ _dense_power(ops[s], c)
         assert np.abs(lat.word_matrix(word, sites) - want).max() < 1e-12
-    with pytest.raises(IndexError):
+    with pytest.raises(OracleError, match=f"^site {n_sites} is off the {n_sites}-site chain"):
         lat.site_operator(n_sites)
+    with pytest.raises(OracleError, match=f"^site -1 is off the {n_sites}-site chain"):
+        lat.symbol_matrix(FieldSymbol(1, I, loc), -1)
 
 
 def test_fusion_matches_matrix_product(z3):
@@ -164,6 +167,13 @@ def test_oracle_rejections(z3, boson, semion):
         lattice_oracle(z3, w3, [0, 1])
     with pytest.raises(OracleError, match="1 sites given for a word of 3 factors"):
         ClockShiftLattice(z3, 3).word_matrix(w3, [0])
+    # and each must lie on the chain: the offending site is named, not the
+    # sites of one position across the exchanged words
+    for sites, off in (([0, 1, 7], 7), ([-1, 0, 1], -1)):
+        with pytest.raises(OracleError, match=f"^site {off} is off the 3-site chain"):
+            lattice_oracle(z3, w3, sites)
+        with pytest.raises(OracleError, match=f"^site {off} is off the 3-site chain"):
+            ClockShiftLattice(z3, 3).word_matrix(w3, sites)
 
 
 _RELATED = "exchange requires causally separated localisations"
@@ -197,7 +207,7 @@ def test_oracle_refuses_a_pair_exchange_refuses(z3, monkeypatch, names, sites, e
         "base": base,
         "opposite": cone_path(MVec3(0, 0, 0), math.pi, 0.3),
         # a later apex in base's own direction: causally related to base
-        "later": base.translated(MVec3(2.0, 0, 0)),
+        "later": translated(base, MVec3(2.0, 0, 0)),
         # apexes light-like to base's up to 1e-8: inside the ambiguity band
         "grazing": cone_path(MVec3(1 + 1e-8, -1, 0), math.pi, 0.3),
         "delocalized": DELOCALIZED,

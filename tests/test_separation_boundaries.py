@@ -26,6 +26,7 @@ from plektonlab.minkowski import (
     cover_rotation,
     cover_translation,
 )
+from tests.test_cones import translated
 
 # |delta| at or above this must give the exact verdict without raising
 DECISIVE_GAP = 1e-6
@@ -60,7 +61,7 @@ def movers(draw):
 def inward(path, s):
     """The path with its apex moved by s along its spatial axis."""
     mid = 0.5 * (path.arc.alpha_minus + path.arc.alpha_plus)
-    return path.translated(MVec3(0.0, s * math.cos(mid), s * math.sin(mid)))
+    return translated(path, MVec3(0.0, s * math.cos(mid), s * math.sin(mid)))
 
 
 def assert_verdict(c1, c2, delta):

@@ -23,6 +23,7 @@ from plektonlab.fields import (
 from plektonlab.minkowski import MVec3
 from plektonlab.report import PASS
 from plektonlab.suites import run_suite
+from tests.test_cones import translated
 
 A = ObservableWord.symbol("A")
 B = ObservableWord.symbol("B")
@@ -30,7 +31,7 @@ B = ObservableWord.symbol("B")
 
 def overlapping_pair():
     c = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
-    later = c.translated(MVec3(2.0, 0, 0))
+    later = translated(c, MVec3(2.0, 0, 0))
     assert not causally_separated(c, later)
     return later, c
 

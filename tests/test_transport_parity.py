@@ -25,6 +25,7 @@ from plektonlab.cones import (
     ReferenceFrame,
     act,
     cone_path,
+    rebase,
     reflect_path,
     wedge_path,
 )
@@ -115,26 +116,44 @@ def _elements(rng, n):
     return out
 
 
+def _outcome(build):
+    """The bits of the path build() returns, or the repr of its LiftError."""
+    try:
+        return _path_bits(build())
+    except LiftError as exc:
+        return repr(exc)
+
+
+def _rebase_per_vector(path, old_frame, new_frame):
+    offset = new_frame.reference_angle - old_frame.reference_angle
+    return ConePath(path.apex, path.arc.shifted(offset), path.kind, path.normals, path.corners)
+
+
 def test_act_matches_per_vector_reference():
+    # one act, and depth-2 chains: act of an act image (by the next element),
+    # of a reflect_path image and of a rebase image, each against the
+    # per-vector references chained the same way
     rng = np.random.default_rng(101)
     paths = [cone_path(MVec3(*rng.normal(0.0, 0.4, 3)), rng.uniform(-math.pi, math.pi),
                        rng.uniform(0.05, 1.4), sheet=int(rng.integers(-2, 3)))
              for _ in range(4)]
     paths += [wedge_path(MVec3(*rng.normal(0.0, 0.4, 3)), rng.uniform(-math.pi, math.pi),
                          sheet=int(rng.integers(-2, 3))) for _ in range(3)]
-    for k, g in enumerate(_elements(rng, 160)):
+    frames = [ReferenceFrame(), ReferenceFrame(-math.pi / 2.0), ReferenceFrame(1.3)]
+    elements = _elements(rng, 160)
+    for k, g in enumerate(elements):
         if k % 2:
             g = cover_compose(cover_translation(MVec3(*rng.normal(0.0, 1.0, 3))), g)
+        h = elements[(k + 1) % len(elements)]
+        frame, other = frames[k % 2], frames[2]
         for c in paths:
-            try:
-                expected = _path_bits(_act_per_vector(g, c))
-            except LiftError as exc:
-                expected = repr(exc)
-            try:
-                got = _path_bits(act(g, c))
-            except LiftError as exc:
-                got = repr(exc)
-            assert got == expected
+            assert _outcome(lambda: act(g, c)) == _outcome(lambda: _act_per_vector(g, c))
+            assert _outcome(lambda: act(h, act(g, c))) == _outcome(
+                lambda: _act_per_vector(h, _act_per_vector(g, c)))
+            assert _outcome(lambda: act(g, reflect_path(c, frame))) == _outcome(
+                lambda: _act_per_vector(g, _reflect_path_per_vector(c, frame)))
+            assert _outcome(lambda: act(g, rebase(c, frame, other))) == _outcome(
+                lambda: _act_per_vector(g, _rebase_per_vector(c, frame, other)))
 
 
 def test_compose_and_inverse_match_full_matrix_reference():
