@@ -8,18 +8,20 @@ adjoint identity of the symbolic layer.  Each side of an identity is the
 Kronecker product of L site products (d = N^L <= 1024).  U and V are monomial
 with N-th roots of unity as values, so a site product is exactly a row and a
 power of zeta = exp(2 pi i / N) per column, both ints, computed in closed form
-for a whole identity family at once (the word and its L-1 exchanged words, or
-the adjoints beside their symbols).  By the mixed-product rule two sides' rows
-agree at a column iff every site's rows agree, so rows are compared and
-daggers taken per site; only the exponent gaps are expanded to d, on ints, so
-a correct identity reads a residual of exactly 0.  The word's adjacent pairs
-are decided in one stack before any side is built.
+for every side of a word at once: the word, its L-1 exchanged words and the
+adjoints beside their symbols, one stack.  By the mixed-product rule two
+sides' rows agree at a column iff every site's rows agree, and the exponent
+gap there is one gap per site summed, so the gaps that occur are the sumset,
+mod q, of per-site gap sets: rows are compared and daggers taken per site, no
+array has d entries, and a correct identity reads a residual of exactly 0.
+The word's adjacent pairs are decided in one stack before any side is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -31,7 +33,9 @@ from .tolerances import LATTICE_TOL
 # (site_operator, symbol_matrix, word_matrix) return 268 MB matrices
 MAX_DIMENSION = 1024
 
-# a Kronecker product of monomial site products: (L, N) rows, (L, N) exponents of zeta
+_INT64_MAX = np.iinfo(np.int64).max
+
+# K Kronecker products of monomial site products: (K, L, N) rows and exponents of zeta
 Side = tuple[np.ndarray, np.ndarray]
 
 
@@ -48,24 +52,33 @@ def _expand(ufunc, start, per_site: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distance(a: Side, b: Side, n: int, ratio: CyclotomicPhase = CyclotomicPhase.one()) -> float:
-    """Max-norm distance |A - r B| of two Kronecker sides of N-th roots of
-    unity, r = ratio a root of unity.  Where the rows agree it is
-    2 |sin(pi delta / k)|, delta the exponent gap in units of 1/k turn,
-    k = lcm(N, denominator of r); elsewhere the two unit entries sit in
-    different rows and it is 1."""
+def _residuals(a: Side, b: Side, n: int, ratios: list[CyclotomicPhase]) -> list[float]:
+    """Max-norm distances |A - r B| of K pairs of Kronecker sides of N-th
+    roots of unity, r the pair's ratio, a root of unity.  Where a column's
+    rows agree (at every site) it is 2 |sin(pi delta / q)|, delta the
+    exponent gap in units of 1/q turn, q = lcm(N, denominator of r), which
+    is r's exponent plus one gap per site: the gaps are the sumset, mod q, of
+    the sites' gaps over their agreeing columns.  Elsewhere it is 1."""
     (ra, ea), (rb, eb) = a, b
-    k = math.lcm(n, ratio.denominator)
-    # delta is a sum of L + 1 terms in [0, k), so int64 holds it
-    if k > np.iinfo(np.int64).max // (len(ra) + 1):
-        raise OracleError(f"coefficient ratio {ratio.turns} turns is too fine for int64")
-    delta = _expand(np.add, ratio.numerator * (k // ratio.denominator),
-                    (eb - ea) % n * (k // n)) % k
-    gap = 2.0 * np.abs(np.sin(np.pi * delta / k))
-    same = ra == rb
-    if not same.all():
-        gap = np.where(_expand(np.logical_and, True, same), gap, 1.0)
-    return float(gap.max())
+    qs = [math.lcm(n, r.denominator) for r in ratios]
+    for q, r in zip(qs, ratios):
+        if q > _INT64_MAX // (ra.shape[1] + 1):  # room for a column's L + 1 terms in [0, q)
+            raise OracleError(f"coefficient ratio {r.turns} turns is too fine for int64")
+    gaps = ((eb - ea) % n * np.reshape([q // n for q in qs], (-1, 1, 1))).tolist()
+    agree = (ra == rb).tolist()
+    deltas, spans, split = [], [], []
+    for q, r, site_gaps, site_agree in zip(qs, ratios, gaps, agree):
+        reached = {r.numerator * (q // r.denominator) % q}
+        for gap, same in zip(site_gaps, site_agree):
+            site = {g for g, s in zip(gap, same) if s}
+            reached = {(x + g) % q for x in reached for g in site}
+        spans.append(len(reached))
+        deltas += reached
+        split.append(not all(map(all, site_agree)))
+    dist = iter((2.0 * np.abs(np.sin(np.pi * np.array(deltas) / np.repeat(qs, spans)))).tolist())
+    # a column whose rows disagree at some site is 1 away; the sumset is
+    # empty only when no column agrees at every site, and then that is all
+    return [max([1.0] * apart + list(islice(dist, span))) for span, apart in zip(spans, split)]
 
 
 def _charge(sym: FieldSymbol) -> int:
@@ -115,22 +128,25 @@ class ClockShiftLattice:
         site) from left to right.  The factors of (U_1 ... U_{j-1} V_j)^c
         are U^c before site j, V^c on it and the identity after it, and
         they act on a column from the right: U^c multiplies basis state r
-        by zeta^(a c r), V^c moves it to r + c.  Every public builder and
-        the oracle pass through here, so a site off the chain is refused
-        here."""
+        by zeta^(a c r), V^c moves it to r + c: in closed form, a column's
+        row at a site moves by the charges there, and each U^c reads the row
+        the factors to its right leave.  Every public builder and the oracle
+        pass through here, so a site off the chain is refused here."""
         n = self.model.group_order
-        chain = np.arange(self.n_sites)[:, None]
-        rows = np.broadcast_to(np.arange(n), (len(words), self.n_sites, n))
-        exps = np.zeros_like(rows)
-        for column in reversed(list(zip(*words, strict=True))):
-            # U^N = V^N = 1, so charges mod N keep the products in int64
-            charge, site = np.array([(c % n, s) for c, s in column]).T[..., None, None]
-            if site.min() < 0 or site.max() >= self.n_sites:
-                off = site[(site < 0) | (site >= self.n_sites)][0]
-                raise OracleError(f"site {off} is off the {self.n_sites}-site chain "
-                                  f"(sites 0 to {self.n_sites - 1})")
-            exps = (exps + self._clock * charge * rows * (chain < site)) % n
-            rows = (rows + charge * (chain == site)) % n
+        # U^N = V^N = 1, so charges mod N keep the products in int64
+        factors = np.array([[(c % n, s) for c, s in word] for word in words],
+                           dtype=np.int64).reshape(len(words), len(words[0]), 2)
+        charge, site = factors[..., 0, None], factors[..., 1, None]
+        off = site[(site < 0) | (site >= self.n_sites)]
+        if off.size:
+            raise OracleError(f"site {off[0]} is off the {self.n_sites}-site chain "
+                              f"(sites 0 to {self.n_sites - 1})")
+        chain, column = np.arange(self.n_sites), np.arange(n)
+        # (W, factors, L) powers of V and U per factor and site
+        shift, clock = charge * (chain == site), charge * (chain < site)
+        later = shift.sum(1, keepdims=True) - np.cumsum(shift, 1)
+        rows = (shift.sum(1)[..., None] + column) % n
+        exps = self._clock * (clock[..., None] * (later[..., None] + column)).sum(1) % n
         return rows, exps
 
     def _matrix(self, factors: list[tuple[int, int]], coeff: complex = 1.0) -> np.ndarray:
@@ -173,38 +189,6 @@ class LatticeReport:
         return self.exchange_residual < LATTICE_TOL and self.adjoint_residual < LATTICE_TOL
 
 
-def _exchange_residual(lat: ClockShiftLattice, model: AnyonModel, word: FieldWord,
-                       sites: list[int]) -> float:
-    """max |S(word) - S(exchange(word, i))| over i, the exchanged word on the
-    sites swapped at i; the word and its L-1 exchanged words are one stack,
-    compared through the ratio of their coefficients."""
-    stack = [_charged(word, sites)]
-    ratios = []
-    for i, refusal in enumerate(_exchange_refusals(word.factors)):
-        if refusal is not None:
-            raise refusal
-        swapped = _exchange(word, i, model)
-        stack.append(_charged(swapped, [*sites[:i], sites[i + 1], sites[i], *sites[i + 2:]]))
-        ratios.append(swapped.coeff / word.coeff)
-    rows, exps = lat._site_products(stack)
-    return max((_distance((rows[0], exps[0]), (rows[k], exps[k]), model.group_order, ratio)
-                for k, ratio in enumerate(ratios, 1)), default=0.0)
-
-
-def _adjoint_residual(lat: ClockShiftLattice, word: FieldWord, sites: list[int]) -> float:
-    """max |S(adjoint(sym)) - S(sym)^dagger| = max |S(adjoint(sym))^dagger - S(sym)|
-    over the factors; each adjoint sits beside its symbol in one stack of 2L.
-    The dagger is taken per site, as the inverse row map with negated
-    exponents; the Kronecker product of the site daggers is the dagger."""
-    rows, exps = lat._site_products([[(_charge(s), site)]
-                                     for sym, site in zip(word.factors, sites)
-                                     for s in (adjoint(sym), sym)])
-    dag_rows = np.argsort(rows[0::2], axis=-1)
-    dag_exps = -np.take_along_axis(exps[0::2], dag_rows, axis=-1)
-    return max((_distance(dagger, sym, lat.model.group_order) for dagger, sym
-                in zip(zip(dag_rows, dag_exps), zip(rows[1::2], exps[1::2]))), default=0.0)
-
-
 def lattice_oracle(model: AnyonModel, word: FieldWord,
                    sites: list[int] | None = None) -> LatticeReport:
     """Verify the symbolic exchange and adjoint identities as matrix
@@ -212,7 +196,8 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
 
     Sites default to the angular order of the factor localisations;
     pairwise windings must then lie in {-1, 0}.  Residuals are max-norm
-    distances between the matrix sides.
+    distances between the matrix sides, read off one stack of site products
+    in one `_residuals` call without expanding a side to its d columns.
     """
     length = len(word.factors)
     if length > 6:
@@ -220,5 +205,27 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
     if sites is None:
         sites = _sites_by_angle(word)
     lat = ClockShiftLattice(model, max(length, 1))
-    return LatticeReport(lat.dimension, _exchange_residual(lat, model, word, sites),
-                         _adjoint_residual(lat, word, sites), max(length - 1, 0) + length)
+    # one stack: the word, its L-1 exchanged words on the sites swapped at i,
+    # and each factor's adjoint beside it, padded with U^0 = V^0 = I factors
+    stack, ratios = [_charged(word, sites)], []
+    for i, refusal in enumerate(_exchange_refusals(word.factors)):
+        if refusal is not None:
+            raise refusal
+        swapped = _exchange(word, i, model)
+        stack.append(_charged(swapped, [*sites[:i], sites[i + 1], sites[i], *sites[i + 2:]]))
+        ratios.append(swapped.coeff / word.coeff)
+    stack += [[(_charge(s), site)] + [(0, site)] * (length - 1)
+              for sym, site in zip(word.factors, sites) for s in (adjoint(sym), sym)]
+    rows, exps = lat._site_products(stack)
+    # each exchanged side goes against the word through the ratio of their
+    # coefficients, each symbol against its adjoint's dagger: per site, as the
+    # inverse row map with negated exponents, the dagger of the Kronecker product
+    m, a = len(ratios), [0] * len(ratios) + [*range(length, 3 * length, 2)]
+    b = [*range(1, length), *range(length + 1, 3 * length, 2)]
+    rows_a, exps_a = rows[a], exps[a]
+    rows_a[m:] = np.argsort(rows_a[m:], axis=-1)
+    exps_a[m:] = -np.take_along_axis(exps_a[m:], rows_a[m:], axis=-1)
+    residuals = _residuals((rows_a, exps_a), (rows[b], exps[b]), model.group_order,
+                           ratios + [CyclotomicPhase.one()] * length)
+    return LatticeReport(lat.dimension, max(residuals[:m], default=0.0),
+                         max(residuals[m:], default=0.0), m + length)

@@ -192,13 +192,6 @@ def sector_phase(model: AnyonModel, q: int) -> CyclotomicPhase:
     return model.omega ** (q * q)
 
 
-def conjugate_sector(model: AnyonModel, q: int) -> int:
-    """The conjugate charge -q; its statistics phase provably coincides."""
-    if sector_phase(model, -q) != sector_phase(model, q):
-        raise AssertionError("conjugate sector phase mismatch")  # (-q)^2 == q^2
-    return -q
-
-
 def r_phase(model: AnyonModel, c1: int, c2: int, n: int) -> CyclotomicPhase:
     """Exchange coefficient omega^(c1 c2 (2n+1)) for relative winding n."""
     return model.omega ** (c1 * c2 * (2 * n + 1))

@@ -315,8 +315,9 @@ def test_site_wise_distance_equals_dense_distance():
     # clock and shift products agree at all or none of a site's columns, so
     # the oracle's sides never give a mixed column mask; random site rows
     # with one transposition at some sites do, and random int exponents of
-    # exp(2 pi i / k) with a random ratio of roots of unity
-    from plektonlab.lattice import _distance
+    # exp(2 pi i / k) with a random ratio of roots of unity per comparison,
+    # 1 to 6 comparisons a stack
+    from plektonlab.lattice import _residuals
 
     def dense(rows, exps, k):
         sites = [np.zeros((len(r), len(r)), dtype=complex) for r in rows]
@@ -327,27 +328,123 @@ def test_site_wise_distance_equals_dense_distance():
     rng = np.random.default_rng(12)
     mixed = 0
     for _ in range(60):
-        n, length = int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        n, length, count = (int(x) for x in rng.integers((2, 1, 1), (6, 5, 7)))
         k = int(rng.integers(2, 13))
-        rows_a = np.array([rng.permutation(n) for _ in range(length)])
+        rows_a = np.array([[rng.permutation(n) for _ in range(length)] for _ in range(count)])
         rows_b = rows_a.copy()
-        for s in np.flatnonzero(rng.random(length) < 0.5):
+        for c, s in zip(*np.nonzero(rng.random((count, length)) < 0.5)):
             i, j = rng.choice(n, 2, replace=False)
-            rows_b[s, [i, j]] = rows_b[s, [j, i]]
-        exps_a, exps_b = (rng.integers(0, k, (length, n)) for _ in range(2))
-        ratio = CyclotomicPhase.from_pair(int(rng.integers(0, 12)), int(rng.integers(1, 13)))
-        got = _distance((rows_a, exps_a), (rows_b, exps_b), k, ratio)
-        want = np.abs(dense(rows_a, exps_a, k)
-                      - ratio.to_complex() * dense(rows_b, exps_b, k)).max()
-        assert abs(got - want) <= 1e-12
-        mixed += n > 2 and not (rows_a == rows_b).all()
+            rows_b[c, s, [i, j]] = rows_b[c, s, [j, i]]
+        exps_a, exps_b = (rng.integers(0, k, (count, length, n)) for _ in range(2))
+        ratios = [CyclotomicPhase.from_pair(int(rng.integers(0, 12)), int(rng.integers(1, 13)))
+                  for _ in range(count)]
+        got = _residuals((rows_a, exps_a), (rows_b, exps_b), k, ratios)
+        assert len(got) == count
+        for c, ratio in enumerate(ratios):
+            want = np.abs(dense(rows_a[c], exps_a[c], k)
+                          - ratio.to_complex() * dense(rows_b[c], exps_b[c], k)).max()
+            assert abs(got[c] - want) <= 1e-12
+            # a comparison reads the same bits whatever else is in its stack
+            one = slice(c, c + 1)
+            alone = _residuals((rows_a[one], exps_a[one]), (rows_b[one], exps_b[one]), k, [ratio])
+            assert alone[0].hex() == got[c].hex()
+            mixed += n > 2 and not (rows_a[c] == rows_b[c]).all()
     assert mixed > 10
+
+
+def _convolved_residual(a, b, n, ratio):
+    """The residual of one comparison from a cyclic convolution, mod q, of
+    per-site indicator vectors of the gaps over the agreeing columns: the
+    gaps the columns reach, followed site by site, never the columns."""
+    (rows_a, exps_a), (rows_b, exps_b) = a, b
+    q = math.lcm(n, ratio.denominator)
+    reach = np.zeros(q, dtype=np.int64)
+    reach[ratio.numerator * (q // ratio.denominator) % q] = 1
+    for ra, ea, rb, eb in zip(rows_a, exps_a, rows_b, exps_b):
+        hits = np.bincount((eb - ea)[ra == rb] % n * (q // n), minlength=q)
+        reach = np.minimum(1, sum(np.roll(reach, g) * h for g, h in enumerate(hits)))
+    apart = not (rows_a == rows_b).all()
+    return max([1.0] * apart + [2 * abs(math.sin(math.pi * x / q)) for x in np.flatnonzero(reach)])
+
+
+def test_residuals_need_no_dimension():
+    # 30 to 40 sites of N = 5 to 8 columns, d = N^L from 9e20 to 1.3e36:
+    # each comparison against the convolution referee, in stacks of 5.  The
+    # exponents of b are a's plus a constant per site except at one site, so
+    # some sumsets miss gaps mod q; one comparison is a correct
+    # identity, one has a site with one disagreeing column and one a site
+    # with none agreeing
+    from plektonlab.lattice import _residuals
+
+    rng = np.random.default_rng(29)
+    partial = 0
+    for _ in range(12):
+        n, length = int(rng.integers(5, 9)), int(rng.integers(30, 41))
+        rows_a = rng.integers(0, n, (5, length, n))
+        exps_a = rng.integers(0, n, (5, length, n))
+        shifts = rng.integers(0, n, (5, length))
+        rows_b, exps_b = rows_a.copy(), (exps_a + shifts[..., None]) % n
+        for c in (1, 2, 3):
+            exps_b[c, rng.integers(length)] = rng.integers(0, n, n)
+        ratios = [CyclotomicPhase.from_pair(-int(shifts[0].sum()), n)]
+        ratios += [CyclotomicPhase.from_pair(int(rng.integers(0, m)), m)
+                   for m in (1, n, 2 * n, 7)]
+        site, column = int(rng.integers(length)), int(rng.integers(n))
+        rows_b[3, site, column] = (rows_b[3, site, column] + 1) % n
+        rows_b[4, site] = (rows_b[4, site] + 1) % n
+        a, b = (rows_a, exps_a), (rows_b, exps_b)
+        got = _residuals(a, b, n, ratios)
+        want = [_convolved_residual((rows_a[c], exps_a[c]), (rows_b[c], exps_b[c]), n, r)
+                for c, r in enumerate(ratios)]
+        assert got[0] == want[0] == 0.0
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want)), (got, want)
+        assert got[3] >= 1.0
+        assert got[4] == want[4] == 1.0
+        for c in (1, 2):
+            q = math.lcm(n, ratios[c].denominator)
+            partial += got[c] < max(2 * abs(math.sin(math.pi * x / q)) for x in range(q)) - 1e-12
+    assert partial > 4
+
+
+def test_oracle_builds_its_sides_in_one_stack(z3, monkeypatch):
+    # the word, its exchanged words and the adjoints beside their symbols
+    # are one call of the site-product builder
+    calls = []
+    original = ClockShiftLattice._site_products
+
+    def counted(self, words):
+        calls.append(len(words))
+        return original(self, words)
+
+    monkeypatch.setattr(ClockShiftLattice, "_site_products", counted)
+    for length in range(1, 6):
+        calls.clear()
+        word = FieldWord.of(*(FieldSymbol(c, I, loc)
+                              for c, loc in zip((1, -2, 2, 1, -1), fan(length)[::-1])))
+        assert lattice_oracle(z3, word).ok
+        assert calls == [3 * length]
+
+
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+def test_oracle_expands_no_column(semion, monkeypatch, mutation):
+    # the Kronecker expansion to d entries is for the dense builders only;
+    # the mutations give exponent gaps and disagreeing rows to compare
+    def expanded(*args):
+        raise AssertionError("the oracle expanded a side to its d columns")
+
+    _mutate(monkeypatch, mutation)
+    monkeypatch.setattr(plektonlab.lattice, "_expand", expanded)
+    for length in range(6):
+        word = FieldWord.of(*(FieldSymbol(c, I, loc)
+                              for c, loc in zip((1, 2, 3, -2, -1), fan(length))))
+        rep = lattice_oracle(semion, word)
+        assert rep.ok == (mutation is None or length < {"exchange": 2, "adjoint": 1}[mutation])
 
 
 def test_oracle_holds_no_dense_side(z3):
     # one d x d complex side is 16 d^2 bytes; the oracle keeps each side as a
     # row index and an exponent per site column, whatever the charges and
-    # the order
+    # the order, and compares sides through sumsets of per-site gaps
     import tracemalloc
 
     side = 16 * 3 ** 10
@@ -446,10 +543,11 @@ def test_oracle_reports_the_empty_and_one_factor_words(z3, semion):
 
 
 def test_oracle_holds_no_dense_side_at_the_cap(semion):
-    # Z_4 with 5 sites, d = 1024: one comparison of two sides expands 24 d
-    # bytes (an int exponent gap, its float distance and a row mask per
-    # column), and the word's stack holds five sides, so a peak below five
-    # sides' bytes means they were never all alive
+    # Z_4 with 5 sites, d = 1024: expanding one comparison of two sides to
+    # its columns takes 24 d bytes (an int exponent gap, its float distance
+    # and a row mask per column), and the word's stack has five sides.  The
+    # oracle expands none: it holds (15, 5, 4) int site products and at most
+    # q gaps per comparison, so the peak stays below five expansions
     import tracemalloc
 
     side = 24 * 4 ** 5

