@@ -11,7 +11,6 @@ from .cones import (
     LiftedArc,
     ReferenceFrame,
     SeparationError,
-    SpacelikeDirection,
     WindingError,
     act,
     causally_separated,
@@ -54,7 +53,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnyonModel", "Channel", "ConePath", "CoveringLorentz", "CoveringPoincare",
     "CyclotomicPhase", "LiftError", "LiftedArc", "LorentzMatrix", "MVec3",
-    "ReferenceFrame", "SeparationError", "SpacelikeDirection", "WindingError",
+    "ReferenceFrame", "SeparationError", "WindingError",
     "act", "causally_separated", "cone_path", "cover_boost1", "cover_compose",
     "cover_inverse", "cover_rotation", "cover_translation", "minkowski_inner",
     "monodromy_prefactor", "polar_rotation_angle", "precedes", "r_phase",

@@ -1,9 +1,9 @@
 """Symbolic algebra of charged field symbols with exact phase coefficients.
 
-Words of field symbols f(c, A) multiply by concatenation; adjacent factors
-fuse to f(c1+c2, g^c2(A1) A2); exchanging causally separated factors picks up
-the exact coefficient omega^(c1 c2 (2n+1)) where n is the relative winding
-number of their localisations.  Twist and CPT conjugations act through
+Words of field symbols f(c, A) multiply by concatenation; exchanging
+causally separated factors picks up the exact coefficient
+omega^(c1 c2 (2n+1)) where n is the relative winding number of their
+localisations.  Twist and CPT conjugations act through
 charge-graded operators whose phase is exp(2 pi i (a q^2 + b q + d)) in the
 background charge q, held exactly as three cyclotomic phases.  `exchange`,
 `twist_conjugate` and `vacuum_swap` decide causal separation and then call
@@ -151,10 +151,6 @@ class FieldWord:
     def of(*factors: FieldSymbol, coeff: CyclotomicPhase = ONE) -> "FieldWord":
         return FieldWord(coeff, tuple(factors))
 
-    @property
-    def total_charge(self) -> int:
-        return sum(f.charge for f in self.factors)
-
     def __str__(self) -> str:
         body = " ".join(str(f) for f in self.factors) if self.factors else "1"
         return f"({self.coeff}) {body}"
@@ -162,27 +158,6 @@ class FieldWord:
 
 def multiply(w1: FieldWord, w2: FieldWord) -> FieldWord:
     return FieldWord(w1.coeff * w2.coeff, w1.factors + w2.factors)
-
-
-def fuse_adjacent(w: FieldWord, i: int = 0) -> FieldWord:
-    """Merge factors i and i+1 into f(c1+c2, g^c2(A1) A2).
-
-    The fused symbol keeps the common path only when both localisations
-    coincide; otherwise it is marked delocalized and exchange refuses to
-    move it.
-    """
-    left, right = w.factors[i], w.factors[i + 1]
-    obs = left.obs.gamma(right.charge) * right.obs
-    if (
-        left.is_localized()
-        and right.is_localized()
-        and left.loc.same_path(right.loc)
-    ):
-        loc = left.loc
-    else:
-        loc = DELOCALIZED
-    fused = FieldSymbol(left.charge + right.charge, obs, loc)
-    return FieldWord(w.coeff, w.factors[:i] + (fused,) + w.factors[i + 2:])
 
 
 def adjoint(sym: FieldSymbol) -> FieldSymbol:

@@ -161,10 +161,6 @@ class AnyonModel:
     def is_finite(self) -> bool:
         return self.group_order is not None
 
-    def reduced_charge(self, q: int) -> int:
-        """Display projection of a lifted charge; arithmetic stays in Z."""
-        return q % self.group_order if self.is_finite else q
-
 
 @dataclass(frozen=True)
 class ValidationReport:

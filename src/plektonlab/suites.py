@@ -5,12 +5,13 @@ Each suite draws its configurations from two streams of its own, seeded by
 everything else.  It runs the module invariants at the package tolerances
 and reports one line per check.  Each loop draws its separated pairs with
 one call: candidates come in arrays, stacked certificates decide a batch,
-and only accepted candidates become paths.  A certified pair and its images
-under the covering group, j, rebasing and 2 pi m rotations are not decided
-again: the suites call the private winding, exchange, twist and
-vacuum-swap forms on them.  The geometry suite decides its oracle pairs
-and ordered triples, which no generator certified, in one stack per
-check.  Sweep sizes scale with the PLEKTONLAB_SWEEP environment variable.
+and only accepted candidates become paths, built from the rows that
+certified them.  A certified pair and its images under the covering group,
+j, rebasing and 2 pi m rotations are not decided again: the suites call
+the private winding, exchange, twist and vacuum-swap forms on them.  The
+geometry suite decides its oracle pairs and ordered triples, which no
+generator certified, in one stack per check.  Sweep sizes scale with the
+PLEKTONLAB_SWEEP environment variable.
 
 Since the suites share no stream, "all" runs them side by side in forked
 worker processes, longest first, and gathers their reports and tracebacks
@@ -59,9 +60,10 @@ from .tolerances import (LIFT_TOL, ORIENTATION_TOL, REFLECTION_RELATION_TOL,
 SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 # The suites by descending CPU time, the order in which "all" hands them to its
 # workers so that the longest start first (R. L. Graham, SIAM J. Appl. Math.
-# 17 (1969) 416).  Seed 7, best of 3 in each of 8 runs, 2-core machine:
-# geometry 188-255, braid 48-71, cpt 42-59, wigner 31-47, tomita 17-26,
-# twist 15-24 ms; braid beat cpt in 7 runs, tomita beat twist in all 8.
+# 17 (1969) 416).  Seed 7, CPU of a freshly forked worker's one run, 8 runs,
+# 2-core machine: geometry 126-171, braid 58-68, cpt 52-56, wigner 33-36,
+# tomita 31-38, twist 31-34 ms; braid beat cpt in all 8, wigner beat tomita
+# in 5 and twist in all 8, tomita beat twist in 6.
 _LONGEST_FIRST = ("geometry", "braid", "cpt", "wigner", "tomita", "twist")
 
 
@@ -98,11 +100,12 @@ def random_separated_pairs(rng: np.random.Generator,
     """``count`` causally separated (C2, C1) pairs with generic arcs and apexes.
 
     Candidates are drawn in batches, about three per missing pair and at
-    most 64, and stacked certificates decide each batch; only accepted
-    lanes become paths.  A lane whose margin is in the ambiguity band is
-    rejected, like one that is not separated.  Pairs are yielded batch by
-    batch, so at most one batch of paths is alive (a list of 300 pairs
-    raised verify-all's peak RSS by about 1 MB).
+    most 64.  Each batch's corner rows are built once, stacked certificates
+    decide the batch on them, and only accepted lanes become paths, each
+    built from the rows that certified it.  A lane whose margin is in the
+    ambiguity band is rejected, like one that is not separated.  Pairs are
+    yielded batch by batch, so at most one batch of paths is alive (a list
+    of 300 pairs raised verify-all's peak RSS by about 1 MB).
     """
     margin = 0.15
     done = 0
@@ -119,14 +122,14 @@ def random_separated_pairs(rng: np.random.Generator,
         sheet1 = rng.integers(-2, 3, k)
         sheet2 = rng.integers(-2, 3, k)
         center2 = base + rel
-        ok = cones._cones_separated(apex1, base, d1, apex2, center2, d2)
-        for i in np.flatnonzero(ok)[:count - done].tolist():
-            c1 = cone_path(MVec3(*apex1[i].tolist()), float(base[i]), float(d1[i]),
-                           sheet=int(sheet1[i]))
-            c2 = cone_path(MVec3(*apex2[i].tolist()), float(center2[i]), float(d2[i]),
-                           sheet=int(sheet2[i]))
+        rays1, rays2 = cones._cone_rays(base, d1), cones._cone_rays(center2, d2)
+        lanes = np.flatnonzero(cones._cones_separated(apex1, rays1, apex2, rays2))[:count - done]
+        # apexes and corners as lists, arcs from Python floats and sheets from ints
+        firsts = zip(*(a[lanes].tolist() for a in (apex1, base, d1, sheet1, rays1)))
+        seconds = zip(*(a[lanes].tolist() for a in (apex2, center2, d2, sheet2, rays2)))
+        for first, second in zip(firsts, seconds):
             done += 1
-            yield c2, c1
+            yield cones._cone(*second), cones._cone(*first)
     raise RuntimeError("failed to generate separated pairs")
 
 
@@ -276,17 +279,19 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     rep.add_outcome("precedes-transitive-antisymmetric", bad == 0,
                     exact=f"{bad} violations", note="ordered triples of disjoint arcs")
 
-    worst = 0.0
-    for _ in range(_n(40)):
-        start = rng.uniform(-math.pi, math.pi)
-        sweep = rng.uniform(-2.5, 2.5)
-        rap = rng.uniform(-1.0, 1.0)
-        ts = np.linspace(0.0, 1.0, 200)
-        pts = [MVec3(math.sinh(rap * t), math.cosh(rap * t) * math.cos(start + sweep * t),
-                     math.cosh(rap * t) * math.sin(start + sweep * t)) for t in ts]
-        fwd = cones.accumulated_angle(pts)
-        bwd = cones.accumulated_angle([minkowski.reflect_vector(p) for p in pts])
-        worst = max(worst, abs(fwd + bwd))
+    # 40 sampled paths of directions as one (40, 200, 3) array, drawn path by path
+    start, sweep, rap = np.array([(rng.uniform(-math.pi, math.pi), rng.uniform(-2.5, 2.5),
+                                   rng.uniform(-1.0, 1.0)) for _ in range(_n(40))]).T[..., None]
+    ts = np.linspace(0.0, 1.0, 200)
+    boost, turn = rap * ts, start + sweep * ts
+    pts = np.stack([np.sinh(boost), np.cosh(boost) * np.cos(turn), np.cosh(boost) * np.sin(turn)],
+                   axis=-1)
+    # the angle each path and its j-image sweep: the sum of the principal
+    # increments, in [-pi, pi) as in `continuation.continue_angles`
+    both = np.stack([pts, pts * cones._J_SIGNS])
+    steps = np.diff(np.arctan2(both[..., 2], both[..., 1]))
+    fwd, bwd = (np.remainder(steps + math.pi, 2.0 * math.pi) - math.pi).sum(axis=-1)
+    worst = float(np.abs(fwd + bwd).max())
     rep.add_outcome("reflection-reverses-orientation", worst <= ORIENTATION_TOL, residual=worst,
                     note="accumulated angle of j-image negates")
 
@@ -322,10 +327,10 @@ def _separated_fan(rng: np.random.Generator, count: int) -> list[ConePath]:
         apexes = np.zeros((count, 3))
         apexes[:, 1:] = rng.normal(0.0, 0.02, (count, 2))
         halves = rng.uniform(0.08, 0.3 * step, count)
-        if cones._cones_separated(apexes[a], centers[a], halves[a],
-                                  apexes[b], centers[b], halves[b]).all():
-            return [cone_path(MVec3(*apex), center, half) for apex, center, half
-                    in zip(apexes.tolist(), centers.tolist(), halves.tolist())]
+        rays = cones._cone_rays(centers, halves)
+        if cones._cones_separated(apexes[a], rays[a], apexes[b], rays[b]).all():
+            return [cones._cone(apex, center, half, 0, corners) for apex, center, half, corners
+                    in zip(apexes.tolist(), centers.tolist(), halves.tolist(), rays.tolist())]
     raise RuntimeError("failed to generate a separated fan")
 
 

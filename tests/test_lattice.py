@@ -13,6 +13,7 @@ from plektonlab.minkowski import MVec3
 from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
 from plektonlab.tolerances import LATTICE_TOL
 from tests.test_cones import translated
+from tests.test_fields import fuse_adjacent
 
 I = ObservableWord.identity()
 
@@ -130,8 +131,6 @@ def test_tensor_factors_match_dense_reference(request, model_name, n_sites):
 def test_fusion_matches_matrix_product(z3):
     loc = fan(1)[0]
     lat = ClockShiftLattice(z3, 1)
-    from plektonlab.fields import fuse_adjacent
-
     word = FieldWord.of(FieldSymbol(2, I, loc), FieldSymbol(-1, I, loc))
     fused = fuse_adjacent(word)
     lhs = lat.word_matrix(word, [0, 0])

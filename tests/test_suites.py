@@ -16,6 +16,7 @@ from plektonlab.sectors import load_model
 from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
 from tests import su11
 from tests.conftest import ASSETS
+from tests.test_cones import certificate
 
 TWO_PI = 2.0 * math.pi
 
@@ -81,7 +82,7 @@ def test_in_band_margins_are_never_accepted(monkeypatch):
     assert returned <= seen and not returned & banded
     # the banded lanes include pairs the real certificate separates
     monkeypatch.undo()
-    assert any(max(cones._certificate(np.frombuffer(b).reshape(-1, 3))) <= SEP_ZERO
+    assert any(max(certificate(np.frombuffer(b).reshape(-1, 3))) <= SEP_ZERO
                for b in banded)
 
 
@@ -116,7 +117,8 @@ def test_stacked_verdicts_match_single_decisions():
     apex2 = np.where((np.arange(p) % 3 == 0)[:, None], apex1, rng.normal(0.0, 0.3, (p, 3)))
     center1, center2 = rng.uniform(-4.0, 4.0, p), rng.uniform(-4.0, 4.0, p)
     half1, half2 = rng.uniform(0.05, 1.2, p), rng.uniform(0.05, 1.2, p)
-    stacked = cones._cones_separated(apex1, center1, half1, apex2, center2, half2)
+    stacked = cones._cones_separated(apex1, cones._cone_rays(center1, half1),
+                                     apex2, cones._cone_rays(center2, half2))
     single = []
     for i in range(p):
         c1 = cone_path(MVec3(*apex1[i].tolist()), float(center1[i]), float(half1[i]))
@@ -129,6 +131,99 @@ def test_stacked_verdicts_match_single_decisions():
             single.append(False)
     assert stacked.tolist() == single
     assert 0 < sum(single) < p
+
+
+class _RecordingRng:
+    """A generator that records every value it hands out, in draw order."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(*args):
+            x = draw(*args)
+            self.drawn.append(x)
+            return x
+        return recorded
+
+
+def _separated_or_false(c1, c2):
+    try:
+        return causally_separated(c1, c2)
+    except SeparationError:
+        return False
+
+
+def _assert_same_path_bits(got, want):
+    assert got.rows.tobytes() == want.rows.tobytes()  # signed zeros included
+    assert got.arc == want.arc and got.kind == want.kind
+    assert {type(x) for x in (got.arc.alpha_minus, got.arc.alpha_plus)} == {float}
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_generated_pairs_are_the_public_paths_of_their_lanes(seed, count):
+    # each batch's lanes rebuilt from its draws through cone_path and decided
+    # one by one; the first accepted lanes of each batch are the pairs
+    rng = _RecordingRng(seed)
+    pairs = list(suites.random_separated_pairs(rng, count))
+    draws, want = iter(rng.drawn), []
+    while len(want) < count:
+        d1, d2, base, gap, apex1, apex2, sheet1, sheet2 = (next(draws) for _ in range(8))
+        center2 = base + (d1 + d2 + 0.15 + gap)
+        for i in range(len(d1)):
+            c1 = cone_path(MVec3(*apex1[i].tolist()), float(base[i]), float(d1[i]),
+                           sheet=int(sheet1[i]))
+            c2 = cone_path(MVec3(*apex2[i].tolist()), float(center2[i]), float(d2[i]),
+                           sheet=int(sheet2[i]))
+            if len(want) < count and _separated_or_false(c1, c2):
+                want.append((c2, c1))
+    assert next(draws, None) is None and len(pairs) == count
+    for got, ref in zip(pairs, want):
+        _assert_same_path_bits(got[0], ref[0])
+        _assert_same_path_bits(got[1], ref[1])
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_fan_is_the_public_paths_of_its_last_attempt(seed, count):
+    rng = _RecordingRng(seed)
+    fan = suites._separated_fan(rng, count)
+    base, *attempts = rng.drawn
+    centers = base + np.arange(count) * (2.0 * math.pi / count)
+    for jitter, halves in zip(attempts[::2], attempts[1::2]):
+        paths = [cone_path(MVec3(0.0, *xy), center, half) for xy, center, half
+                 in zip(jitter.tolist(), centers.tolist(), halves.tolist())]
+        separated = all(_separated_or_false(a, b)
+                        for i, a in enumerate(paths) for b in paths[i + 1:])
+        assert separated == (halves is attempts[-1])
+    assert len(fan) == count
+    for got, want in zip(fan, paths):
+        _assert_same_path_bits(got, want)
+
+
+def test_generators_build_no_vector_and_each_cone_corner_set_once(monkeypatch):
+    made, corner_calls, lanes = [], [], []
+    new, make = MVec3.__new__, MVec3._make
+    corners, decide = cones._cone_corners, cones._cones_separated
+    monkeypatch.setattr(MVec3, "__new__", staticmethod(
+        lambda cls, *args: made.append(args) or new(cls, *args)))
+    monkeypatch.setattr(MVec3, "_make", classmethod(lambda cls, it: made.append(it) or make(it)))
+    monkeypatch.setattr(cones, "_cone_corners",
+                        lambda *args: corner_calls.append(args) or corners(*args))
+    monkeypatch.setattr(cones, "_cones_separated",
+                        lambda *args: lanes.append(len(args[0])) or decide(*args))
+    pairs = list(suites.random_separated_pairs(np.random.default_rng(1300), 300))
+    assert len(pairs) == 300 and len(lanes) > 1
+    assert made == [] and len(corner_calls) == 2 * sum(lanes)
+    for seed in range(1300, 1340):
+        corner_calls.clear(), lanes.clear()
+        suites._separated_fan(np.random.default_rng(seed), 4)
+        assert made == [] and lanes == [6] * len(lanes)  # 6 pairs per attempt
+        assert len(corner_calls) == 4 * len(lanes)
 
 
 class _FirstDraw(Exception):
@@ -246,8 +341,8 @@ def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
     apex = rng.normal(0.0, 0.05, (2, 64, 3))
     apex[1, :5] = apex[0, :5]  # five lanes without an apex gap
     center = rng.uniform(-math.pi, math.pi, 64)
-    cones._cones_separated(apex[0], center, np.full(64, 0.2), apex[1], center + 2.0,
-                           np.full(64, 0.3))
+    cones._cones_separated(apex[0], cones._cone_rays(center, np.full(64, 0.2)),
+                           apex[1], cones._cone_rays(center + 2.0, np.full(64, 0.3)))
     assert stacks == [32, 27, 5] and cones._STACK == 32
 
 

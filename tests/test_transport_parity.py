@@ -6,7 +6,9 @@ an 80-digit SU(1,1) product.
 larger arrays, and `cone_path`, `wedge_path`, `reflect_path`,
 `closure_rays` and the generators' `_cone_rays` build the per-vector
 regions of the references from 3-tuples, so every output must agree bit for
-bit, signed zeros included.  `cover_compose`, `cover_inverse`, the chart's
+bit, signed zeros included.  The generators build their cones from the rows
+of `_cone_rays` through `cone_path`'s builder; `tests/test_suites.py` holds
+those cones to `cone_path` bit for bit.  `cover_compose`, `cover_inverse`, the chart's
 matrices and `wigner_rotation` must agree with mpmath to a few eps of the
 float error their factors carry.
 """
