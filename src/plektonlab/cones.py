@@ -128,7 +128,24 @@ class ConePath:
 
     def __init__(self, apex: MVec3, arc: LiftedArc, kind: str, normals: tuple[MVec3, ...],
                  corners: tuple[MVec3, ...]) -> None:
-        _set_path(self, _rows(apex, *normals, *corners), arc, kind)
+        """Check the kind, finite vectors, their number, light-like normals, the arc."""
+        if kind not in _ROWS:
+            raise ValueError(f"unknown kind {kind!r}")
+        for what, vectors in (("apex", (apex,)), ("normal", normals), ("corner", corners)):
+            for v in vectors:
+                _finite_vector(v, what)
+        rows = _rows(apex, *normals, *corners)
+        if rows.shape != (_ROWS[kind], 3):
+            raise ValueError(f"a {kind} path has {_ROWS[kind]} vectors (apex, normals, 4 corners), "
+                             f"not {len(rows)}")
+        # transport by L errs n.n by ~2 eps |n0| |L|, and |L| ~ the largest |n0|
+        n0, n1, n2 = np.abs(rows[1:-4].T)
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e200 entries: inf - inf = NaN
+            err = np.abs(n0 * n0 - n1 * n1 - n2 * n2)
+            bound = NORM2_TOL * np.maximum(1.0, n0 * n0.max())
+        if not (err <= bound).all():
+            raise ValueError("boundary normals must be light-like")
+        _set_path(self, rows, arc, kind)
 
     @functools.cached_property
     def apex(self) -> MVec3:
@@ -152,7 +169,7 @@ class ConePath:
         return hash((self.kind, self.arc, *self.rows.ravel().tolist()))
 
     def __reduce__(self):
-        # an unpickled array is writable: rebuild (and re-check) through _path
+        # an unpickled array is writable: rebuild it read-only through _path
         return _path, (self.rows, self.arc, self.kind)
 
     def same_path(self, other: "ConePath", tol: float = LIFT_TOL) -> bool:
@@ -184,39 +201,22 @@ def _rows(*vectors) -> np.ndarray:
 
 
 def _path(rows: np.ndarray, arc: LiftedArc, kind: str) -> ConePath:
-    """The path over an (n, 3) float array of rows, which it makes read-only;
-    the package's own regions and images are built here."""
-    path = object.__new__(ConePath)
-    _set_path(path, rows, arc, kind)
-    return path
+    """The path over an (n, 3) float array of rows, which it makes read-only.
+    The package's own regions and images are built here from checked rows;
+    only their arc is checked, since rounding a far lift can break it."""
+    return _set_path(object.__new__(ConePath), rows, arc, kind)
 
 
-def _set_path(path: ConePath, rows: np.ndarray, arc: LiftedArc, kind: str) -> None:
-    """Validate a region's kind, arc width and rows, then store them."""
-    if kind not in _ROWS:
-        raise ValueError(f"unknown kind {kind!r}")
+def _set_path(path: ConePath, rows: np.ndarray, arc: LiftedArc, kind: str) -> ConePath:
+    """Check the arc width against the kind, then store the region in path."""
     if kind == KIND_WEDGE:
         if abs(arc.width - math.pi) > ARC_TOL:
             raise ValueError("wedge arcs must have width exactly pi")
     elif arc.width > math.pi - ARC_TOL:
         raise ValueError("cone arcs must have width strictly below pi")
-    if rows.shape != (_ROWS[kind], 3):
-        raise ValueError(f"a {kind} path has {_ROWS[kind]} vectors (apex, normals, 4 corners), "
-                         f"not {len(rows)}")
-    # a normal transported by L carries eps |L| in each entry, so its n.n
-    # is off by about 2 eps |n0| |L|, and the largest normal of a cone or
-    # wedge image is about |L|: the bound is relative to |n0| times the
-    # largest |n0|, which is read only when n0^2 does not suffice
-    normals = rows[1:-4].tolist()
-    for n0, n1, n2 in normals:
-        err = abs(n0 * n0 - n1 * n1 - n2 * n2)
-        if err > NORM2_TOL * max(1.0, n0 * n0) and err > NORM2_TOL * max(
-                1.0, abs(n0) * max(abs(m[0]) for m in normals)):
-            raise ValueError("boundary normals must be light-like")
     rows.setflags(write=False)
-    object.__setattr__(path, "rows", rows)
-    object.__setattr__(path, "arc", arc)
-    object.__setattr__(path, "kind", kind)
+    vars(path).update(rows=rows, arc=arc, kind=kind)  # frozen: no __setattr__
+    return path
 
 
 _J_SIGNS = np.array([-1.0, -1.0, 1.0])  # j = diag(-1,-1,1) as a row scaling
@@ -682,8 +682,8 @@ def act(g, path: ConePath) -> ConePath:
     the principal angle of B' r(-beta) ray, measured from the ray's own angle
     and therefore independent of the frame the arc is expressed in.  A pure
     rotation shifts the arc by exactly its lifted angle, so rotations by
-    2 pi n shift the arc by 2 pi n rather than acting trivially.  The image
-    is checked like any region, and no per-vector object is built.
+    2 pi n shift the arc by 2 pi n rather than acting trivially.  Only the
+    image's arc is checked, and no per-vector object is built.
     """
     p = _as_poincare(g)
     m, theta = p.lorentz.matrix.m, p.lorentz.angle

@@ -98,10 +98,6 @@ def minkowski_inner(u: MVec3, v: MVec3) -> float:
     return u.x0 * v.x0 - u.x1 * v.x1 - u.x2 * v.x2
 
 
-def minkowski_norm2(u: MVec3) -> float:
-    return minkowski_inner(u, u)
-
-
 class LorentzMatrix:
     """A proper orthochronous Lorentz matrix.
 
@@ -296,8 +292,10 @@ class CoveringPoincare:
 
 
 def cover_rotation(angle: float) -> CoveringLorentz:
-    """One-parameter rotation subgroup; cover_rotation(2*pi) is not the identity."""
-    return CoveringLorentz(rotation_matrix(angle), angle)
+    """One-parameter rotation subgroup, in the chart; cover_rotation(2*pi) is not the identity."""
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle {angle} is not finite")
+    return _chart(angle, 0.0, 0.0)
 
 
 def cover_boost1(t: float) -> CoveringLorentz:

@@ -15,8 +15,8 @@ LIFT_TOL = 1e-9  # difference of two lifted angles that still counts as agreemen
 PURE_ROTATION_BOOST = 1e-12  # rapidity chi up to which an element is a pure rotation
 POLAR_BRANCH_BOOST = 1e-6  # |(L01, L02)| up to which theta reads the rotation block (~1e-12)
 # Directions, arcs and regions (cones, scenes)
-NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions; for a region's normals,
-# per max(1, |n0| top), top the largest |n0| among them (transport error ~ eps |n0| |L|)
+NORM2_TOL = 1e-9  # |v.v - target| for unit space-like directions; for the normals given to
+# ConePath(...), per max(1, |n0| top), top the largest |n0| (transport error ~ eps |n0| |L|)
 ARC_TOL = 1e-9  # lifted-arc endpoint comparisons and arc widths
 HALF_OPENING_MARGIN = 1e-12  # how far below pi/2 a cone's half-opening must stay
 WEDGE_HALF_OPENING_TOL = 1e-9  # |half_opening - pi/2| accepted for a wedge in a scene file

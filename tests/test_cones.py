@@ -3,11 +3,13 @@ import copy
 import inspect
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plektonlab import cones
+from plektonlab import cones, suites
+from plektonlab.cli import main
 from plektonlab.cones import (
     KIND_CONE_COMPLEMENT,
     ConePath,
@@ -34,16 +36,16 @@ from plektonlab.minkowski import (
     ZERO_VEC,
     CoveringLorentz,
     CoveringPoincare,
+    LiftError,
     MVec3,
-    _finite_vector,
     cover_boost1,
     cover_compose,
     cover_rotation,
     cover_translation,
     minkowski_inner,
-    minkowski_norm2,
 )
 from plektonlab.tolerances import ARC_TOL, WEDGE_TOL
+from tests.conftest import ASSETS
 
 TWO_PI = 2 * math.pi
 
@@ -73,8 +75,7 @@ def certificate(rows):
 def translated(path, a):
     """The path with its apex moved by the vector a; ValueError unless the
     moved apex is finite."""
-    apex = _finite_vector(path.apex + a, "apex")
-    return ConePath(apex, path.arc, path.kind, path.normals, path.corners)
+    return ConePath(path.apex + a, path.arc, path.kind, path.normals, path.corners)
 
 
 def rnd_cover(rng, translations=True):
@@ -191,7 +192,7 @@ def test_separation_agrees_with_primal_oracle():
         assert sep == (pair is None)
         if pair is not None:
             x, y = pair
-            assert minkowski_norm2(x - y) > 0.0
+            assert minkowski_inner(x - y, x - y) > 0.0
             # the witness lies in the two closures, up to rounding of its size
             for c, v in ((cA, x), (cB, y)):
                 rel = v - c.apex
@@ -532,24 +533,93 @@ def test_act_keeps_paths_under_strong_boosts():
 
 
 def test_normals_off_the_light_cone_are_rejected_at_any_scale():
-    # through the public constructor and the package's own one over rows
+    # through the public constructor; the package's own regions are checked
+    # against it by the refereed_paths fixture
     c = cone_path(ZERO_VEC, 0.3, 0.4)
 
     def public(n):
         return ConePath(c.apex, c.arc, c.kind, (MVec3(*n), *c.normals[1:]), c.corners)
 
-    def over_rows(n):
-        rows = c.rows.copy()
-        rows[1] = n
-        return cones._path(rows, c.arc, c.kind)
+    for size in (1.0, math.exp(8)):
+        n = size * np.array([1.0, math.cos(0.7), math.sin(0.7)])
+        public(n)
+        n[1:] *= 1 + 1e-6
+        with pytest.raises(ValueError, match="light-like"):
+            public(n)
+    # finite, but n.n overflows to inf - inf = NaN, which the bound refuses
+    with pytest.raises(ValueError, match="light-like"):
+        public((1e200, 1e200, 0.0))
 
-    for build in (public, over_rows):
-        for size in (1.0, math.exp(8)):
-            n = size * np.array([1.0, math.cos(0.7), math.sin(0.7)])
-            build(n)
-            n[1:] *= 1 + 1e-6
-            with pytest.raises(ValueError, match="light-like"):
-                build(n)
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("what", ["apex", "normal", "corner"])
+def test_the_public_constructor_refuses_non_finite_vectors(what, bad):
+    # a NaN apex, or a normal (nan, nan, nan) or (inf, inf, 0), once read as
+    # separated from the antipodal cone with relative winding -1: n.n of such
+    # a normal is NaN, which no bound refused
+    c = cone_path(ZERO_VEC, 0.0, 0.2)
+    v = MVec3(bad, bad, 0.0)
+    apex = v if what == "apex" else c.apex
+    normals = (v, *c.normals[1:]) if what == "normal" else c.normals
+    corners = (*c.corners[:3], v) if what == "corner" else c.corners
+    with pytest.raises(ValueError, match=rf"^{what} \({bad}, {bad}, 0.0\) is not finite$"):
+        ConePath(apex, c.arc, c.kind, normals, corners)
+
+
+def test_far_rotations_and_rebases_keep_the_wedge_arc_rule():
+    # a shift by 2 pi m rounds both arc ends to the float grid near 2 pi m:
+    # a width above pi + ARC_TOL is no LiftedArc, and _path refuses one below
+    # pi - ARC_TOL.  Pure rotations and rebases shift the ends; a boost on
+    # top drifts them apart (LiftError).  From m = 1e9 no wedge survives
+    rng = np.random.default_rng(1)
+    narrowed = accepted = 0
+    for _ in range(3000):
+        m = int(10 ** rng.uniform(6, 13))
+        w = wedge_path(MVec3(*rng.normal(0, 1, 3)), rng.uniform(-math.pi, math.pi))
+        far = ReferenceFrame(math.pi / 2 + TWO_PI * m)
+        for shift, move in ((TWO_PI * m, lambda: act(cover_rotation(TWO_PI * m), w)),
+                            (far.reference_angle - math.pi / 2,
+                             lambda: rebase(w, ReferenceFrame(), far))):
+            lo, hi = w.arc.alpha_minus + shift, w.arc.alpha_plus + shift
+            if hi - lo > math.pi + ARC_TOL:
+                message = "outside"
+            elif hi - lo < math.pi - ARC_TOL:
+                message, narrowed = "wedge arcs must have width exactly pi", narrowed + 1
+            else:
+                assert m < 10 ** 9 and move().arc == LiftedArc(lo, hi)
+                accepted += 1
+                continue
+            with pytest.raises(ValueError, match=message):
+                move()
+        try:
+            moved = act(cover_compose(cover_rotation(TWO_PI * m), cover_boost1(0.5)), w)
+        except LiftError:
+            continue
+        assert m < 10 ** 9 and abs(moved.arc.width - math.pi) <= ARC_TOL
+    assert narrowed > 2000 and accepted > 100
+
+
+def test_built_paths_pass_the_public_rules(refereed_paths):
+    built, refused = refereed_paths
+    _built_paths()
+    assert not refused and len(built) == 15
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7, 11, 42])
+def test_every_region_of_verify_all_passes_the_public_rules(monkeypatch, capsys, refereed_paths,
+                                                            seed):
+    # in this process, so that the referee sees the suites' regions; the
+    # report stays the committed one
+    monkeypatch.delenv("PLEKTONLAB_SWEEP", raising=False)
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+    built, refused = refereed_paths
+    code = main(["verify", "--suite", "all", "--model", str(ASSETS / "z3_anyon.json"),
+                 "--scene", str(ASSETS / "antipodal_scene.json"), "--seed", str(seed),
+                 "--format", "json"])
+    assert code == 0
+    golden = Path(__file__).resolve().parent / "golden" / f"verify_all_seed{seed}.json"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+    assert not refused and len(built) > 5000
 
 
 def _built_paths():

@@ -97,6 +97,32 @@ def test_non_finite_lorentz_data_rejected(make, message):
         make()
 
 
+def _rotation_angles():
+    """+-0.0, +-2 pi m for m = 1 to 1e15 and 200 seeded angles of sizes 1e-3 to 1e6."""
+    rng = np.random.default_rng(31)
+    far = [s * 2.0 * math.pi * 10 ** k for k in range(16) for s in (1, -1)]
+    return [0.0, -0.0, *far, *(rng.uniform(-1, 1, 200) * 10.0 ** rng.uniform(-3, 6, 200)).tolist()]
+
+
+def test_cover_rotation_is_the_matrix_built_element_bit_for_bit():
+    for angle in _rotation_angles():
+        new, old = cover_rotation(angle), CoveringLorentz(rotation_matrix(angle), angle)
+        assert ([float.hex(x) for x in (new.angle, new.rapidity, new.direction)]
+                == [float.hex(x) for x in (old.angle, old.rapidity, old.direction)])
+        assert new.matrix.m.tobytes() == old.matrix.m.tobytes()
+
+
+def test_cover_rotation_builds_no_lorentz_matrix(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("cover_rotation built a LorentzMatrix")
+
+    monkeypatch.setattr(LorentzMatrix, "__init__", refuse)
+    for angle in _rotation_angles():
+        assert cover_rotation(angle).angle == angle
+    with pytest.raises(AssertionError, match="built a LorentzMatrix"):
+        rotation_matrix(1.0)
+
+
 def test_rotation_cover_examples():
     g = cover_rotation(2 * math.pi)
     assert g.matrix.is_close(LorentzMatrix.identity(), 1e-15)
@@ -399,10 +425,11 @@ def test_long_chains_of_mild_elements_agree_with_mpmath(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4, 5])
-def test_act_along_long_chains_agrees_with_mpmath(seed):
+def test_act_along_long_chains_agrees_with_mpmath(seed, refereed_paths):
     # act's images of these paths stay within 1.7e-12 of the 80-digit arc
     # ends wherever act returns one, up to the chains' top rapidity of 26.4;
-    # it refuses only cones whose exact image arc is within ARC_TOL of pi
+    # it refuses only cones whose exact image arc is within ARC_TOL of pi,
+    # and every image it returns passes the public constructor's row rules
     from plektonlab.cones import act, cone_path, wedge_path
     from plektonlab.tolerances import ARC_TOL
 
@@ -422,6 +449,8 @@ def test_act_along_long_chains_agrees_with_mpmath(seed):
             assert abs(arc.alpha_plus - want[1]) <= ARC_TOL
             checked += 1
     assert checked > 590
+    built, refused = refereed_paths
+    assert not refused and len(built) > checked
 
 
 def test_reflect_conjugate_matrix_is_j_l_j():
