@@ -32,14 +32,12 @@ from .minkowski import (
     cover_compose,
     cover_inverse,
     cover_rotation,
-    cover_translation,
     minkowski_inner,
     polar_rotation_angle,
     reflect_conjugate,
 )
 from .sectors import (
     AnyonModel,
-    Channel,
     CyclotomicPhase,
     monodromy_prefactor,
     r_phase,
@@ -51,11 +49,11 @@ from .sectors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnyonModel", "Channel", "ConePath", "CoveringLorentz", "CoveringPoincare",
+    "AnyonModel", "ConePath", "CoveringLorentz", "CoveringPoincare",
     "CyclotomicPhase", "LiftError", "LiftedArc", "LorentzMatrix", "MVec3",
     "ReferenceFrame", "SeparationError", "WindingError",
     "act", "causally_separated", "cone_path", "cover_boost1", "cover_compose",
-    "cover_inverse", "cover_rotation", "cover_translation", "minkowski_inner",
+    "cover_inverse", "cover_rotation", "minkowski_inner",
     "monodromy_prefactor", "polar_rotation_angle", "precedes", "r_phase",
     "reflect_conjugate", "reflect_path", "relative_winding",
     "relative_winding_scan", "sector_phase", "standard_wedge_path",

@@ -632,12 +632,17 @@ def relative_winding(c2: ConePath, c1: ConePath) -> int:
 
 
 def _require_separated(verdict, what: str) -> None:
-    """Raise a verdict that is a SeparationError, or one for a pair that is
-    not separated."""
+    """Raise `_separation_refusal(verdict, what)` unless it is None."""
+    if (refusal := _separation_refusal(verdict, what)) is not None:
+        raise refusal
+
+
+def _separation_refusal(verdict, what: str) -> SeparationError | None:
+    """None for a separated pair; else the verdict if it is a SeparationError,
+    or one saying that ``what`` requires causally separated regions."""
     if isinstance(verdict, SeparationError):
-        raise verdict
-    if not verdict:
-        raise SeparationError(f"{what} requires causally separated regions")
+        return verdict
+    return None if verdict else SeparationError(f"{what} requires causally separated regions")
 
 
 def _winding(c2: ConePath, c1: ConePath) -> int:

@@ -105,13 +105,6 @@ def continue_angles(angles_at, starts, *, initial_steps: int = 16) -> np.ndarray
     raise LiftError("angle continuation did not stabilise (step-size underflow)")
 
 
-def compose_angle(g1: CoveringLorentz, g2: CoveringLorentz, **steps) -> float:
-    """Lifted polar angle of g1 g2, continued along g1 times the path of g2."""
-    path, m1 = canonical_path(g2), g1.matrix.m
-    return float(continue_angles(lambda ts: [[_polar_angle_raw(m)] for m in m1 @ path(ts)],
-                                 [g1.angle], **steps)[0])
-
-
 def ray_angles(g: CoveringLorentz, rays: np.ndarray, starts, **steps) -> np.ndarray:
     """Lifted spatial angles of the rays (rows of ``rays``) moved along the
     path of g, starting from their lifted angles ``starts``."""

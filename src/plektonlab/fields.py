@@ -6,8 +6,9 @@ omega^(c1 c2 (2n+1)) where n is the relative winding number of their
 localisations.  Twist and CPT conjugations act through
 charge-graded operators whose phase is exp(2 pi i (a q^2 + b q + d)) in the
 background charge q, held exactly as three cyclotomic phases.  `exchange`,
-`twist_conjugate` and `vacuum_swap` decide causal separation and then call
-their private forms, which assume it.
+`twist_conjugate` and `vacuum_swap` decide causal separation, raise
+`SeparationError` naming themselves on a pair that is not separated, and
+then call their private forms, which assume it.
 
 Observable labels are formal words of atoms; the charge automorphism g^k,
 the star and the reflection marker push through canonically and never merge
@@ -26,6 +27,7 @@ from .cones import (
     DEFAULT_FRAME,
     _require_separated,
     _separated_many,
+    _separation_refusal,
     _winding,
     causally_separated,
     path_within_wedge,
@@ -108,30 +110,13 @@ class ObservableWord:
 # field symbols and words
 # ---------------------------------------------------------------------------
 
-class _Delocalized:
-    """Localisation marker for fused symbols with mismatched paths."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "DELOCALIZED"
-
-
-DELOCALIZED = _Delocalized()
-
-
 @dataclass(frozen=True)
 class FieldSymbol:
     """A charged field symbol f(charge, obs) localised along a path class."""
 
     charge: int
     obs: ObservableWord
-    loc: object  # ConePath or DELOCALIZED
+    loc: object  # a ConePath; the symbol is not localised along anything else
 
     def is_localized(self) -> bool:
         return isinstance(self.loc, ConePath)
@@ -181,11 +166,8 @@ def _exchange_refusals(factors: tuple[FieldSymbol, ...]) -> list:
     pairs = [(a.loc, b.loc) if a.is_localized() and b.is_localized() else None
              for a, b in zip(factors, factors[1:])]
     verdicts = iter(_separated_many([pair for pair in pairs if pair]))
-    # a verdict is True, False or the SeparationError its decision raised
     return [ValueError("cannot exchange a delocalized symbol") if pair is None
-            else None if (verdict := next(verdicts)) is True
-            else verdict or ValueError("exchange requires causally separated localisations")
-            for pair in pairs]
+            else _separation_refusal(next(verdicts), "exchange") for pair in pairs]
 
 
 def _exchange(w: FieldWord, i: int, model: AnyonModel) -> FieldWord:
@@ -313,9 +295,7 @@ def twist_conjugate(sym: FieldSymbol, pair: tuple[ConePath, ConePath],
     At input grade q the phase is (omega^(1/2))^((2 q c + c^2)(2n+1)) with
     c the symbol's charge and n the relative winding of the pair.
     """
-    c2path, c1path = pair
-    if not causally_separated(c2path, c1path):
-        raise ValueError("twist requires causally separated paths")
+    _require_separated(causally_separated(*pair), "twist")
     return _twist_conjugate(sym, pair, model)
 
 
@@ -419,7 +399,7 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
     use of the identity to omega = +-1.
     """
     f2, f1 = _swap_pair(pair)
-    _require_separated(causally_separated(f1.loc, f2.loc), "relative winding")
+    _require_separated(causally_separated(f1.loc, f2.loc), "vacuum swap")
     return _vacuum_swap(pair, model, coeff)
 
 

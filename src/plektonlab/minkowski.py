@@ -110,13 +110,6 @@ class LorentzMatrix:
     def __init__(self, m) -> None:
         object.__setattr__(self, "m", _lorentz_rows(m))
 
-    @staticmethod
-    def identity() -> "LorentzMatrix":
-        return LorentzMatrix(np.eye(3))
-
-    def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
-        return LorentzMatrix(self.m @ other.m)
-
     def apply(self, v: MVec3) -> MVec3:
         return MVec3._make((self.m @ v).tolist())
 
@@ -287,9 +280,6 @@ class CoveringPoincare:
         d = self.translation - other.translation
         return max(map(abs, d)) <= tol and self.lorentz.is_close(other.lorentz, tol)
 
-    def apply(self, x: MVec3) -> MVec3:
-        return self.translation + self.lorentz.matrix.apply(x)
-
 
 def cover_rotation(angle: float) -> CoveringLorentz:
     """One-parameter rotation subgroup, in the chart; cover_rotation(2*pi) is not the identity."""
@@ -301,10 +291,6 @@ def cover_rotation(angle: float) -> CoveringLorentz:
 def cover_boost1(t: float) -> CoveringLorentz:
     """Boost along the x1 axis; lifted angle 0."""
     return CoveringLorentz(boost1_matrix(t), 0.0)
-
-
-def cover_translation(a: MVec3) -> CoveringPoincare:
-    return CoveringPoincare(a, CoveringLorentz.identity())
 
 
 def _chart_product(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 
@@ -62,9 +63,8 @@ class CyclotomicPhase:
         return _phase(self._k * other._m - other._k * self._m, self._m * other._m)
 
     def __pow__(self, n) -> "CyclotomicPhase":
-        if type(n) is int:
-            return _phase(self._k * n, self._m)
-        return CyclotomicPhase(Fraction(self._k, self._m) * Fraction(n))
+        # integers only: a root of a phase is model data (omega_sqrt), never picked here
+        return _phase(self._k * operator.index(n), self._m)
 
     def inverse(self) -> "CyclotomicPhase":
         return _phase(-self._k, self._m)
@@ -117,21 +117,6 @@ def _phase(k: int, m: int) -> CyclotomicPhase:
 
 
 ONE = CyclotomicPhase.one()
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Fusion channel (source, charge, range) with abelian additivity."""
-
-    source: int
-    charge: int
-    range: int
-
-    def __post_init__(self) -> None:
-        if self.range != self.source + self.charge:
-            raise ValueError(
-                f"channel range {self.range} != source {self.source} + charge {self.charge}"
-            )
 
 
 @dataclass(frozen=True)

@@ -173,17 +173,26 @@ def geometry_suite(model: AnyonModel | None, scene, seed: int) -> Report:
     if scene is not None and len(scene.paths) >= 2:
         ids = scene.ids()
         note = "scene pairs against the definition scan"
-        bad = 0
+        bad = outside = 0
         for a, b in itertools.permutations(ids, 2):
+            # a pair that is not separated has no winding; otherwise a side
+            # that finds no n disagrees with one that does
             try:
                 n1 = relative_winding(scene[a], scene[b])
-                n2 = relative_winding_scan(scene[a], scene[b])
-                if n1 != n2:
-                    bad += 1
-            except (SeparationError, WindingError):
+            except SeparationError:
                 continue
-        rep.add_outcome("scene-winding-definition-agreement", bad == 0,
-                        exact=f"{bad} disagreements", note=note)
+            except WindingError:
+                n1 = None
+            try:
+                n2 = relative_winding_scan(scene[a], scene[b])
+            except WindingError:
+                n2 = None
+            bad += n1 != n2
+            outside += n1 is not None and not -5 <= n1 <= 5
+        exact = f"{bad} disagreements"
+        if outside:
+            exact += f", {outside} with a winding outside the scan's [-5, 5]"
+        rep.add_outcome("scene-winding-definition-agreement", bad == 0, exact=exact, note=note)
 
     n_pairs = _n(300)
     bad = 0

@@ -7,9 +7,11 @@ cover, read in closed form off the SU(1,1) chart of g by the product law of
 the cover.  The standard boost B_p is the pure (symmetric positive) boost at
 lift 0; the cocycle depends on this convention.
 
-Wave functions are closed-form objects (finite Gaussian combinations with
-lazily stacked group actions) evaluated pointwise on batches of shell
-points; the invariant measure is fixed as d^2 p / (2 omega(p)).
+Shell points are (..., 3) float arrays (p0, p1, p2) with p0 > 0 and p.p the
+squared mass; `shell_points` lifts spatial momenta onto the shell.  Wave
+functions are closed-form objects (finite Gaussian combinations with lazily
+stacked group actions) whose `evaluate` takes such an array; the invariant
+measure is fixed as d^2 p / (2 omega(p)).
 """
 
 from __future__ import annotations
@@ -24,37 +26,11 @@ import numpy as np
 from .minkowski import TWO_PI, CoveringLorentz, MVec3, cover_inverse
 
 
-@dataclass(frozen=True)
-class MassShellPoint:
-    """Point on the positive mass shell; the energy is derived."""
-
-    mass: float
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-
-    @property
-    def energy(self) -> float:
-        return math.sqrt(self.mass**2 + self.p1**2 + self.p2**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.energy, self.p1, self.p2])
-
-
 def shell_points(mass: float, spatial: np.ndarray) -> np.ndarray:
     """Lift an (..., 2) array of spatial momenta onto the mass shell."""
     spatial = np.asarray(spatial, dtype=float)
     energy = np.sqrt(mass**2 + spatial[..., 0] ** 2 + spatial[..., 1] ** 2)
     return np.concatenate([energy[..., None], spatial], axis=-1)
-
-
-def _as_points(p) -> np.ndarray:
-    if isinstance(p, MassShellPoint):
-        return p.as_array()
-    return np.asarray(p, dtype=float)
 
 
 def standard_boost(p) -> np.ndarray:
@@ -63,7 +39,7 @@ def standard_boost(p) -> np.ndarray:
     B_p is symmetric positive (zero polar rotation angle), which fixes the
     Wigner cocycle convention used throughout.
     """
-    pts = _as_points(p)
+    pts = np.asarray(p, dtype=float)
     u = pts / np.sqrt(pts[..., 0] ** 2 - pts[..., 1] ** 2 - pts[..., 2] ** 2)[..., None]
     s = u[..., 1:]
     out = np.empty(pts.shape[:-1] + (3, 3))
@@ -83,16 +59,15 @@ def wigner_rotation(g: CoveringLorentz, p) -> np.ndarray:
 
     an argument in (-pi/2, pi/2), as the first term outweighs the second.
 
-    Accepts a MassShellPoint or an (..., 3) array of shell points; returns
-    the matching array of lifted angles (a scalar for a single point).
+    Takes an (..., 3) array of shell points and returns the (...) array of
+    their lifted angles.
     """
-    pts = _as_points(p)
+    pts = np.asarray(p, dtype=float)
     p0, p1, p2 = pts[..., 0], pts[..., 1], pts[..., 2]
     m = np.sqrt(p0 ** 2 - p1 ** 2 - p2 ** 2)
     c, s = math.cosh(0.5 * g.rapidity), math.sinh(0.5 * g.rapidity)
     alpha = c * (m + p0) + s * cmath.exp(1j * g.direction) * (p1 - 1j * p2)
-    lifted = g.angle + 2.0 * np.angle(alpha)
-    return float(lifted) if pts.ndim == 1 else lifted
+    return g.angle + 2.0 * np.angle(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -104,15 +79,6 @@ class WaveFunction:
 
     def evaluate(self, pts: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, p) -> complex | np.ndarray:
-        pts = _as_points(p)
-        scalar = isinstance(p, MassShellPoint) or np.asarray(p).ndim == 1
-        vals = self.evaluate(pts if pts.ndim > 1 else pts[None, :])
-        return complex(vals[0]) if scalar else vals
-
-    def scaled(self, z: complex) -> "WaveFunction":
-        return _Scaled(z, self)
 
 
 @dataclass(frozen=True)
@@ -129,15 +95,6 @@ class GaussianSum(WaveFunction):
             d2 = (pts[..., 1] - c[0]) ** 2 + (pts[..., 2] - c[1]) ** 2
             out += w * np.exp(-a * d2)
         return out
-
-
-@dataclass(frozen=True)
-class _Scaled(WaveFunction):
-    factor: complex
-    base: WaveFunction
-
-    def evaluate(self, pts: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.evaluate(pts)
 
 
 @dataclass(frozen=True)

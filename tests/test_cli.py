@@ -134,6 +134,28 @@ def test_verify_geometry_with_scene(capsys):
     assert "scene-winding-definition-agreement" in out
 
 
+def test_scene_pairs_beyond_the_scan_window_disagree(tmp_path, capsys, monkeypatch):
+    # C2 sits seven sheets up, so the closed form finds N = -8 and 7 while
+    # the definition scan over [-5, 5] finds none: each pair disagrees
+    scene = tmp_path / "far.json"
+    scene.write_text(json.dumps({"cones": [
+        {"id": "C1", "apex": [0.0, 0.0, 0.0], "center_angle": 0.0,
+         "half_opening": 0.1, "sheet": 0, "kind": "cone"},
+        {"id": "C2", "apex": [0.0, 0.0, 0.0], "center_angle": 3.0,
+         "half_opening": 0.1, "sheet": 7, "kind": "cone"},
+    ]}))
+    code, out, _ = run(capsys, "winding", "--scene", str(scene), "--format", "json")
+    assert code == 0
+    assert [row["N"] for row in json.loads(out)["rows"]] == [-8, 7]
+    monkeypatch.setenv("PLEKTONLAB_SWEEP", "0.05")
+    code, out, _ = run(capsys, "verify", "--suite", "geometry", "--scene", str(scene),
+                       "--seed", "2", "--format", "json")
+    row = json.loads(out)["checks"][0]
+    assert code == 1
+    assert (row["name"], row["status"]) == ("scene-winding-definition-agreement", "fail")
+    assert row["exact"] == "2 disagreements, 2 with a winding outside the scan's [-5, 5]"
+
+
 def test_verify_cpt_rejects_non_invariant_reference_cone(tmp_path, capsys):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({

@@ -41,7 +41,6 @@ from plektonlab.minkowski import (
     cover_boost1,
     cover_compose,
     cover_rotation,
-    cover_translation,
     minkowski_inner,
 )
 from plektonlab.tolerances import ARC_TOL, WEDGE_TOL
@@ -85,7 +84,8 @@ def rnd_cover(rng, translations=True):
                       cover_rotation(rng.uniform(-3, 3))),
     )
     if translations:
-        g = cover_compose(cover_translation(MVec3(*rng.normal(0, 0.5, 3))), g)
+        shift = MVec3(*rng.normal(0, 0.5, 3))
+        g = cover_compose(CoveringPoincare(shift, CoveringLorentz.identity()), g)
     return g
 
 
@@ -137,7 +137,6 @@ def test_constructors_reject_non_finite_vectors(bad, axis):
     v = MVec3(*(bad if k == axis else 0.5 for k in range(3)))
     for build in (lambda: cone_path(v, 0.0, 0.2), lambda: wedge_path(v),
                   lambda: cone_path(v, 0.0, 0.2, kind=KIND_CONE_COMPLEMENT),
-                  lambda: cover_translation(v),
                   lambda: translated(cone_path(ZERO_VEC, 0.0, 0.2), v),
                   lambda: CoveringPoincare(v, CoveringLorentz.identity())):
         with pytest.raises(ValueError, match="not finite"):
@@ -627,7 +626,7 @@ def _built_paths():
     with a translation, a pure rotation), reflect_path and rebase."""
     cone = cone_path(MVec3(0.1, -0.2, 0.3), 0.7, 0.4, sheet=1)
     wedge = wedge_path(MVec3(-0.3, 0.2, 0.1), -1.1, sheet=-1)
-    g = cover_compose(cover_translation(MVec3(0.5, -0.4, 0.3)),
+    g = cover_compose(CoveringPoincare(MVec3(0.5, -0.4, 0.3), CoveringLorentz.identity()),
                       cover_compose(cover_rotation(2.5), cover_boost1(0.8)))
     f0, f1 = ReferenceFrame(), ReferenceFrame(2.0)
     out = []
@@ -713,8 +712,8 @@ def test_act_builds_no_vector(monkeypatch):
     # pure rotation and a wedge that drifts nowhere
     c = cone_path(MVec3(0.1, -0.2, 0.3), 0.7, 0.4, sheet=1)
     w = wedge_path(MVec3(-0.3, 0.2, 0.1), -1.1)
-    elements = [cover_compose(cover_translation(MVec3(0.5, -0.4, 0.3)),
-                              cover_compose(cover_rotation(2.5), cover_boost1(0.8))),
+    shift = CoveringPoincare(MVec3(0.5, -0.4, 0.3), CoveringLorentz.identity())
+    elements = [cover_compose(shift, cover_compose(cover_rotation(2.5), cover_boost1(0.8))),
                 cover_boost1(-3.0), cover_rotation(TWO_PI), CoveringPoincare.identity()]
     built = []
     new, make = MVec3.__new__, MVec3._make

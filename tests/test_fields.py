@@ -9,10 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plektonlab import cones
-from plektonlab.cones import (ReferenceFrame, cone_path, reflect_path, relative_winding,
-                              standard_wedge_path)
+from plektonlab.cones import (ReferenceFrame, SeparationError, causally_separated, cone_path,
+                              reflect_path, relative_winding, standard_wedge_path)
 from plektonlab.fields import (
-    DELOCALIZED,
     FieldSymbol,
     FieldWord,
     GradedOperator,
@@ -81,6 +80,11 @@ def test_reflect_marker_rules():
 # ---------------------------------------------------------------------------
 # multiplication, fusion, adjoint
 # ---------------------------------------------------------------------------
+
+# the localisation of a fused symbol whose paths differ: not a ConePath, so
+# the symbol is not localised and exchange refuses to move it
+DELOCALIZED = "delocalized"
+
 
 def fuse_adjacent(w: FieldWord, i: int = 0) -> FieldWord:
     """Merge factors i and i+1 into f(c1+c2, g^c2(A1) A2).
@@ -479,6 +483,22 @@ def test_vacuum_swap_guards(z3):
     out = vacuum_swap((f2, FieldSymbol(1, B, c1)), z3)
     with pytest.raises(ValueError, match="winding guard"):
         vacuum_swap((out.bra, out.ket), z3)
+
+
+def test_pairs_that_are_not_separated_are_refused_alike(z3):
+    # every public operation refuses such a pair as relative_winding does:
+    # one SeparationError, naming the operation
+    base = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
+    later = cone_path(MVec3(2.0, 0, 0), 0.0, 0.3)  # in the future of base's apex
+    assert not causally_separated(later, base)
+    f_base, f_later = FieldSymbol(1, A, base), FieldSymbol(1, B, later)
+    for what, call in (
+            ("relative winding", lambda: relative_winding(later, base)),
+            ("exchange", lambda: exchange(FieldWord.of(f_later, f_base), 0, z3)),
+            ("twist", lambda: twist_conjugate(f_base, (later, base), z3)),
+            ("vacuum swap", lambda: vacuum_swap((f_later, f_base), z3))):
+        with pytest.raises(SeparationError, match=f"^{what} requires causally separated regions$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from plektonlab.cones import SeparationError, WindingError, cone_path
-from plektonlab.fields import DELOCALIZED, FieldSymbol, FieldWord, ObservableWord, _exchange
+from plektonlab.fields import FieldSymbol, FieldWord, ObservableWord, _exchange
 import plektonlab.lattice
 from plektonlab.lattice import ClockShiftLattice, LatticeReport, OracleError, lattice_oracle
 from plektonlab.minkowski import MVec3
 from plektonlab.sectors import AnyonModel, CyclotomicPhase, r_phase
 from plektonlab.tolerances import LATTICE_TOL
 from tests.test_cones import translated
-from tests.test_fields import fuse_adjacent
+from tests.test_fields import DELOCALIZED, fuse_adjacent
 
 I = ObservableWord.identity()
 
@@ -175,7 +175,7 @@ def test_oracle_rejections(z3, boson, semion):
             ClockShiftLattice(z3, 3).word_matrix(w3, sites)
 
 
-_RELATED = "exchange requires causally separated localisations"
+_RELATED = "exchange requires causally separated regions"
 _DELOCALIZED = "cannot exchange a delocalized symbol"
 _AMBIGUOUS = "separation undecidable within tolerance"
 

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from plektonlab.cones import DEFAULT_FRAME, ReferenceFrame, act, cone_path, rebase, wedge_path
-from plektonlab.continuation import compose_angle, ray_angles, wigner_angles
+from plektonlab.continuation import ray_angles, wigner_angles
 from plektonlab.minkowski import (
     LIFT_TOL,
     MVec3,
@@ -22,6 +22,7 @@ from plektonlab.minkowski import (
     cover_rotation,
 )
 from plektonlab.wigner import sample_shell, wigner_rotation
+from tests.test_continuation import compose_angle
 
 TWO_PI = 2.0 * math.pi
 EPS = np.finfo(float).eps

@@ -20,11 +20,12 @@ from hypothesis import strategies as st
 from plektonlab.cones import (SeparationError, act, causally_separated, cone_path,
                               find_causal_pair, wedge_path)
 from plektonlab.minkowski import (
+    CoveringLorentz,
+    CoveringPoincare,
     MVec3,
     cover_boost1,
     cover_compose,
     cover_rotation,
-    cover_translation,
 )
 from tests.test_cones import translated
 
@@ -55,7 +56,7 @@ def movers(draw):
         cover_rotation(draw(st.floats(-7.0, 7.0)) + direction),
         cover_compose(cover_boost1(draw(st.floats(-1.2, 1.2))), cover_rotation(-direction)))
     shift = MVec3(*(draw(st.floats(-1.0, 1.0)) for _ in range(3)))
-    return cover_compose(cover_translation(shift), lorentz)
+    return cover_compose(CoveringPoincare(shift, CoveringLorentz.identity()), lorentz)
 
 
 def inward(path, s):

@@ -34,6 +34,7 @@ from plektonlab.cones import (
 from plektonlab.minkowski import (
     LIFT_TOL,
     TWO_PI,
+    CoveringLorentz,
     CoveringPoincare,
     LiftError,
     MVec3,
@@ -41,7 +42,6 @@ from plektonlab.minkowski import (
     cover_compose,
     cover_inverse,
     cover_rotation,
-    cover_translation,
 )
 from plektonlab.wigner import shell_points, standard_boost, wigner_rotation
 from tests import su11
@@ -145,7 +145,8 @@ def test_act_matches_per_vector_reference():
     elements = _elements(rng, 160)
     for k, g in enumerate(elements):
         if k % 2:
-            g = cover_compose(cover_translation(MVec3(*rng.normal(0.0, 1.0, 3))), g)
+            shift = MVec3(*rng.normal(0.0, 1.0, 3))
+            g = cover_compose(CoveringPoincare(shift, CoveringLorentz.identity()), g)
         h = elements[(k + 1) % len(elements)]
         frame, other = frames[k % 2], frames[2]
         for c in paths:
@@ -210,7 +211,7 @@ def test_standard_boost_matches_loop_and_wigner_matches_mpmath():
         assert max(abs(float(x) - w) for x, w in zip(wigner_rotation(g, pts), want)) <= bound
         for k in range(3):
             single = wigner_rotation(g, pts[k])
-            assert type(single) is float and abs(single - want[k]) <= bound
+            assert single.shape == () and abs(single - want[k]) <= bound
 
 
 def _spatial_per_vector(angle):
