@@ -59,15 +59,11 @@ class WindingError(ValueError):
 
 @dataclass(frozen=True)
 class LiftedArc:
-    """Unreduced angular interval of a sheet; width in (0, pi]."""
+    """Unreduced angular interval of a sheet.  A region's arc has its width
+    in (0, pi]; the region checks it (`_set_path`), the arc does not."""
 
     alpha_minus: float
     alpha_plus: float
-
-    def __post_init__(self) -> None:
-        w = self.width
-        if not (w > 0.0 and w <= math.pi + ARC_TOL):
-            raise ValueError(f"arc width {w} outside (0, pi]")
 
     @property
     def width(self) -> float:
@@ -208,11 +204,15 @@ def _path(rows: np.ndarray, arc: LiftedArc, kind: str) -> ConePath:
 
 
 def _set_path(path: ConePath, rows: np.ndarray, arc: LiftedArc, kind: str) -> ConePath:
-    """Check the arc width against the kind, then store the region in path."""
+    """Check the arc width, in (0, pi] and then against the kind, and store
+    the region in path: the one arc rule of every region, public or built."""
+    w = arc.width
+    if not (w > 0.0 and w <= math.pi + ARC_TOL):  # NaN fails too
+        raise ValueError(f"arc width {w} outside (0, pi]")
     if kind == KIND_WEDGE:
-        if abs(arc.width - math.pi) > ARC_TOL:
+        if abs(w - math.pi) > ARC_TOL:
             raise ValueError("wedge arcs must have width exactly pi")
-    elif arc.width > math.pi - ARC_TOL:
+    elif w > math.pi - ARC_TOL:
         raise ValueError("cone arcs must have width strictly below pi")
     rows.setflags(write=False)
     vars(path).update(rows=rows, arc=arc, kind=kind)  # frozen: no __setattr__
@@ -657,17 +657,21 @@ def _winding(c2: ConePath, c1: ConePath) -> int:
 
 
 def relative_winding_scan(c2: ConePath, c1: ConePath) -> int:
-    """Definition-based oracle: scan n in [-5, 5] against both inequalities.
+    """Definition-based oracle: scan the 11 sheets n0 - 5 ... n0 + 5 against
+    both inequalities, n0 = round((mid2 - mid1) / 2 pi) the offset of the
+    arcs' own midpoints, so a pair on far sheets is scanned where it winds.
 
     Independent of the closed-form floor computation; raises WindingError
     unless exactly one candidate passes.
     """
-    hits = []
-    for n in range(-5, 6):
-        if _arc_below(c1, c2, TWO_PI * n) and _arc_below(c2, c1, -TWO_PI * (n + 1)):
-            hits.append(n)
+    mid1 = 0.5 * (c1.arc.alpha_minus + c1.arc.alpha_plus)
+    mid2 = 0.5 * (c2.arc.alpha_minus + c2.arc.alpha_plus)
+    base = round((mid2 - mid1) / TWO_PI)
+    hits = [n for n in range(base - 5, base + 6)
+            if _arc_below(c1, c2, TWO_PI * n) and _arc_below(c2, c1, -TWO_PI * (n + 1))]
     if len(hits) != 1:
-        raise WindingError(f"definition scan found {len(hits)} candidates in [-5, 5]")
+        raise WindingError(f"definition scan found {len(hits)} candidates in "
+                           f"[{base - 5}, {base + 5}]")
     return hits[0]
 
 

@@ -372,7 +372,7 @@ def tomita_S(v: StateVector, model: AnyonModel,
         -v.charge,
         v.obs.star().gamma(-v.charge),
         v.loc,
-        v.coeff.conjugate(),
+        v.coeff.inverse(),
     )
 
 
@@ -389,8 +389,7 @@ class FormalOverlap:
     ket: FieldSymbol
 
 
-def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
-                coeff: CyclotomicPhase = ONE) -> FormalOverlap:
+def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel) -> FormalOverlap:
     """Rewrite <F2 Omega, F1 Omega> as omega^(c^2) <F1* Omega, F2* Omega>.
 
     Requires equal charges and relative winding N(loc2, loc1) = -1; applying
@@ -400,7 +399,7 @@ def vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
     """
     f2, f1 = _swap_pair(pair)
     _require_separated(causally_separated(f1.loc, f2.loc), "vacuum swap")
-    return _vacuum_swap(pair, model, coeff)
+    return _vacuum_swap(pair, model)
 
 
 def _swap_pair(pair: tuple[FieldSymbol, FieldSymbol]) -> tuple[FieldSymbol, FieldSymbol]:
@@ -414,16 +413,14 @@ def _swap_pair(pair: tuple[FieldSymbol, FieldSymbol]) -> tuple[FieldSymbol, Fiel
     return f2, f1
 
 
-def _vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel,
-                 coeff: CyclotomicPhase = ONE) -> FormalOverlap:
-    """`vacuum_swap` for a pair whose separation is already decided."""
-    f2, f1 = _swap_pair(pair)
+def _vacuum_swap(pair: tuple[FieldSymbol, FieldSymbol], model: AnyonModel) -> FormalOverlap:
+    """`vacuum_swap` for a pair that `_swap_pair` accepts and whose
+    separation is already decided."""
+    f2, f1 = pair
     n = _winding(f2.loc, f1.loc)
     if n != -1:
         raise ValueError(f"winding guard violated: N(loc2, loc1) = {n}, need -1")
-    return FormalOverlap(
-        coeff * sector_phase(model, f1.charge), adjoint(f1), adjoint(f2)
-    )
+    return FormalOverlap(sector_phase(model, f1.charge), adjoint(f1), adjoint(f2))
 
 
 # ---------------------------------------------------------------------------

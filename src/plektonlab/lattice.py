@@ -5,7 +5,7 @@ symbol at site j of an L-site chain the string operator (U_1 ... U_{j-1} V_j)^c.
 Site order follows the angular order of the localisations, so pairwise
 windings lie in {-1, 0} and the string operators reproduce every exchange and
 adjoint identity of the symbolic layer.  Each side of an identity is the
-Kronecker product of L site products (d = N^L <= 1024).  U and V are monomial
+Kronecker product of L site products.  U and V are monomial
 with N-th roots of unity as values, so a site product is exactly a row and a
 power of zeta = exp(2 pi i / N) per column, both ints, computed in closed form
 for every side of a word at once: the word, its L-1 exchanged words and the
@@ -105,12 +105,6 @@ class ClockShiftLattice:
         if not self.model.is_finite:
             raise OracleError("lattice oracle requires a Z_N model")
         n = self.model.group_order
-        if n > 5:
-            raise OracleError("lattice oracle supports N <= 5")
-        if n ** self.n_sites > MAX_DIMENSION:
-            raise OracleError(
-                f"dimension overflow: {n}^{self.n_sites} > {MAX_DIMENSION}"
-            )
         turns = self.model.omega.turns
         # omega = zeta^a with zeta = exp(2 pi i / N); integrality is the
         # validator condition omega^N = 1
@@ -131,11 +125,17 @@ class ClockShiftLattice:
         by zeta^(a c r), V^c moves it to r + c: in closed form, a column's
         row at a site moves by the charges there, and each U^c reads the row
         the factors to its right leave.  Every public builder and the oracle
-        pass through here, so a site off the chain is refused here."""
-        n = self.model.group_order
-        # U^N = V^N = 1, so charges mod N keep the products in int64
+        pass through here, so a site off the chain and an exponent that
+        int64 cannot hold are refused here."""
+        n, length = self.model.group_order, len(words[0])
+        # U^N = V^N = 1, so charges lie in [0, N).  A column's exponent at a
+        # site sums a c (c' + column) over the k factors on later sites, c'
+        # the charge that the factors after each put on this site: at most
+        # (N-1)^3 k (m + 1) with m factors on the site, and k + m <= F
+        if (n - 1) ** 3 * ((length + 1) ** 2 // 4) > _INT64_MAX:
+            raise OracleError(f"{length} factors of Z_{n} are too many for int64 exponents")
         factors = np.array([[(c % n, s) for c, s in word] for word in words],
-                           dtype=np.int64).reshape(len(words), len(words[0]), 2)
+                           dtype=np.int64).reshape(len(words), length, 2)
         charge, site = factors[..., 0, None], factors[..., 1, None]
         off = site[(site < 0) | (site >= self.n_sites)]
         if off.size:
@@ -146,12 +146,17 @@ class ClockShiftLattice:
         shift, clock = charge * (chain == site), charge * (chain < site)
         later = shift.sum(1, keepdims=True) - np.cumsum(shift, 1)
         rows = (shift.sum(1)[..., None] + column) % n
-        exps = self._clock * (clock[..., None] * (later[..., None] + column)).sum(1) % n
+        # the column term apart: (W, L) sums and one (W, L, N) array, no (W, F, L, N)
+        exps = self._clock * ((clock * later).sum(1)[..., None]
+                              + clock.sum(1)[..., None] * column) % n
         return rows, exps
 
     def _matrix(self, factors: list[tuple[int, int]], coeff: complex = 1.0) -> np.ndarray:
-        """One word's side scattered into a d x d matrix of zeros."""
+        """One word's side scattered into a d x d matrix of zeros; refused
+        beyond MAX_DIMENSION."""
         n, d = self.model.group_order, self.dimension
+        if d > MAX_DIMENSION:
+            raise OracleError(f"dimension overflow: {n}^{self.n_sites} > {MAX_DIMENSION}")
         rows, exps = self._site_products([factors])
         weights = n ** np.arange(self.n_sites - 1, -1, -1)
         out = np.zeros((d, d), dtype=complex)
@@ -198,10 +203,15 @@ def lattice_oracle(model: AnyonModel, word: FieldWord,
     pairwise windings must then lie in {-1, 0}.  Residuals are max-norm
     distances between the matrix sides, read off one stack of site products
     in one `_residuals` call without expanding a side to its d columns.
+
+    For L factors of Z_N the stack is 3L words, held as (3L, L, N) int rows
+    and exponents, so memory and the closed form grow like L^2 N, whatever
+    d = N^L.  The sumsets take one set of gaps mod q per site and
+    comparison, at most q = lcm(N, denominator of the ratio) gaps each (one
+    gap per site for the word's own identities).  The one size refused is
+    an exponent beyond int64: (N-1)^3 floor((L+1)^2 / 4) > 2^63 - 1.
     """
     length = len(word.factors)
-    if length > 6:
-        raise OracleError("lattice oracle supports words of length <= 6")
     if sites is None:
         sites = _sites_by_angle(word)
     lat = ClockShiftLattice(model, max(length, 1))

@@ -159,14 +159,6 @@ def rotation_matrix(theta: float) -> LorentzMatrix:
     return LorentzMatrix([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def boost1_matrix(t: float) -> LorentzMatrix:
-    try:
-        ch, sh = math.cosh(t), math.sinh(t)
-    except OverflowError:
-        raise ValueError(f"rapidity {t} overflows a float boost") from None
-    return LorentzMatrix([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
-
-
 def _polar_angle_raw(m: np.ndarray) -> float:
     # For L = R(theta) B with B symmetric positive: row 0 of L is row 0 of B,
     # column 0 is R applied to it, so theta is the angle between the two
@@ -289,8 +281,15 @@ def cover_rotation(angle: float) -> CoveringLorentz:
 
 
 def cover_boost1(t: float) -> CoveringLorentz:
-    """Boost along the x1 axis; lifted angle 0."""
-    return CoveringLorentz(boost1_matrix(t), 0.0)
+    """Boost along the x1 axis with rapidity t, lifted angle 0, in the chart:
+    (0, |t|, 0 or pi), the direction pi for a negative t (and for -0.0)."""
+    if not math.isfinite(t):
+        raise ValueError(f"rapidity {t} is not finite")
+    try:
+        math.cosh(t)
+    except OverflowError:
+        raise ValueError(f"rapidity {t} overflows a float boost") from None
+    return _chart(0.0, abs(t), math.atan2(0.0, t))
 
 
 def _chart_product(g1: CoveringLorentz, g2: CoveringLorentz) -> CoveringLorentz:

@@ -54,9 +54,8 @@ class Report:
         self.checks.append(result)
         return result
 
-    def add_pass(self, name: str, residual: float | None = None,
-                 exact: str | None = None, note: str = "") -> None:
-        self.add(name, PASS, residual, exact, note)
+    def add_pass(self, name: str, exact: str | None = None, note: str = "") -> None:
+        self.add(name, PASS, None, exact, note)
 
     def add_outcome(self, name: str, ok: bool, residual: float | None = None,
                     exact: str | None = None, note: str = "") -> None:

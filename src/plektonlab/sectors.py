@@ -69,9 +69,6 @@ class CyclotomicPhase:
     def inverse(self) -> "CyclotomicPhase":
         return _phase(-self._k, self._m)
 
-    def conjugate(self) -> "CyclotomicPhase":
-        return self.inverse()
-
     def is_one(self) -> bool:
         return self._k == 0
 

@@ -198,9 +198,8 @@ def verify_j_relations(g: CoveringLorentz, spin: float, psi: WaveFunction,
 
     (i)   U(j) U(g) U(j) = U(j g j)
     (ii)  U(j) U(x) U(j) = U(j x), for x = (0.4, -0.3, 0.2)
-    (iii) U(r(2 pi)) psi = exp(2 pi i s) psi
     """
-    from .minkowski import ZERO_VEC, cover_rotation, reflect_conjugate, reflect_vector
+    from .minkowski import ZERO_VEC, reflect_conjugate, reflect_vector
 
     x = MVec3(0.4, -0.3, 0.2)
 
@@ -212,9 +211,4 @@ def verify_j_relations(g: CoveringLorentz, spin: float, psi: WaveFunction,
     lhs_t = apply_j(apply_rep(x, ident, spin, apply_j(psi)))
     rhs_t = apply_rep(reflect_vector(x), ident, spin, psi)
     res_x = float(np.abs(lhs_t.evaluate(pts) - rhs_t.evaluate(pts)).max())
-
-    rot = apply_rep(ZERO_VEC, cover_rotation(TWO_PI), spin, psi)
-    expected = np.exp(2j * math.pi * spin) * psi.evaluate(pts)
-    res_rot = float(np.abs(rot.evaluate(pts) - expected).max())
-
-    return {"reflection": res_g, "translation": res_x, "rotation_2pi": res_rot}
+    return {"reflection": res_g, "translation": res_x}

@@ -94,13 +94,33 @@ def rnd_cover(rng, translations=True):
 # ---------------------------------------------------------------------------
 
 def test_lifted_arc_invariants():
-    with pytest.raises(ValueError):
-        LiftedArc(0.5, 0.5)
-    with pytest.raises(ValueError):
-        LiftedArc(0.0, 3.5)
-    with pytest.raises(ValueError):
-        # cone arcs must stay below pi
+    # a region refuses an arc of width outside (0, pi], NaN included; the
+    # arc itself is plain data
+    c = cone_path(MVec3(0, 0, 0), 0.0, 0.3)
+    w = wedge_path()
+    for path in (c, w):
+        for lo, hi in ((0.5, 0.5), (0.5, 0.4), (0.0, 3.5), (0.0, math.nan), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match=r"^arc width .* outside \(0, pi\]$"):
+                ConePath(path.apex, LiftedArc(lo, hi), path.kind, path.normals, path.corners)
+        bad = _swapped_arc(path)
+        for image in (lambda: reflect_path(bad), lambda: act(cover_rotation(1.0), bad),
+                      lambda: rebase(bad, ReferenceFrame(), ReferenceFrame(2.0))):
+            with pytest.raises(ValueError, match=r"^arc width -0.(1|09)\d* outside \(0, pi\]$"):
+                image()
+    with pytest.raises(ValueError, match="half_opening must lie in"):
         cone_path(MVec3(0, 0, 0), 0.0, math.pi / 2)
+    with pytest.raises(ValueError, match="cone arcs must have width strictly below pi"):
+        ConePath(c.apex, LiftedArc(0.0, math.pi), c.kind, c.normals, c.corners)
+    with pytest.raises(ValueError, match="wedge arcs must have width exactly pi"):
+        ConePath(w.apex, LiftedArc(0.0, 3.0), w.kind, w.normals, w.corners)
+
+
+def _swapped_arc(path):
+    """path with its arc (0.1, 0): a region no public rule admits, for the
+    images of the package's own operations to refuse."""
+    changed = object.__new__(ConePath)
+    vars(changed).update(rows=path.rows, arc=LiftedArc(0.1, 0.0), kind=path.kind)
+    return changed
 
 
 @pytest.mark.parametrize("sheet", [10 ** 7, 10 ** 9, -10 ** 12, 10 ** 15])
@@ -419,6 +439,26 @@ def test_winding_same_sheet():
     c2 = cone_path(MVec3(0, 0, 0), 1.1, 0.1)
     assert relative_winding(c2, c1) == 0
     assert relative_winding_scan(c2, c1) == 0
+
+
+def test_definition_scan_follows_far_sheets():
+    # pairs up to 10^6 sheets apart: the scan's 11 sheets sit about the arcs'
+    # own offset, so it finds the closed form's N there; a pair with no
+    # winding still raises
+    rng = np.random.default_rng(21)
+    far = 0
+    for _ in range(300):
+        c2, c1 = rnd_pair(rng)
+        m = int(rng.choice([-1, 1])) * int(10 ** rng.uniform(0, 6))
+        c2 = act(cover_rotation(TWO_PI * m), c2)
+        n = relative_winding(c2, c1)
+        assert relative_winding_scan(c2, c1) == n and relative_winding_scan(c1, c2) == -1 - n
+        far += not -5 <= n <= 5
+    assert far > 200
+    west = cone_path(MVec3(0, 0, 0), -0.2, 0.2, sheet=9)
+    east = cone_path(MVec3(0, 0, 0), 0.2, 0.2, sheet=9)
+    with pytest.raises(WindingError, match="share an endpoint"):
+        relative_winding_scan(east, west)
 
 
 def test_winding_shift_of_reference_path():

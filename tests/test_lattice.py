@@ -151,10 +151,16 @@ def test_oracle_rejections(z3, boson, semion):
     locs = fan(2)
     with pytest.raises(OracleError, match="Z_N"):
         lattice_oracle(boson, FieldWord.of(FieldSymbol(1, I, locs[0])))
-    with pytest.raises(OracleError, match="overflow"):
-        ClockShiftLattice(z3, 9)
-    with pytest.raises(OracleError, match="overflow"):
-        ClockShiftLattice(semion, 6)
+    # only the dense builders refuse a dimension beyond MAX_DIMENSION
+    big = ClockShiftLattice(z3, 9)
+    for build in (lambda: big.site_operator(0),
+                  lambda: big.symbol_matrix(FieldSymbol(1, I, locs[0]), 0),
+                  lambda: big.word_matrix(FieldWord.of(FieldSymbol(1, I, locs[0])), [0])):
+        with pytest.raises(OracleError, match=r"^dimension overflow: 3\^9 > 1024$"):
+            build()
+    with pytest.raises(OracleError, match=r"^dimension overflow: 4\^6 > 1024$"):
+        ClockShiftLattice(semion, 6).site_operator(5)
+    assert ClockShiftLattice(semion, 5).site_operator(4).shape == (1024, 1024)
     word = FieldWord.of(FieldSymbol(1, ObservableWord.symbol("A"), locs[0]))
     with pytest.raises(OracleError, match="observable"):
         lattice_oracle(z3, word)
@@ -463,21 +469,31 @@ def test_oracle_holds_no_dense_side(z3):
 _ROOTS = {2: (1, 4), 3: (2, 3), 4: (1, 8), 5: (3, 5)}
 
 
-@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
-@pytest.mark.parametrize("n_group, length", [(2, 6), (3, 6), (4, 5), (5, 4)])
-def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, length,
-                                                       mutation):
-    # the largest word admitted for each N: d = 64, 729, 1024 and 625
-    model = AnyonModel(n_group, CyclotomicPhase(Fraction(1, n_group)),
-                       CyclotomicPhase.from_pair(*_ROOTS[n_group]), Fraction(1, n_group))
-    _mutate(monkeypatch, mutation)
+def _seeded_word(n_group, length):
+    """A word of charges +-1..3 on ``ring(length)`` in a seeded order, with
+    a seeded coefficient, and the site of each factor: its cone's place in
+    the ring, which is the angular order."""
     rng = np.random.default_rng(1000 * n_group + length)
     charges = [int(c) for c in rng.choice([-3, -2, -1, 1, 2, 3], length)]
-    cones = fan(length)
-    locs = [cones[k] for k in rng.permutation(length)]
-    word = FieldWord.of(*(FieldSymbol(c, I, loc) for c, loc in zip(charges, locs)),
+    cones = ring(length) if length > 6 else fan(length)
+    sites = [int(k) for k in rng.permutation(length)]
+    word = FieldWord.of(*(FieldSymbol(c, I, cones[k]) for c, k in zip(charges, sites)),
                         coeff=CyclotomicPhase.from_pair(int(rng.integers(0, 6)), 6))
-    sites = plektonlab.lattice._sites_by_angle(word)
+    return word, sites
+
+
+def ring(count):
+    """count cones about one apex with disjoint arcs in (-pi, pi), in angular
+    order; unlike `fan`, any count."""
+    step = 2 * math.pi / count
+    return [cone_path(MVec3(0, 0, 0), -math.pi + (k + 0.5) * step, 0.15 * step)
+            for k in range(count)]
+
+
+def _check_against_dense(monkeypatch, n_group, length, mutation):
+    model = _model(n_group)
+    _mutate(monkeypatch, mutation)
+    word, sites = _seeded_word(n_group, length)
     rep = lattice_oracle(model, word)
     assert rep.dimension == n_group ** length
     _assert_matches_dense(rep, _dense_residuals(model, word, sites))
@@ -486,12 +502,154 @@ def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, len
     assert rep.ok == (mutation is None or (mutation, n_group) == ("adjoint", 2))
 
 
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+@pytest.mark.parametrize("n_group, length", [(2, 6), (3, 6), (4, 5), (5, 4)])
+def test_oracle_residuals_equal_dense_sides_at_the_cap(monkeypatch, n_group, length,
+                                                       mutation):
+    # the longest word for each N <= 5 within d = 1024: d = 64, 729, 1024 and 625
+    _check_against_dense(monkeypatch, n_group, length, mutation)
+
+
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+@pytest.mark.parametrize("n_group, length", [(7, 3), (31, 2), (2, 7), (2, 10)])
+def test_oracle_residuals_equal_dense_sides_beyond_the_old_caps(monkeypatch, n_group, length,
+                                                                mutation):
+    # N above 5 and words longer than 6, while the dense referee still
+    # fits: d = 343, 961, 128 and 1024
+    _check_against_dense(monkeypatch, n_group, length, mutation)
+
+
+def _follow(a, n, factors, column):
+    """The row that basis column ``column`` (L site states) reaches through
+    the string operators of ``factors`` (charge, site), the rightmost first,
+    and its exponent of zeta = exp(2 pi i / N), as Python ints:
+    (U_1 ... U_{j-1} V_j)^c is U_1^c ... U_{j-1}^c V_j^c, which multiplies
+    |r> by zeta^(a c (r_1 + ... + r_{j-1})) and moves r_j by c."""
+    r, e = list(column), 0
+    for c, j in reversed(factors):
+        e += a * c * sum(r[:j])
+        r[j] = (r[j] + c) % n
+    return tuple(r), e
+
+
+def _follow_dagger(a, n, factor, row):
+    """The column and exponent of the dagger of one factor at basis state
+    ``row``: the one column the factor sends to that row, with the phase
+    conjugated."""
+    c, j = factor
+    column = list(row)
+    column[j] = (column[j] - c) % n
+    reached, e = _follow(a, n, [factor], column)
+    assert reached == tuple(row)
+    return tuple(column), -e
+
+
+def _distance(x, y, n, ratio):
+    """|A e - r B e| at one column e: 1 where the sides reach different
+    rows, else 2 |sin(pi delta)| for delta the exact phase gap in turns."""
+    (row_x, e_x), (row_y, e_y) = x, y
+    if row_x != row_y:
+        return 1.0
+    return 2 * abs(math.sin(math.pi * ((Fraction(e_x - e_y, n) - ratio.turns) % 1)))
+
+
+def _sampled_residuals(model, word, sites, columns):
+    """Both residuals of `lattice_oracle(model, word, sites)` over the given
+    basis columns only, each followed through each side's factors in
+    Python ints: lower bounds on the residuals, for any d."""
+    n = model.group_order
+    a = int(model.omega.turns * n)
+    factors = [(sym.charge, s) for sym, s in zip(word.factors, sites)]
+    exchanged = []
+    for i in range(len(factors) - 1):
+        swapped = plektonlab.fields.exchange(word, i, model)
+        moved = list(sites)
+        moved[i], moved[i + 1] = moved[i + 1], moved[i]
+        exchanged.append(([(sym.charge, s) for sym, s in zip(swapped.factors, moved)],
+                          swapped.coeff / word.coeff))
+    adjoints = [((plektonlab.fields.adjoint(sym).charge, s), (sym.charge, s))
+                for sym, s in zip(word.factors, sites)]
+    one = CyclotomicPhase.one()
+    exch = adj = 0.0
+    for column in columns:
+        side = _follow(a, n, factors, column)
+        for other, ratio in exchanged:
+            exch = max(exch, _distance(side, _follow(a, n, other, column), n, ratio))
+        for adjoint_factor, factor in adjoints:
+            adj = max(adj, _distance(_follow(a, n, [adjoint_factor], column),
+                                     _follow_dagger(a, n, factor, column), n, one))
+    return exch, adj
+
+
+@pytest.mark.parametrize("mutation", [None, "exchange", "adjoint"])
+@pytest.mark.parametrize("n_group, length", [(7, 8), (11, 10), (13, 16)])
+def test_column_sampler_referees_the_oracle_beyond_the_dense_referee(monkeypatch, n_group,
+                                                                    length, mutation):
+    # d = 5.8e6, 2.6e10 and 6.7e17: 202 basis columns each (all zero, all
+    # N - 1 and 200 seeded).  A correct word reads exactly 0.0 on both
+    # sides; each mutation is seen by the sampler, whose maximum is a lower
+    # bound on the oracle's residual
+    model = _model(n_group)
+    _mutate(monkeypatch, mutation)
+    word, sites = _seeded_word(n_group, length)
+    rep = lattice_oracle(model, word)
+    assert rep.dimension == n_group ** length
+    rng = np.random.default_rng(n_group)
+    columns = [[0] * length, [n_group - 1] * length]
+    columns += rng.integers(0, n_group, (200, length)).tolist()
+    sampled = _sampled_residuals(model, word, sites, columns)
+    got = (rep.exchange_residual, rep.adjoint_residual)
+    assert all(low <= high + 1e-12 for low, high in zip(sampled, got)), (sampled, got)
+    if mutation is None:
+        assert got == sampled == (0.0, 0.0)
+    else:
+        caught = sampled[0] if mutation == "exchange" else sampled[1]
+        assert caught > 1.0 - 1e-12 and not rep.ok
+
+
+def test_site_products_refuse_exponents_beyond_int64():
+    # F factors of Z_N give exponents up to (N-1)^3 floor((F+1)^2 / 4): k
+    # factors on site 1 and then F - k on site 0, all of charge N - 1, with
+    # a = N - 1, at the column N - 1 of site 0.  At the largest N where that
+    # fits int64, the worst word's exponents are exact (against `_follow`);
+    # one more N is refused, by `_site_products` and so by the oracle
+    top = 2 ** 63 - 1
+    for length in (999, 1000):
+        k = (length + 1) ** 2 // 4
+        edge = round((top / k) ** (1 / 3)) + 2
+        while (edge - 1) ** 3 * k > top:
+            edge -= 1
+        assert edge ** 3 * k > top
+        for n in (edge, edge + 1):
+            model = AnyonModel(n, CyclotomicPhase.from_pair(n - 1, n),
+                               CyclotomicPhase.from_pair(n - 1, 2 * n), Fraction(n - 1, n))
+            lat = ClockShiftLattice(model, 2)
+            word = [(-1, 1)] * ((length + 1) // 2) + [(-1, 0)] * (length // 2)
+            if n == edge + 1:
+                with pytest.raises(OracleError, match=f"^{length} factors of Z_{n} are too "
+                                                      "many for int64 exponents$"):
+                    lat._site_products([word])
+                continue
+            rows, exps = lat._site_products([word])
+            for column in ([n - 1, 0], [n - 1, n - 1], [n - 2, 1], [0, 0], [1, n - 1]):
+                row, e = _follow(n - 1, n, word, column)
+                assert (rows[0, 0, column[0]], rows[0, 1, column[1]]) == row
+                assert exps[0, 1, column[1]] == 0  # no factor right of site 1
+                assert exps[0, 0, column[0]] == e % n
+    loc = fan(1)[0]
+    big = AnyonModel(2 ** 21 + 1, CyclotomicPhase.from_pair(1, 2 ** 21 + 1),
+                     CyclotomicPhase.from_pair(1, 2 ** 22 + 2), Fraction(1, 2 ** 21 + 1))
+    with pytest.raises(OracleError, match="too many for int64"):
+        lattice_oracle(big, FieldWord.of(FieldSymbol(1, I, loc)))
+
+
 def _model(n_group):
     return AnyonModel(n_group, CyclotomicPhase(Fraction(1, n_group)),
-                      CyclotomicPhase.from_pair(*_ROOTS[n_group]), Fraction(1, n_group))
+                      CyclotomicPhase.from_pair(*_ROOTS.get(n_group, (1, 2 * n_group))),
+                      Fraction(1, n_group))
 
 
-# the longest word admitted for each N under MAX_DIMENSION
+# the longest word of each N <= 5 whose dense sides stay within d = 1024 or so
 _MAX_LENGTH = {2: 6, 3: 6, 4: 5, 5: 4}
 
 

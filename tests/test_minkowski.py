@@ -8,7 +8,7 @@ from plektonlab.minkowski import (
     CoveringPoincare,
     LorentzMatrix,
     MVec3,
-    boost1_matrix,
+    _chart,
     cover_boost1,
     cover_compose,
     cover_inverse,
@@ -21,6 +21,12 @@ from plektonlab.minkowski import (
 from tests import su11
 
 EPS = np.finfo(float).eps
+
+
+def boost1_matrix(t):
+    """The boost along x1 with rapidity t as a validated matrix."""
+    ch, sh = math.cosh(t), math.sinh(t)
+    return LorentzMatrix([[ch, sh, 0.0], [sh, ch, 0.0], [0.0, 0.0, 1.0]])
 
 
 def rnd_element(rng, translations=True):
@@ -85,7 +91,7 @@ def test_strong_boost_negative_controls():
     (lambda: LorentzMatrix(np.diag([math.inf, 1.0, 1.0])), "not finite"),
     (lambda: cover_boost1(math.inf), "not finite"),
     (lambda: cover_boost1(math.nan), "not finite"),
-    (lambda: cover_boost1(400.0), "too large"),
+    (lambda: LorentzMatrix(np.diag([1e200, 1.0, 1.0])), "too large"),
     (lambda: cover_boost1(800.0), "overflows"),
     (lambda: cover_rotation(math.nan), "not finite"),
     (lambda: cover_rotation(-math.inf), "not finite"),
@@ -121,6 +127,45 @@ def test_cover_rotation_builds_no_lorentz_matrix(monkeypatch):
         assert cover_rotation(angle).angle == angle
     with pytest.raises(AssertionError, match="built a LorentzMatrix"):
         rotation_matrix(1.0)
+
+
+def _rapidities():
+    rng = np.random.default_rng(8)
+    ts = [0.0, -0.0, 5e-324, -1e-300, 1e-8, 0.5, -3.0, 26.0, -400.0, 710.0, -710.0]
+    return ts + [float(t) for t in rng.uniform(-30, 30, 200)]
+
+
+def test_cover_boost1_is_built_in_the_chart():
+    # (0, |t|, 0 or pi); beside the matrix-built element its rapidity
+    # |t| may differ from asinh|sinh t| in the last bits, nothing else does
+    for t in _rapidities():
+        g = cover_boost1(t)
+        want = _chart(0.0, abs(t), math.pi if math.copysign(1.0, t) < 0 else 0.0)
+        assert ([float.hex(x) for x in (g.angle, g.rapidity, g.direction)]
+                == [float.hex(x) for x in (want.angle, want.rapidity, want.direction)])
+        if abs(t) < 350:  # the matrix-built element needs |L|^2 in float range
+            old = CoveringLorentz(boost1_matrix(t), 0.0)
+            assert (g.angle, g.direction) == (old.angle, old.direction)
+            assert abs(g.rapidity - old.rapidity) <= 4 * EPS * max(1.0, abs(t))
+            assert g.matrix.is_close(old.matrix, 1e-12 * math.cosh(t))
+
+
+def test_cover_boost1_builds_no_lorentz_matrix(monkeypatch):
+    def refuse(self, m):
+        raise AssertionError("cover_boost1 built a LorentzMatrix")
+
+    monkeypatch.setattr(LorentzMatrix, "__init__", refuse)
+    for t in _rapidities():
+        assert cover_boost1(t).rapidity == abs(t)
+
+
+@pytest.mark.parametrize("t, message", [
+    (math.nan, "rapidity nan is not finite"), (math.inf, "rapidity inf is not finite"),
+    (-math.inf, "rapidity -inf is not finite"), (711.0, "rapidity 711.0 overflows"),
+    (-1e300, "rapidity -1e[+]300 overflows")])
+def test_cover_boost1_refuses_a_rapidity_with_no_float_boost(t, message):
+    with pytest.raises(ValueError, match=message):
+        cover_boost1(t)
 
 
 def test_rotation_cover_examples():

@@ -1,6 +1,8 @@
 """Every function, class and method of the package has a reader: another line
-of the package, the public `__all__`, or a stated reason below.  A second
-form of an object that nothing calls fails here."""
+of the package, the public `__all__`, or a stated reason below; and every
+defaulted parameter has a call in the package that passes it, or a stated
+reason.  A second form of an object, or an option, that nothing calls fails
+here."""
 
 import ast
 from pathlib import Path
@@ -28,6 +30,15 @@ KEPT = {
     "minkowski.CoveringPoincare.identity": "README: the identity element",
     "minkowski.CoveringPoincare.is_close": "README: equality within a tolerance",
     "minkowski.MVec3.as_array": "README: a vector's array; the benchmark reads it",
+}
+
+
+# defaulted parameters that no call in the package passes, each with why it stays
+UNPASSED = {
+    "cli.main(argv)": "the console script calls main() to read sys.argv; the tests and the "
+                      "benchmark pass argv",
+    "lattice.lattice_oracle(sites)": "README: explicit sites for a chain order other than the "
+                                     "angular one; the tests pass them",
 }
 
 
@@ -95,3 +106,50 @@ def test_every_definition_has_a_reader_an_export_or_a_reason():
     unread = {name for name in _unread(SRC) if name.split(".", 1)[1] not in exported}
     assert sorted(unread - KEPT.keys()) == [], "no reader, no export and no reason"
     assert sorted(KEPT.keys() - unread) == [], "a reason kept for a name that is read or gone"
+
+
+def _unpassed(src):
+    """'module.function(param)' or 'module.Class.method(param)' for each
+    defaulted parameter of a module-level function or method in ``src``
+    that no call in ``src`` passes, by keyword or by position.  A call is
+    matched by the definition's name (a plain name or an attribute; a class
+    name for ``__init__``), and a method's positions start after self; a
+    call with ``*args`` or ``**kwargs`` passes every parameter."""
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
+    defs = []  # (qualified name, the name calls use, node, positions taken by self)
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((f"{mod}.{node.name}", node.name, node, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        called = node.name if item.name == "__init__" else item.name
+                        defs.append((f"{mod}.{node.name}.{item.name}", called, item,
+                                     0 if static else 1))
+    calls = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+    for qual, called, node, offset in defs:
+        args = node.args
+        positional = [p.arg for p in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+        defaulted += [p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        passed = set()
+        for call in calls:
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) != called:
+                continue
+            if (any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg is None for k in call.keywords)):
+                passed.update(defaulted)
+            passed.update(positional[offset:offset + len(call.args)])
+            passed.update(k.arg for k in call.keywords)
+        yield from (f"{qual}({p})" for p in defaulted if p not in passed)
+
+
+def test_every_option_has_a_caller_or_a_reason():
+    unpassed = set(_unpassed(SRC))
+    assert sorted(unpassed - UNPASSED.keys()) == [], "an option no call in the package passes"
+    assert sorted(UNPASSED.keys() - unpassed) == [], "a reason kept for an option that is passed or gone"
