@@ -8,7 +8,9 @@ with one matrix product.  All winding-number arithmetic happens on the
 arcs; the rays and normals carry the rapidity extent and decide causal
 separation.  The separation certificate runs over a stack of pairs with one
 candidate layout per row count, so each pair's violations are bitwise those
-of a single call.
+of a single call.  Its light-like minimiser candidates decide first, and
+only the pairs they cannot settle as separated run the full certificate;
+every verdict is still the certificate's.
 
 Roles of the stored extreme rays (order is fixed and preserved by the
 orientation-preserving group action):
@@ -40,7 +42,7 @@ from .minkowski import (
 )
 from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_COMMON_APEX,
                          ORACLE_CONTACT, REFLECTION_TOL, SEP_AMBIGUOUS, SEP_DEGENERATE,
-                         SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
+                         SEP_FILTER, SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
 
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
@@ -394,6 +396,51 @@ def _certificates(rows: np.ndarray) -> np.ndarray:
     return np.where(ok, viol[:, None, :], math.inf).min(axis=2)
 
 
+def _minimiser_violations(rows: np.ndarray) -> np.ndarray:
+    """`_certificates`' violations of its 4n light-like minimiser candidates
+    (t_sign, cos psi, sin psi) alone, as a (P, 4n) array in the layout's
+    order, inf where a minimiser does not exist (its kernel candidate is
+    NaN).  The kernel admits each one that exists: its max-norm is exactly
+    1, its Minkowski square within eps of 0 and its w0 of its nappe's sign."""
+    p, n, _ = rows.shape
+    per_row, t_sign, ang_sign = _layout(n)[5:8]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # the kernel's arithmetic up to psi, so each arccos reads its argument
+        r = np.hypot(rows[..., 1], rows[..., 2])
+        r[r <= SEP_DEGENERATE] = np.nan
+        u = rows / r[..., None]
+        psi = (np.arctan2(u[..., 2], u[..., 1]).take(per_row, axis=1)
+               + np.arccos(u[..., 0].take(per_row, axis=1) * t_sign) * ang_sign)
+        cand = np.empty((p, 3, 4 * n))  # candidates as columns
+        cand[:, 0] = t_sign
+        np.cos(psi, out=cand[:, 1])
+        np.sin(psi, out=cand[:, 2])
+        values = (rows * _MINK_DIAG) @ cand  # per (lane, row, candidate)
+        values /= _abs_max3(rows)[..., None]
+        viol = np.maximum(np.maximum.reduce(values, axis=1), 0.0)
+    viol[np.isnan(psi)] = math.inf
+    return viol
+
+
+def _decide(rows: np.ndarray) -> np.ndarray:
+    """(future, past) margins of a (P, n, 3) stack whose `_verdict` is that of
+    `_certificates(rows)`: the minimiser candidates decide first, and only
+    the lanes they leave open run the full kernel.
+
+    A lane whose minimisers reach <= SEP_FILTER in both nappes gets those
+    margins: the kernel's minima, over a superset of the same candidates,
+    would be <= SEP_ZERO (see SEP_FILTER), a separated verdict with no raise.
+    Every other lane gets the kernel's violations, so each verdict, and each
+    SeparationError, is the kernel's."""
+    p, n, _ = rows.shape
+    # the layout's minimisers run (+ang, -ang) x (future, past) x row
+    margins = _minimiser_violations(rows).reshape(p, 2, 2, n).min(axis=(1, 3))
+    rest = np.flatnonzero(~(margins <= SEP_FILTER).all(axis=1))
+    if len(rest):
+        margins[rest] = _certificates(rows[rest])
+    return margins
+
+
 def _separation_rows(c1: ConePath, c2: ConePath) -> np.ndarray:
     """Rows for C1 against C2: C1's closure rays, C2's negated, the apex gap."""
     for c in (c1, c2):
@@ -450,8 +497,10 @@ def _stacks(keyed) -> Iterator[list]:
 
 def _separated_many(pairs) -> list:
     """Per (C1, C2) pair, `causally_separated(C1, C2)` or the SeparationError
-    it would raise.  Certificate stacks of one row count decide the pairs,
-    so each verdict is bitwise that of a call on its own."""
+    it would raise.  Stacks of one row count go to `_decide`: the minimiser
+    candidates settle the separated pairs they can, and the certificate
+    decides the rest, so every verdict and raise is the certificate's and
+    each is that of a call on its own."""
     out: list = [None] * len(pairs)
     keyed = []
     for i, (c1, c2) in enumerate(pairs):
@@ -463,7 +512,7 @@ def _separated_many(pairs) -> list:
         keyed.append((len(rows), (i, rows)))
     for stack in _stacks(keyed):
         lanes, rows = zip(*stack)
-        for i, violations in zip(lanes, _certificates(np.array(rows)).tolist()):
+        for i, violations in zip(lanes, _decide(np.array(rows)).tolist()):
             try:
                 out[i] = _verdict(violations)
             except SeparationError as exc:
@@ -482,8 +531,9 @@ def _cones_separated(apex1, rays1, apex2, rays2) -> np.ndarray:
     """Per lane, `causally_separated(C1, C2)` for the cones with apexes
     ``apex1`` and ``apex2`` and the closure rays ``rays1`` and ``rays2`` of
     `_cone_rays`, False where it raises.  The rows are bitwise
-    `_separation_rows`, certified by row count (8 without an apex gap) in
-    stacks of at most _STACK lanes."""
+    `_separation_rows`, decided by row count (8 without an apex gap) in
+    stacks of at most _STACK lanes by `_decide`: the minimiser candidates
+    first, the certificate for the lanes they leave open."""
     gap = apex1 - apex2
     rows = np.concatenate([rays1, -rays2, gap[:, None, :]], axis=1)
     has_gap = np.abs(gap).max(axis=1) > SEP_DEGENERATE
@@ -492,7 +542,7 @@ def _cones_separated(apex1, rays1, apex2, rays2) -> np.ndarray:
         lanes = np.flatnonzero(lanes)
         for start in range(0, len(lanes), _STACK):
             stack = lanes[start:start + _STACK]
-            viol[stack] = _certificates(rows[stack, :n])
+            viol[stack] = _decide(rows[stack, :n])
     # a margin in the ambiguity band would raise in `_verdict`: it rejects too
     return (viol <= SEP_ZERO).all(axis=1)
 

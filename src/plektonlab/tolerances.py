@@ -28,6 +28,13 @@ SEP_ZERO = 1e-10  # dimensionless violation read as contact
 SEP_AMBIGUOUS = 1e-7  # dimensionless violation read as a causal pair
 SEP_DEGENERATE = 1e-14  # largest component up to which a vector counts as zero
 SEP_NAPPE_SLACK = 1e-9  # Minkowski square down to -this still lies in the light cone
+# Largest minimiser-only violation that settles a lane without the full certificate.
+# The 4n minimisers (+-1, cos psi, sin psi) have max-norm exactly 1 and are admitted
+# in their own nappe; the certificate pairs the same psi with each row scaled to
+# max-norm 1 in a 3-term product, so its value differs from the filter's by under
+# 1e-14 (a few eps).  A minimiser at <= SEP_ZERO / 2 in both nappes therefore keeps
+# the certificate's minima <= SEP_ZERO: separated, never in the band, as it would say.
+SEP_FILTER = SEP_ZERO / 2.0
 # Primal oracle (cones.find_causal_pair), kept apart from the certificate
 ORACLE_COMMON_APEX = 1e-12  # |apex difference| per max(1, |apexes|) read as a common apex
 ORACLE_CONTACT = 1e-9  # max of +-t0 - |t_s| over the max-norm hull read as contact

@@ -43,7 +43,7 @@ from plektonlab.minkowski import (
     cover_rotation,
     minkowski_inner,
 )
-from plektonlab.tolerances import ARC_TOL, WEDGE_TOL
+from plektonlab.tolerances import ARC_TOL, SEP_AMBIGUOUS, SEP_FILTER, SEP_ZERO, WEDGE_TOL
 from tests.conftest import ASSETS
 
 TWO_PI = 2 * math.pi
@@ -77,10 +77,10 @@ def translated(path, a):
     return ConePath(path.apex + a, path.arc, path.kind, path.normals, path.corners)
 
 
-def rnd_cover(rng, translations=True):
+def rnd_cover(rng, translations=True, rapidity=1.2):
     g = cover_compose(
         cover_rotation(rng.uniform(-7, 7)),
-        cover_compose(cover_boost1(rng.uniform(-1.2, 1.2)),
+        cover_compose(cover_boost1(rng.uniform(-rapidity, rapidity)),
                       cover_rotation(rng.uniform(-3, 3))),
     )
     if translations:
@@ -935,7 +935,7 @@ def test_separated_many_matches_single_calls(monkeypatch):
 
     # lanes patched into the ambiguity band, by a rule on each lane's own rows
     # so that a stack and a single call patch the same pairs
-    real = cones._certificates
+    real = cones._decide
 
     def certificates(rows):
         viol = real(rows)
@@ -944,13 +944,231 @@ def test_separated_many_matches_single_calls(monkeypatch):
         viol[key == 1, 1] = 4e-8
         return viol
 
-    monkeypatch.setattr(cones, "_certificates", certificates)
+    monkeypatch.setattr(cones, "_decide", certificates)
     many = cones._separated_many(pairs)
     single = [_decided(c1, c2) for c1, c2 in pairs]
     assert all(_same_verdict(a, b) for a, b in zip(many, single))
     margins = {str(v) for v in many if isinstance(v, SeparationError)}
     assert {"separation undecidable within tolerance (margin 3.000e-09)",
             "separation undecidable within tolerance (margin 4.000e-08)"} <= margins
+
+
+# ---------------------------------------------------------------------------
+# the minimiser filter in front of the certificate
+# ---------------------------------------------------------------------------
+
+def _verdict_or_error(violations):
+    """`_verdict(violations)`, or the SeparationError it raises."""
+    try:
+        return cones._verdict(violations)
+    except SeparationError as exc:
+        return exc
+
+
+def _kernel_violations(row_sets):
+    """`_certificates` per row set, as tuples, from one stack per row count
+    (each lane bitwise a call on its own)."""
+    by_n: dict = {}
+    for i, rows in enumerate(row_sets):
+        by_n.setdefault(len(rows), []).append(i)
+    out = [None] * len(row_sets)
+    for lanes in by_n.values():
+        for i, viol in zip(lanes, _certificates(np.stack([row_sets[i] for i in lanes])).tolist()):
+            out[i] = tuple(viol)
+    return out
+
+
+def _filter_cases(rng, count):
+    """(C1, C2) pairs with 8 to 13 rows: cones and wedges, shared apexes,
+    time-like translates, a third of them moved by a covering element with
+    rapidity up to 4."""
+    def region(apex):
+        center = rng.uniform(-math.pi, math.pi)
+        if rng.random() < 0.3:
+            return wedge_path(apex, center)
+        return cone_path(apex, center, rng.uniform(0.05, 1.4))
+
+    pairs = []
+    for _ in range(count):
+        apex = MVec3(*rng.normal(0, 0.4, 3))
+        c1 = region(apex)
+        c2 = region(apex if rng.random() < 0.4 else MVec3(*rng.normal(0, 0.4, 3)))
+        if rng.random() < 0.1:
+            c2 = translated(c2, c1.apex - c2.apex + MVec3(rng.normal(), 0.0, 0.0))
+        if rng.random() < 0.3:
+            g = rnd_cover(rng, rapidity=4.0)
+            c1, c2 = act(g, c1), act(g, c2)
+        pairs.append((c1, c2))
+    return pairs
+
+
+def _signed_gap_cases(rng, count, exponents=(-12.0, -4.0)):
+    """The signed-gap construction of test_separation_boundaries at gaps
+    +-10^e, e uniform in ``exponents``, moved by covering elements with
+    rapidity up to 4: by default its certificate margins straddle SEP_ZERO
+    and SEP_AMBIGUOUS."""
+    # imported here: test_separation_boundaries imports this module
+    from tests.test_separation_boundaries import gap_regions
+
+    pairs = []
+    for _ in range(count):
+        delta = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(*exponents)
+        pair = gap_regions(rng.random() < 0.3, rng.uniform(-math.pi, math.pi),
+                           *rng.uniform(0.05, 1.2, 2), delta, *rng.integers(-2, 3, 2).tolist(),
+                           *rng.uniform(0.0, 1.0, 2), rnd_cover(rng, rapidity=4.0),
+                           rng.random() < 0.5)
+        assert pair is not None  # a gap this small never leaves the arcs apart
+        pairs.append(pair)
+    return pairs
+
+
+def test_filtered_verdicts_are_the_kernels():
+    # _separated_many and _cones_separated against _verdict(_certificates(...))
+    # on 22 000 ordered pairs (each drawn pair both ways), every raise with
+    # its message
+    rng = np.random.default_rng(67)
+    drawn = _filter_cases(rng, 8000) + _signed_gap_cases(rng, 3000)
+    pairs = drawn + [(c2, c1) for c1, c2 in drawn]
+    row_sets = [_separation_rows(c1, c2) for c1, c2 in pairs]
+    assert {len(rows) for rows in row_sets} == set(range(8, 14))
+    kernel = _kernel_violations(row_sets)
+    want = [_verdict_or_error(viol) for viol in kernel]
+    got = cones._separated_many(pairs)
+    assert all(_same_verdict(a, b) for a, b in zip(got, want))
+    assert {type(v).__name__ for v in want} == {"bool", "SeparationError"}
+    assert {True, False} <= set(v for v in want if isinstance(v, bool))
+
+    # the generators' path on the cone pairs among them
+    lanes = [i for i, (c1, c2) in enumerate(pairs) if c1.kind == c2.kind == "cone"]
+    apexes = np.array([[pairs[i][0].rows[0], pairs[i][1].rows[0]] for i in lanes])
+    rays = np.array([[pairs[i][0].closure_rays, pairs[i][1].closure_rays] for i in lanes])
+    decided = cones._cones_separated(apexes[:, 0], rays[:, 0], apexes[:, 1], rays[:, 1])
+    assert decided.tolist() == [want[i] is True for i in lanes]
+    assert len(pairs) + len(lanes) >= 30000
+
+    # the gap lanes reach both sides of both thresholds, within 10x of each
+    gap_margins = [max(viol) for viol in kernel[8000:11000] + kernel[19000:]]
+    for lo, hi in ((SEP_ZERO / 10.0, SEP_ZERO), (SEP_ZERO, 10.0 * SEP_ZERO),
+                   (SEP_AMBIGUOUS / 10.0, SEP_AMBIGUOUS), (SEP_AMBIGUOUS, 10.0 * SEP_AMBIGUOUS)):
+        assert any(lo < m <= hi for m in gap_margins), (lo, hi)
+
+
+def test_lanes_without_minimisers_keep_the_kernels_verdict():
+    # a zeroed row, or one with no spatial part, in stacks of every row count
+    rng = np.random.default_rng(71)
+    by_rows: dict = {}
+    for c1, c2 in _filter_cases(rng, 1500):
+        rows = _separation_rows(c1, c2)
+        by_rows.setdefault(len(rows), []).append(rows)
+    assert sorted(by_rows) == list(range(8, 14))
+    for group in by_rows.values():
+        rows = np.stack(group)
+        lanes = np.arange(len(rows))
+        rows[lanes % 5 == 1, lanes[lanes % 5 == 1] % rows.shape[1]] = 0.0
+        rows[lanes % 5 == 2, -1, 1:] = 0.0
+        got = [_verdict_or_error(v) for v in cones._decide(rows).tolist()]
+        want = [_verdict_or_error(v) for v in _certificates(rows).tolist()]
+        assert all(_same_verdict(a, b) for a, b in zip(got, want))
+
+
+def _reference_minimisers(rows):
+    """The kernel's minimiser candidates of one row set, built as in
+    `_one_nappe_certificate` but with each violation kept: a (2, 2, n) array
+    over (+ang, -ang) x (future, past) x row, inf where a row has none."""
+    out = np.full((2, 2, len(rows)), math.inf)
+    r = np.hypot(rows[:, 1], rows[:, 2])
+    norms = np.abs(rows).max(axis=1)
+    for s, sign in enumerate((1.0, -1.0)):
+        t = np.full(len(rows), np.nan)
+        t[r > 1e-14] = sign * rows[r > 1e-14, 0] / r[r > 1e-14]
+        has = np.abs(t) <= 1.0
+        base = np.arctan2(rows[has, 2] / r[has], rows[has, 1] / r[has])
+        for a, psi in enumerate((base + np.arccos(t[has]), base - np.arccos(t[has]))):
+            cand = np.stack([np.full(psi.shape, sign), np.cos(psi), np.sin(psi)], axis=1)
+            values = (cand * np.array([1.0, -1.0, -1.0])) @ rows.T / norms
+            out[a, s, has] = np.maximum(values.max(axis=1), 0.0)
+    return out
+
+
+def test_minimiser_values_match_the_kernels_candidates():
+    # every one of the 4n values within 1e-14 of the kernel's, inf alike, and
+    # never below the kernel's minimum over all its candidates
+    rng = np.random.default_rng(73)
+    pairs = _filter_cases(rng, 600) + _signed_gap_cases(rng, 200)
+    for c1, c2 in pairs:
+        rows = _separation_rows(c1, c2)
+        got = cones._minimiser_violations(rows[None])[0]
+        want = _reference_minimisers(rows).ravel()
+        assert got.shape == want.shape == (4 * len(rows),)
+        assert (np.isinf(got) == np.isinf(want)).all()
+        finite = np.isfinite(want)
+        assert finite.any() and (np.abs(got[finite] - want[finite]) <= 1e-14).all()
+        nappes = got.reshape(2, 2, -1).min(axis=(0, 2))
+        assert (nappes >= np.array(certificate(rows))).all()
+
+
+def test_a_lane_is_settled_iff_its_minimisers_clear_the_bound(monkeypatch):
+    # near-grazing gap lanes: a lane reaches the kernel iff the least of its
+    # 4n minimiser values exceeds SEP_FILTER in a nappe, else it keeps those
+    # least values; among them are lanes that one family of minimisers
+    # (+ang or -ang) settles alone and lanes just above the bound
+    real, sent = cones._certificates, set()
+    monkeypatch.setattr(cones, "_certificates",
+                        lambda rows: sent.update(r.tobytes() for r in rows) or real(rows))
+    by_rows: dict = {}
+    for c1, c2 in _signed_gap_cases(np.random.default_rng(83), 1000, (-12.0, -9.0)):
+        rows = _separation_rows(c1, c2)
+        by_rows.setdefault(len(rows), []).append(rows)
+    one_family, above = {0: 0, 1: 0}, 0
+    for group in by_rows.values():
+        for rows, margins in zip(group, cones._decide(np.stack(group))):
+            ref = _reference_minimisers(rows)
+            least = ref.min(axis=(0, 2))
+            if (least <= SEP_FILTER).all():
+                assert rows.tobytes() not in sent
+                assert (np.abs(margins - least) <= 1e-14).all()
+                for family in (0, 1):
+                    one_family[family] += not (ref[1 - family].min(axis=1) <= SEP_FILTER).all()
+            else:
+                assert rows.tobytes() in sent and tuple(margins.tolist()) == certificate(rows)
+                above += max(least) <= 2.0 * SEP_FILTER
+    assert min(one_family.values()) > 0 and above > 0
+
+
+def _fan(rng, count):
+    """``count`` cones spread over one turn on sheets -3 to 3: arcs at most
+    0.6 of the angular step wide about their centres, each apex on its own
+    axis, so each cone lies inside the cone of the same arc at the origin and
+    every pair is separated."""
+    step = TWO_PI / count
+    fan = []
+    for k in range(count):
+        center = k * step + rng.uniform(-0.1, 0.1) * step
+        half = rng.uniform(0.1, 0.3) * step
+        s = rng.uniform(0.0, 0.5)
+        fan.append(cone_path(MVec3(0.0, s * math.cos(center), s * math.sin(center)), center,
+                             half, sheet=int(rng.integers(-3, 4))))
+    return fan
+
+
+def test_separated_fan_needs_no_kernel(monkeypatch):
+    # every ordered pair of a separated 20-cone fan is settled by the
+    # minimisers; an overlapping and an in-band pair still reach the kernel
+    real, calls = cones._certificates, []
+    monkeypatch.setattr(cones, "_certificates", lambda rows: calls.append(len(rows)) or real(rows))
+    fan = _fan(np.random.default_rng(79), 20)
+    table = {(i, j): relative_winding(fan[i], fan[j])
+             for i in range(20) for j in range(20) if i != j}
+    assert calls == []
+    assert all(table[i, j] + table[j, i] == -1 for i, j in table)
+
+    c = cone_path(ZERO_VEC, 0.0, 0.3)
+    assert not causally_separated(c, translated(c, MVec3(2.0, 0.0, 0.0)))
+    assert calls == [1]
+    # arcs overlapping by 1e-8 at a common apex: a margin in the band
+    with pytest.raises(SeparationError, match="undecidable within tolerance"):
+        relative_winding(cone_path(ZERO_VEC, 0.7 - 1e-8, 0.4), c)
+    assert calls == [1, 1]
 
 
 def test_stacked_primal_oracle_matches_single_calls():

@@ -75,9 +75,16 @@ def assert_verdict(c1, c2, delta):
         pass
 
 
-def signed_gap_pair(wedge, center, half1, half2, delta, sheet1, sheet2, shift1, shift2, g,
-                    swap):
+def signed_gap_pair(*args):
     """The two moved regions of the construction, or a rejected draw."""
+    pair = gap_regions(*args)
+    assume(pair is not None)
+    return pair
+
+
+def gap_regions(wedge, center, half1, half2, delta, sheet1, sheet2, shift1, shift2, g, swap):
+    """The two moved regions of the construction, or None where a negative
+    delta would leave the second arc wholly past the first's."""
     apex = MVec3(0.0, 0.0, 0.0)
     if wedge:
         first = wedge_path(apex, center, sheet1)
@@ -87,7 +94,8 @@ def signed_gap_pair(wedge, center, half1, half2, delta, sheet1, sheet2, shift1, 
         upper = center + half1
     # a negative delta must leave the arcs overlapping at both ends: below
     # -(width1 + 2 half2) the second arc lies wholly past the first's
-    assume(first.arc.width + 2.0 * half2 + delta >= abs(delta))
+    if first.arc.width + 2.0 * half2 + delta < abs(delta):
+        return None
     second = cone_path(apex, upper + delta + half2, half2, sheet2)
     if delta > 0.0:
         first, second = inward(first, shift1), inward(second, shift2)

@@ -22,11 +22,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def _recording_certificates(monkeypatch, band=lambda p: np.zeros(p, bool)):
-    """Patch `cones._certificates` to record every row set it decides.
+    """Patch `cones._decide` to record every row set it decides.
 
     Lanes picked by ``band`` get a future margin inside the ambiguity band;
     returns (all recorded row bytes, banded row bytes)."""
-    real = cones._certificates
+    real = cones._decide
     seen, banded = set(), set()
 
     def certificates(rows):
@@ -37,7 +37,7 @@ def _recording_certificates(monkeypatch, band=lambda p: np.zeros(p, bool)):
         banded.update(r.tobytes() for r in rows[pick])
         return viol
 
-    monkeypatch.setattr(cones, "_certificates", certificates)
+    monkeypatch.setattr(cones, "_decide", certificates)
     return seen, banded
 
 
@@ -87,7 +87,7 @@ def test_in_band_margins_are_never_accepted(monkeypatch):
 
 
 def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
-    real = cones._certificates
+    real = cones._decide
     stacks, banded = [], []
 
     def certificates(rows):
@@ -99,7 +99,7 @@ def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
         stacks.append(rows)
         return viol
 
-    monkeypatch.setattr(cones, "_certificates", certificates)
+    monkeypatch.setattr(cones, "_decide", certificates)
     fan = suites._separated_fan(np.random.default_rng(800), 4)
     assert banded and all(rows.shape == (6, 9, 3) for rows in stacks)
     rows = [cones._separation_rows(a, b).tobytes()
@@ -335,8 +335,8 @@ def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
 
 
 def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
-    real, stacks = cones._certificates, []
-    monkeypatch.setattr(cones, "_certificates", lambda rows: stacks.append(len(rows)) or real(rows))
+    real, stacks = cones._decide, []
+    monkeypatch.setattr(cones, "_decide", lambda rows: stacks.append(len(rows)) or real(rows))
     rng = np.random.default_rng(1100)
     apex = rng.normal(0.0, 0.05, (2, 64, 3))
     apex[1, :5] = apex[0, :5]  # five lanes without an apex gap
