@@ -10,7 +10,9 @@ separation.  The separation certificate runs over a stack of pairs with one
 candidate layout per row count, so each pair's violations are bitwise those
 of a single call.  Its light-like minimiser candidates decide first, and
 only the pairs they cannot settle as separated run the full certificate;
-every verdict is still the certificate's.
+every verdict is still the certificate's.  In the suites' generators alone,
+a primal witness, a plainly time-like point of the difference set, rejects
+the causal candidates before either runs.
 
 Roles of the stored extreme rays (order is fixed and preserved by the
 orientation-preserving group action):
@@ -42,7 +44,8 @@ from .minkowski import (
 )
 from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_COMMON_APEX,
                          ORACLE_CONTACT, REFLECTION_TOL, SEP_AMBIGUOUS, SEP_DEGENERATE,
-                         SEP_FILTER, SEP_NAPPE_SLACK, SEP_ZERO, SHEET_TIE, WEDGE_TOL)
+                         SEP_FILTER, SEP_NAPPE_SLACK, SEP_WITNESS, SEP_ZERO, SHEET_TIE,
+                         WEDGE_TOL)
 
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
@@ -527,18 +530,42 @@ def _cone_rays(center: np.ndarray, half: np.ndarray) -> np.ndarray:
     return np.array(rows).reshape(-1, 4, 3)
 
 
+def _plainly_causal(rows: np.ndarray) -> np.ndarray:
+    """Per lane of a (P, 9, 3) stack whose last row is the apex gap d, True
+    where a point x = d + s g, g a row and s >= 0 the maximiser of x.x along
+    g (0 unless g is space-like; the gap row gives x = d), has
+    phi = (|x0| - |x_s|) / (|d|max + s |g|max) > SEP_WITNESS.  Such a point
+    of the difference set keeps every certificate of its nappe above
+    SEP_ZERO (see SEP_WITNESS), so the lane is causal or in the band."""
+    g0, g1, g2 = rows[..., 0], rows[..., 1], rows[..., 2]
+    d = rows[:, -1:]
+    gg = g0 * g0 - g1 * g1 - g2 * g2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.maximum((g0 * d[..., 0] - g1 * d[..., 1] - g2 * d[..., 2]) / -gg, 0.0)
+        s[~(gg < 0.0)] = 0.0
+        x = d + s[..., None] * rows
+        phi = ((np.abs(x[..., 0]) - np.hypot(x[..., 1], x[..., 2]))
+               / (_abs_max3(d) + s * _abs_max3(rows)))
+    return (phi > SEP_WITNESS).any(axis=1)
+
+
 def _cones_separated(apex1, rays1, apex2, rays2) -> np.ndarray:
     """Per lane, `causally_separated(C1, C2)` for the cones with apexes
     ``apex1`` and ``apex2`` and the closure rays ``rays1`` and ``rays2`` of
     `_cone_rays`, False where it raises.  The rows are bitwise
-    `_separation_rows`, decided by row count (8 without an apex gap) in
-    stacks of at most _STACK lanes by `_decide`: the minimiser candidates
-    first, the certificate for the lanes they leave open."""
+    `_separation_rows`.  A lane with an apex gap that `_plainly_causal`
+    witnesses is rejected first: its verdict is False or a raise (without
+    a gap, no point s g is time-like).  The rest are decided by row count
+    (8 without an apex gap) in stacks of at most _STACK lanes by `_decide`:
+    the minimiser candidates first, the certificate for the lanes they
+    leave open."""
     gap = apex1 - apex2
     rows = np.concatenate([rays1, -rays2, gap[:, None, :]], axis=1)
     has_gap = np.abs(gap).max(axis=1) > SEP_DEGENERATE
-    viol = np.empty((len(rows), 2))
-    for lanes, n in ((has_gap, 9), (~has_gap, 8)):
+    open_gap = has_gap.copy()  # the gap lanes the witness leaves to _decide
+    open_gap[has_gap] = ~_plainly_causal(rows[has_gap])
+    viol = np.full((len(rows), 2), math.inf)
+    for lanes, n in ((open_gap, 9), (~has_gap, 8)):
         lanes = np.flatnonzero(lanes)
         for start in range(0, len(lanes), _STACK):
             stack = lanes[start:start + _STACK]

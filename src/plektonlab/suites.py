@@ -61,9 +61,9 @@ SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 # The suites by descending CPU time, the order in which "all" hands them to its
 # workers so that the longest start first (R. L. Graham, SIAM J. Appl. Math.
 # 17 (1969) 416).  Seed 7, CPU of a freshly forked worker's one run, 8 runs,
-# 2-core machine: geometry 126-171, braid 58-68, cpt 52-56, wigner 33-36,
-# tomita 31-38, twist 31-34 ms; braid beat cpt in all 8, wigner beat tomita
-# in 5 and twist in all 8, tomita beat twist in 6.
+# 2-core machine: geometry 90-109, braid 49-80, cpt 39-43, wigner 30-36,
+# tomita 29-32, twist 26-28 ms; braid beat cpt in all 8, wigner beat tomita
+# in 6 and twist in all 8, tomita beat twist in all 8.
 _LONGEST_FIRST = ("geometry", "braid", "cpt", "wigner", "tomita", "twist")
 
 
@@ -100,9 +100,11 @@ def random_separated_pairs(rng: np.random.Generator,
     """``count`` causally separated (C2, C1) pairs with generic arcs and apexes.
 
     Candidates are drawn in batches, about three per missing pair and at
-    most 64.  Each batch's corner rows are built once, stacked certificates
-    decide the batch on them, and only accepted lanes become paths, each
-    built from the rows that certified it.  A lane whose margin is in the
+    most 64.  Each batch's corner rows are built once and the batch is
+    decided on them: a primal witness rejects the plainly causal lanes, the
+    minimisers settle the separated ones and stacked certificates decide
+    the rest.  Only accepted lanes become paths, each built from the rows
+    that certified it.  A lane whose margin is in the
     ambiguity band is rejected, like one that is not separated.  Pairs are
     yielded batch by batch, so at most one batch of paths is alive (a list
     of 300 pairs raised verify-all's peak RSS by about 1 MB).
@@ -322,9 +324,10 @@ def _separated_fan(rng: np.random.Generator, count: int) -> list[ConePath]:
     """Pairwise separated cones spread over one angular turn.
 
     Apex jitter is purely spatial so the regions stay space-like near the
-    apexes.  One stacked certificate decides every pair, and the fan is
-    regenerated if a pair is not separated or its margin is in the
-    ambiguity band.
+    apexes.  A primal witness rejects the plainly causal pairs, the
+    minimisers settle the separated ones and one stacked certificate
+    decides the rest; the fan is regenerated if a pair is not separated or
+    its margin is in the ambiguity band.
     """
     base = rng.uniform(-math.pi, math.pi)
     step = 2.0 * math.pi / count

@@ -35,6 +35,17 @@ SEP_NAPPE_SLACK = 1e-9  # Minkowski square down to -this still lies in the light
 # 1e-14 (a few eps).  A minimiser at <= SEP_ZERO / 2 in both nappes therefore keeps
 # the certificate's minima <= SEP_ZERO: separated, never in the band, as it would say.
 SEP_FILTER = SEP_ZERO / 2.0
+# Smallest primal witness phi = (|x0| - |x_s|) / D above which the generators reject a
+# lane without the certificate.  x = d + s g, s >= 0, lies in the difference set, and
+# x / D with D = |d|max + s |g|max is a convex combination of the rows scaled to max-norm
+# 1, so every covector w the certificate admits has violation >= w.x / D.  An admitted w
+# in x's nappe (e = SEP_NAPPE_SLACK) has max-norm 1, w.w >= -e and w0 of the nappe's sign
+# up to SEP_ZERO, hence |w0| >= sqrt(1 - e) and |w_s| <= |w0| + e / (2 |w0|); with
+# |x_s| / D <= sqrt(2) that gives w.x / D >= sqrt(1 - e) phi - e / sqrt(2 (1 - e)).  Above
+# (SEP_ZERO + e / sqrt(2)) / (1 - e) = 8.07e-10, plus a few eps of rounding of phi and of
+# the kernel, that nappe's minimum is > SEP_ZERO: causal or in the band, which the
+# generators reject alike.  Any value up to SEP_AMBIGUOUS is sound; this keeps 1.9e-10.
+SEP_WITNESS = 1e-9
 # Primal oracle (cones.find_causal_pair), kept apart from the certificate
 ORACLE_COMMON_APEX = 1e-12  # |apex difference| per max(1, |apexes|) read as a common apex
 ORACLE_CONTACT = 1e-9  # max of +-t0 - |t_s| over the max-norm hull read as contact

@@ -1,5 +1,6 @@
 import ast
 import copy
+import functools
 import inspect
 import math
 import pickle
@@ -43,7 +44,8 @@ from plektonlab.minkowski import (
     cover_rotation,
     minkowski_inner,
 )
-from plektonlab.tolerances import ARC_TOL, SEP_AMBIGUOUS, SEP_FILTER, SEP_ZERO, WEDGE_TOL
+from plektonlab.tolerances import (ARC_TOL, SEP_AMBIGUOUS, SEP_FILTER, SEP_WITNESS, SEP_ZERO,
+                                  WEDGE_TOL)
 from tests.conftest import ASSETS
 
 TWO_PI = 2 * math.pi
@@ -1022,13 +1024,19 @@ def _signed_gap_cases(rng, count, exponents=(-12.0, -4.0)):
     return pairs
 
 
+@functools.lru_cache(maxsize=1)
+def _filter_pairs():
+    """22 000 ordered (C1, C2) pairs: 11 000 drawn pairs, then each swapped."""
+    rng = np.random.default_rng(67)
+    drawn = _filter_cases(rng, 8000) + _signed_gap_cases(rng, 3000)
+    return tuple(drawn + [(c2, c1) for c1, c2 in drawn])
+
+
 def test_filtered_verdicts_are_the_kernels():
     # _separated_many and _cones_separated against _verdict(_certificates(...))
     # on 22 000 ordered pairs (each drawn pair both ways), every raise with
     # its message
-    rng = np.random.default_rng(67)
-    drawn = _filter_cases(rng, 8000) + _signed_gap_cases(rng, 3000)
-    pairs = drawn + [(c2, c1) for c1, c2 in drawn]
+    pairs = _filter_pairs()
     row_sets = [_separation_rows(c1, c2) for c1, c2 in pairs]
     assert {len(rows) for rows in row_sets} == set(range(8, 14))
     kernel = _kernel_violations(row_sets)
@@ -1169,6 +1177,132 @@ def test_separated_fan_needs_no_kernel(monkeypatch):
     with pytest.raises(SeparationError, match="undecidable within tolerance"):
         relative_winding(cone_path(ZERO_VEC, 0.7 - 1e-8, 0.4), c)
     assert calls == [1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the primal witness in front of the generators' decisions
+# ---------------------------------------------------------------------------
+
+def _boost(chi, direction):
+    """The pure boost of rapidity chi towards ``direction``, as a symmetric
+    3x3 array (rows x map to x @ L)."""
+    c, s = math.cos(direction), math.sin(direction)
+    ch, sh = math.cosh(chi), math.sinh(chi)
+    return np.array([[ch, sh * c, sh * s],
+                     [sh * c, 1.0 + (ch - 1.0) * c * c, (ch - 1.0) * c * s],
+                     [sh * s, (ch - 1.0) * c * s, 1.0 + (ch - 1.0) * s * s]])
+
+
+def _generator_lanes(rng, count):
+    """(apex1, rays1, apex2, rays2) drawn as `suites.random_separated_pairs`
+    draws its candidates: apex gaps of every causal type."""
+    d1, d2 = rng.uniform(0.08, 0.45, (2, count))
+    base = rng.uniform(-math.pi, math.pi, count)
+    rel = d1 + d2 + 0.15 + rng.uniform(0.0, TWO_PI - 2.0 * (d1 + d2 + 0.15))
+    apex1, apex2 = rng.normal(0.0, 0.05, (2, count, 3))
+    return apex1, cones._cone_rays(base, d1), apex2, cones._cone_rays(base + rel, d2)
+
+
+def _touching_lanes(rng, count):
+    """(apex1, rays1, apex2, rays2) whose apex gap is time-like by
+    delta = 10^U(-13, -6) of its length, along a direction theta that C1
+    opens towards and C2 away from.  Unjittered, every ray has s = 0, phi is
+    about delta at d, and the certificate reads contact below SEP_ZERO; half
+    the cones are turned by up to 0.6, half the pairs swapped (a past gap)
+    and a third boosted by rapidity up to 2."""
+    theta = rng.uniform(-math.pi, math.pi, count)
+    r = rng.uniform(0.01, 0.5, count)
+    delta = 10.0 ** rng.uniform(-13.0, -6.0, count)
+    turn = (rng.random(count) < 0.5) * rng.uniform(-0.6, 0.6, (2, count))
+    apex2 = rng.normal(0.0, 0.3, (count, 3))
+    apex1 = apex2 + np.stack([r * (1.0 + delta), r * np.cos(theta), r * np.sin(theta)], axis=1)
+    rays1 = cones._cone_rays(theta + turn[0], rng.uniform(0.05, 1.2, count))
+    rays2 = cones._cone_rays(theta + math.pi + turn[1], rng.uniform(0.05, 1.2, count))
+    swap = rng.random(count) < 0.5
+    lanes = [np.where(swap[:, None], apex2, apex1), np.where(swap[:, None, None], rays2, rays1),
+             np.where(swap[:, None], apex1, apex2), np.where(swap[:, None, None], rays1, rays2)]
+    for i in np.flatnonzero(rng.random(count) < 1.0 / 3.0):
+        boost = _boost(rng.uniform(-2.0, 2.0), rng.uniform(-math.pi, math.pi))
+        for a in lanes:
+            a[i] = a[i] @ boost
+    return lanes
+
+
+def _reference_witness(rows):
+    """Per 9-row set, (phi, s) of its largest primal witness, from the
+    definition: x = d, and x = d + s g per ray g with s >= 0 the maximiser of
+    x.x along a space-like g, phi = (|x0| - |x_s|) / (|d|max + s |g|max)."""
+    out = []
+    for lane in rows.tolist():
+        d = lane[-1]
+        best = (-math.inf, 0.0)
+        for g in [[0.0, 0.0, 0.0]] + lane[:-1]:
+            gg = g[0] * g[0] - g[1] * g[1] - g[2] * g[2]
+            s = max(0.0, -(d[0] * g[0] - d[1] * g[1] - d[2] * g[2]) / gg) if gg < 0.0 else 0.0
+            x = [a + s * b for a, b in zip(d, g)]
+            phi = ((abs(x[0]) - math.hypot(x[1], x[2]))
+                   / (max(map(abs, d)) + s * max(map(abs, g))))
+            best = max(best, (phi, s))
+        out.append(best)
+    return out
+
+
+def test_witnessed_verdicts_are_the_kernels():
+    # 24 000 generator-path lanes, half drawn like the generators' candidates
+    # and half touching the light cone at their gap: _cones_separated against
+    # _verdict(_certificates(...)), with lanes within 10x of SEP_WITNESS on
+    # both sides in both nappes and contact lanes at 0 < phi < SEP_ZERO
+    rng = np.random.default_rng(89)
+    apex1, rays1, apex2, rays2 = (np.concatenate(parts) for parts in zip(
+        _generator_lanes(rng, 12000), _touching_lanes(rng, 12000)))
+    rows = np.concatenate([rays1, -rays2, (apex1 - apex2)[:, None]], axis=1)
+    kernel = np.concatenate([_certificates(rows[i:i + 2000]) for i in range(0, 24000, 2000)])
+    want = [_verdict_or_error(viol) is True for viol in kernel.tolist()]
+    assert cones._cones_separated(apex1, rays1, apex2, rays2).tolist() == want
+
+    phi, s = np.array(_reference_witness(rows)).T
+    assert (cones._plainly_causal(rows) == (phi > SEP_WITNESS)).all()
+    future = rows[:, -1, 0] > 0.0
+    for lo, hi in ((SEP_WITNESS / 10.0, SEP_WITNESS), (SEP_WITNESS, 10.0 * SEP_WITNESS)):
+        for nappe in (future, ~future):
+            assert ((lo < phi) & (phi <= hi) & nappe).sum() >= 100, (lo, hi)
+    contact = (0.0 < phi) & (phi < SEP_ZERO) & np.array(want)
+    assert (contact & future).any() and (contact & ~future).any()
+    # lanes that only a ray's point witnesses, and separated lanes with a space-like gap
+    assert ((phi > SEP_WITNESS) & (s > 0.0)).sum() >= 100
+    assert (np.array(want) & (phi < 0.0)).sum() >= 1000
+
+
+def test_lanes_with_a_time_like_gap_reach_no_decide(monkeypatch):
+    # the generators' draws with a third of the gaps made future and a third
+    # past time-like: none of those lanes reaches _decide, all are rejected
+    real, decided = cones._decide, []
+    monkeypatch.setattr(cones, "_decide", lambda rows: decided.append(rows) or real(rows))
+    rng = np.random.default_rng(97)
+    apex1, rays1, apex2, rays2 = _generator_lanes(rng, 3000)
+    gap = apex1 - apex2
+    sign = np.arange(3000) % 3 - 1.0  # -1 past, 0 as drawn, +1 future
+    timelike = sign != 0.0
+    gap[timelike, 0] = sign[timelike] * (np.hypot(gap[timelike, 1], gap[timelike, 2])
+                                         + rng.uniform(1e-6, 0.1, timelike.sum()))
+    apex1 = apex2 + gap
+    separated = cones._cones_separated(apex1, rays1, apex2, rays2)
+    assert not separated[timelike].any() and separated[~timelike].any()
+    gaps = np.concatenate([rows[:, -1] for rows in decided])
+    assert len(gaps) > 0 and (np.abs(gaps[:, 0]) < np.hypot(gaps[:, 1], gaps[:, 2])).all()
+
+
+def test_the_raising_paths_never_reach_the_witness(monkeypatch):
+    # _separated_many, so causally_separated, raises in the band: the
+    # witness, which rejects band lanes silently, must stay out of it
+    def witness(rows):
+        raise AssertionError("the witness was reached")
+
+    monkeypatch.setattr(cones, "_plainly_causal", witness)
+    verdicts = cones._separated_many(_filter_pairs())
+    assert {type(v).__name__ for v in verdicts} == {"bool", "SeparationError"}
+    c = cone_path(ZERO_VEC, 0.0, 0.3)
+    assert not causally_separated(c, translated(c, MVec3(2.0, 0.0, 0.0)))
 
 
 def test_stacked_primal_oracle_matches_single_calls():

@@ -86,22 +86,41 @@ def test_in_band_margins_are_never_accepted(monkeypatch):
                for b in banded)
 
 
+def _witness_counts(monkeypatch):
+    """Patch `cones._plainly_causal` to record (lanes given, lanes it rejects)
+    per call."""
+    real, counts = cones._plainly_causal, []
+
+    def plainly_causal(rows):
+        causal = real(rows)
+        counts.append((len(rows), int(causal.sum())))
+        return causal
+
+    monkeypatch.setattr(cones, "_plainly_causal", plainly_causal)
+    return counts
+
+
 def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
     real = cones._decide
     stacks, banded = [], []
 
     def certificates(rows):
         viol = real(rows)
-        if not banded and (viol <= SEP_ZERO).all():
-            # the first fan that is separated gets one pair in the band
+        if not banded and len(rows) == 6 and (viol <= SEP_ZERO).all():
+            # the first fan whose 6 pairs all reach _decide separated gets
+            # one pair in the band
             banded.append(rows[0].tobytes())
             viol[0, 0] = math.sqrt(SEP_ZERO * SEP_AMBIGUOUS)
         stacks.append(rows)
         return viol
 
     monkeypatch.setattr(cones, "_decide", certificates)
+    witnessed = _witness_counts(monkeypatch)
     fan = suites._separated_fan(np.random.default_rng(800), 4)
-    assert banded and all(rows.shape == (6, 9, 3) for rows in stacks)
+    # six fans of 6 pairs, the fifth banded; the witness rejects 8 of their
+    # 36 lanes, and only the rest reach _decide, one stack per fan
+    assert witnessed == [(6, 3), (6, 0), (6, 1), (6, 4), (6, 0), (6, 0)]
+    assert banded and [rows.shape for rows in stacks] == [(6 - k, 9, 3) for _, k in witnessed]
     rows = [cones._separation_rows(a, b).tobytes()
             for i, a in enumerate(fan) for b in fan[i + 1:]]
     assert rows == [r.tobytes() for r in stacks[-1]]
@@ -337,13 +356,17 @@ def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
 def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
     real, stacks = cones._decide, []
     monkeypatch.setattr(cones, "_decide", lambda rows: stacks.append(len(rows)) or real(rows))
+    witnessed = _witness_counts(monkeypatch)
     rng = np.random.default_rng(1100)
-    apex = rng.normal(0.0, 0.05, (2, 64, 3))
+    apex = rng.normal(0.0, 0.05, (2, 128, 3))
     apex[1, :5] = apex[0, :5]  # five lanes without an apex gap
-    center = rng.uniform(-math.pi, math.pi, 64)
-    cones._cones_separated(apex[0], cones._cone_rays(center, np.full(64, 0.2)),
-                           apex[1], cones._cone_rays(center + 2.0, np.full(64, 0.3)))
-    assert stacks == [32, 27, 5] and cones._STACK == 32
+    center = rng.uniform(-math.pi, math.pi, 128)
+    cones._cones_separated(apex[0], cones._cone_rays(center, np.full(128, 0.2)),
+                           apex[1], cones._cone_rays(center + 2.0, np.full(128, 0.3)))
+    # the witness sees the 123 lanes with a gap and rejects 67; the other 56
+    # reach _decide in stacks of 32 and 24, the 5 without a gap in their own
+    assert witnessed == [(123, 67)]
+    assert stacks == [32, 24, 5] and cones._STACK == 32
 
 
 class _EndsRng:
