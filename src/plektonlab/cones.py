@@ -10,9 +10,9 @@ separation.  The separation certificate runs over a stack of pairs with one
 candidate layout per row count, so each pair's violations are bitwise those
 of a single call.  Its light-like minimiser candidates decide first, and
 only the pairs they cannot settle as separated run the full certificate;
-every verdict is still the certificate's.  In the suites' generators alone,
-a primal witness, a plainly time-like point of the difference set, rejects
-the causal candidates before either runs.
+every verdict is still the certificate's.  The suites' generators, which
+may redraw any candidate, keep only the pairs the minimisers settle and
+never run the certificate.
 
 Roles of the stored extreme rays (order is fixed and preserved by the
 orientation-preserving group action):
@@ -44,8 +44,7 @@ from .minkowski import (
 )
 from .tolerances import (ARC_TOL, HALF_OPENING_MARGIN, LIFT_TOL, NORM2_TOL, ORACLE_COMMON_APEX,
                          ORACLE_CONTACT, REFLECTION_TOL, SEP_AMBIGUOUS, SEP_DEGENERATE,
-                         SEP_FILTER, SEP_NAPPE_SLACK, SEP_WITNESS, SEP_ZERO, SHEET_TIE,
-                         WEDGE_TOL)
+                         SEP_FILTER, SEP_NAPPE_SLACK, SEP_ZERO, WEDGE_TOL)
 
 KIND_CONE = "cone"
 KIND_WEDGE = "wedge"
@@ -248,8 +247,8 @@ def _cone_corners(center: float, half: float) -> tuple[tuple[float, float, float
 
 def _lifted_arc(center_angle: float, half: float, sheet: int) -> LiftedArc:
     """The arc of half-width ``half`` about center_angle + 2 pi sheet;
-    ValueError unless that lift is a finite float and its float endpoints
-    keep the width 2 half to ARC_TOL (a sheet far from 0 rounds them)."""
+    ValueError naming that lift unless it is a finite float whose endpoints
+    keep the width 2 half to ARC_TOL (a lift far from 0 rounds them)."""
     try:
         lift = center_angle + TWO_PI * sheet
     except OverflowError:  # an int sheet beyond float range
@@ -258,8 +257,9 @@ def _lifted_arc(center_angle: float, half: float, sheet: int) -> LiftedArc:
         raise ValueError("center_angle + 2 pi sheet must be a finite number")
     lo, hi = lift - half, lift + half
     if abs(hi - lo - 2.0 * half) > ARC_TOL:
-        raise ValueError(f"sheet {sheet} is too far from 0: the arc endpoints round "
-                         f"to width {hi - lo!r}, not {2.0 * half!r}")
+        raise ValueError(f"center_angle + 2 pi sheet = {lift!r} is too far from 0 (sheet "
+                         f"{sheet}): the arc endpoints round to width {hi - lo!r}, "
+                         f"not {2.0 * half!r}")
     return LiftedArc(lo, hi)
 
 
@@ -307,16 +307,9 @@ def _cone(apex, center: float, half: float, sheet: int, corners, kind: str = KIN
 
 def standard_wedge_path(frame: ReferenceFrame = DEFAULT_FRAME) -> ConePath:
     """The path ending at the standard wedge with minimal accumulated angle
-    from the reference sheet."""
-    mu = frame.reference_angle
-    best = None
-    for n in (math.floor(mu / TWO_PI), round(mu / TWO_PI), math.ceil(mu / TWO_PI)):
-        lo = -math.pi / 2.0 + TWO_PI * n
-        hi = math.pi / 2.0 + TWO_PI * n
-        dist = max(lo - mu, mu - hi, 0.0)
-        if best is None or dist < best[0] - SHEET_TIE:
-            best = (dist, n)
-    return wedge_path(ZERO_VEC, 0.0, sheet=best[1])
+    from the reference sheet: the sheet n whose centre 2 pi n is nearest the
+    reference angle, the lower one on a tie."""
+    return wedge_path(ZERO_VEC, 0.0, sheet=math.ceil(frame.reference_angle / TWO_PI - 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +418,14 @@ def _minimiser_violations(rows: np.ndarray) -> np.ndarray:
     return viol
 
 
+def _minimiser_margins(rows: np.ndarray) -> np.ndarray:
+    """(future, past) minima of `_minimiser_violations` of a (P, n, 3) stack,
+    as a (P, 2) array."""
+    p, n, _ = rows.shape
+    # the layout's minimisers run (+ang, -ang) x (future, past) x row
+    return _minimiser_violations(rows).reshape(p, 2, 2, n).min(axis=(1, 3))
+
+
 def _decide(rows: np.ndarray) -> np.ndarray:
     """(future, past) margins of a (P, n, 3) stack whose `_verdict` is that of
     `_certificates(rows)`: the minimiser candidates decide first, and only
@@ -435,9 +436,7 @@ def _decide(rows: np.ndarray) -> np.ndarray:
     would be <= SEP_ZERO (see SEP_FILTER), a separated verdict with no raise.
     Every other lane gets the kernel's violations, so each verdict, and each
     SeparationError, is the kernel's."""
-    p, n, _ = rows.shape
-    # the layout's minimisers run (+ang, -ang) x (future, past) x row
-    margins = _minimiser_violations(rows).reshape(p, 2, 2, n).min(axis=(1, 3))
+    margins = _minimiser_margins(rows)
     rest = np.flatnonzero(~(margins <= SEP_FILTER).all(axis=1))
     if len(rest):
         margins[rest] = _certificates(rows[rest])
@@ -530,48 +529,20 @@ def _cone_rays(center: np.ndarray, half: np.ndarray) -> np.ndarray:
     return np.array(rows).reshape(-1, 4, 3)
 
 
-def _plainly_causal(rows: np.ndarray) -> np.ndarray:
-    """Per lane of a (P, 9, 3) stack whose last row is the apex gap d, True
-    where a point x = d + s g, g a row and s >= 0 the maximiser of x.x along
-    g (0 unless g is space-like; the gap row gives x = d), has
-    phi = (|x0| - |x_s|) / (|d|max + s |g|max) > SEP_WITNESS.  Such a point
-    of the difference set keeps every certificate of its nappe above
-    SEP_ZERO (see SEP_WITNESS), so the lane is causal or in the band."""
-    g0, g1, g2 = rows[..., 0], rows[..., 1], rows[..., 2]
-    d = rows[:, -1:]
-    gg = g0 * g0 - g1 * g1 - g2 * g2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.maximum((g0 * d[..., 0] - g1 * d[..., 1] - g2 * d[..., 2]) / -gg, 0.0)
-        s[~(gg < 0.0)] = 0.0
-        x = d + s[..., None] * rows
-        phi = ((np.abs(x[..., 0]) - np.hypot(x[..., 1], x[..., 2]))
-               / (_abs_max3(d) + s * _abs_max3(rows)))
-    return (phi > SEP_WITNESS).any(axis=1)
-
-
 def _cones_separated(apex1, rays1, apex2, rays2) -> np.ndarray:
-    """Per lane, `causally_separated(C1, C2)` for the cones with apexes
-    ``apex1`` and ``apex2`` and the closure rays ``rays1`` and ``rays2`` of
-    `_cone_rays`, False where it raises.  The rows are bitwise
-    `_separation_rows`.  A lane with an apex gap that `_plainly_causal`
-    witnesses is rejected first: its verdict is False or a raise (without
-    a gap, no point s g is time-like).  The rest are decided by row count
-    (8 without an apex gap) in stacks of at most _STACK lanes by `_decide`:
-    the minimiser candidates first, the certificate for the lanes they
-    leave open."""
+    """Per lane, True only where `causally_separated(C1, C2)` is True, for
+    the cones with apexes ``apex1`` and ``apex2`` and the closure rays
+    ``rays1`` and ``rays2`` of `_cone_rays`.  The rows are bitwise
+    `_separation_rows` where the lane has an apex gap (without one, those
+    are its first 8 rows).  A lane is accepted when it has an apex gap and
+    its minimisers reach <= SEP_FILTER in both nappes, which keeps the
+    certificate's minima <= SEP_ZERO (see SEP_FILTER): separated, with no
+    raise.  Every other lane is rejected without the certificate, which is
+    sound for the generators alone, since they redraw what they reject."""
     gap = apex1 - apex2
     rows = np.concatenate([rays1, -rays2, gap[:, None, :]], axis=1)
     has_gap = np.abs(gap).max(axis=1) > SEP_DEGENERATE
-    open_gap = has_gap.copy()  # the gap lanes the witness leaves to _decide
-    open_gap[has_gap] = ~_plainly_causal(rows[has_gap])
-    viol = np.full((len(rows), 2), math.inf)
-    for lanes, n in ((open_gap, 9), (~has_gap, 8)):
-        lanes = np.flatnonzero(lanes)
-        for start in range(0, len(lanes), _STACK):
-            stack = lanes[start:start + _STACK]
-            viol[stack] = _decide(rows[stack, :n])
-    # a margin in the ambiguity band would raise in `_verdict`: it rejects too
-    return (viol <= SEP_ZERO).all(axis=1)
+    return (_minimiser_margins(rows) <= SEP_FILTER).all(axis=1) & has_gap
 
 
 def find_causal_pair(c1: ConePath, c2: ConePath):

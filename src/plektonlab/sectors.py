@@ -226,8 +226,10 @@ def _finite(value, where: str, error: type[ValueError], positive: bool = False) 
 def _phase_from_doc(doc, where: str) -> CyclotomicPhase:
     if not (isinstance(doc, dict) and "k" in doc and "M" in doc):
         raise ModelError(f"{where}: expected an object with fields 'k' and 'M'")
-    return CyclotomicPhase.from_pair(_integer(doc["k"], f"{where}.k"),
-                                     _integer(doc["M"], f"{where}.M"))
+    k, m = _integer(doc["k"], f"{where}.k"), _integer(doc["M"], f"{where}.M")
+    if m <= 0:
+        raise ModelError(f"{where}.M must be positive, got {m}")
+    return CyclotomicPhase.from_pair(k, m)
 
 
 def parse_model(doc: dict) -> AnyonModel:
@@ -239,7 +241,7 @@ def parse_model(doc: dict) -> AnyonModel:
     elif isinstance(group, dict) and "ZN" in group:
         order = _integer(group["ZN"], "group.ZN")
         if order <= 0:
-            raise ModelError("ZN order must be positive")
+            raise ModelError(f"group.ZN must be positive, got {order}")
     else:
         raise ModelError("group must be \"Z\" or {\"ZN\": N}")
     omega = _phase_from_doc(doc.get("omega"), "omega")
@@ -247,7 +249,10 @@ def parse_model(doc: dict) -> AnyonModel:
     spin_doc = doc.get("spin")
     if not (isinstance(spin_doc, dict) and "p" in spin_doc and "q" in spin_doc):
         raise ModelError("spin: expected an object with fields 'p' and 'q'")
-    spin = Fraction(_integer(spin_doc["p"], "spin.p"), _integer(spin_doc["q"], "spin.q"))
+    p, q = _integer(spin_doc["p"], "spin.p"), _integer(spin_doc["q"], "spin.q")
+    if q == 0:
+        raise ModelError("spin.q must be nonzero, got 0")
+    spin = Fraction(p, q)
     mass = doc.get("mass")
     if mass is not None:
         mass = _finite(mass, "mass", ModelError, positive=True)

@@ -4,14 +4,14 @@ Each suite draws its configurations from two streams of its own, seeded by
 (seed, suite index, use): one for its separated pairs and fans, one for
 everything else.  It runs the module invariants at the package tolerances
 and reports one line per check.  Each loop draws its separated pairs with
-one call: candidates come in arrays, stacked certificates decide a batch,
-and only accepted candidates become paths, built from the rows that
-certified them.  A certified pair and its images under the covering group,
-j, rebasing and 2 pi m rotations are not decided again: the suites call
-the private winding, exchange, twist and vacuum-swap forms on them.  The
-geometry suite decides its oracle pairs and ordered triples, which no
-generator certified, in one stack per check.  Sweep sizes scale with the
-PLEKTONLAB_SWEEP environment variable.
+one call: candidates come in arrays, the separation minimisers filter a
+batch, and only the candidates they certify become paths, built from the
+rows that certified them.  A certified pair and its images under the
+covering group, j, rebasing and 2 pi m rotations are not decided again:
+the suites call the private winding, exchange, twist and vacuum-swap
+forms on them.  The geometry suite decides its oracle pairs and ordered
+triples, which no generator certified, in one stack per check.  Sweep
+sizes scale with the PLEKTONLAB_SWEEP environment variable.
 
 Since the suites share no stream, "all" runs them side by side in forked
 worker processes, longest first, and gathers their reports and tracebacks
@@ -61,9 +61,9 @@ SUITES = ("geometry", "braid", "twist", "cpt", "tomita", "wigner", "all")
 # The suites by descending CPU time, the order in which "all" hands them to its
 # workers so that the longest start first (R. L. Graham, SIAM J. Appl. Math.
 # 17 (1969) 416).  Seed 7, CPU of a freshly forked worker's one run, 8 runs,
-# 2-core machine: geometry 90-109, braid 49-80, cpt 39-43, wigner 30-36,
-# tomita 29-32, twist 26-28 ms; braid beat cpt in all 8, wigner beat tomita
-# in 6 and twist in all 8, tomita beat twist in all 8.
+# 2-core machine: geometry 99-132, braid 47-79, cpt 42-67, wigner 34-50,
+# tomita 33-49, twist 28-46 ms; braid beat cpt in all 8, cpt beat tomita in
+# 7, wigner beat tomita and twist in 6 each, tomita beat twist in 7.
 _LONGEST_FIRST = ("geometry", "braid", "cpt", "wigner", "tomita", "twist")
 
 
@@ -101,13 +101,12 @@ def random_separated_pairs(rng: np.random.Generator,
 
     Candidates are drawn in batches, about three per missing pair and at
     most 64.  Each batch's corner rows are built once and the batch is
-    decided on them: a primal witness rejects the plainly causal lanes, the
-    minimisers settle the separated ones and stacked certificates decide
-    the rest.  Only accepted lanes become paths, each built from the rows
-    that certified it.  A lane whose margin is in the
-    ambiguity band is rejected, like one that is not separated.  Pairs are
-    yielded batch by batch, so at most one batch of paths is alive (a list
-    of 300 pairs raised verify-all's peak RSS by about 1 MB).
+    filtered on them in one call: a lane is kept only where the minimiser
+    candidates certify it separated (`cones._cones_separated`); every other
+    lane, separated or not, is redrawn.  Only kept lanes become paths, each
+    built from the rows that certified it.  Pairs are yielded batch by
+    batch, so at most one batch of paths is alive (a list of 300 pairs
+    raised verify-all's peak RSS by about 1 MB).
     """
     margin = 0.15
     done = 0
@@ -324,16 +323,18 @@ def _separated_fan(rng: np.random.Generator, count: int) -> list[ConePath]:
     """Pairwise separated cones spread over one angular turn.
 
     Apex jitter is purely spatial so the regions stay space-like near the
-    apexes.  A primal witness rejects the plainly causal pairs, the
-    minimisers settle the separated ones and one stacked certificate
-    decides the rest; the fan is regenerated if a pair is not separated or
-    its margin is in the ambiguity band.
+    apexes.  The fan's pairs are filtered in one call
+    (`cones._cones_separated`), and the fan is regenerated unless the
+    minimiser candidates certify every pair separated.
     """
     base = rng.uniform(-math.pi, math.pi)
     step = 2.0 * math.pi / count
     centers = base + np.arange(count) * step
     a, b = np.triu_indices(count, k=1)  # the pairs in itertools.combinations order
-    for _ in range(32):
+    # the jitter often puts neighbours in contact: of the 14 914 tries of
+    # 2400 four-cone fans (default_rng(0 to 2399)) 16% succeed, and the
+    # longest fan took 38; all 1024 tries fail with probability 0.84^1024
+    for _ in range(1024):
         apexes = np.zeros((count, 3))
         apexes[:, 1:] = rng.normal(0.0, 0.02, (count, 2))
         halves = rng.uniform(0.08, 0.3 * step, count)

@@ -22,30 +22,20 @@ HALF_OPENING_MARGIN = 1e-12  # how far below pi/2 a cone's half-opening must sta
 WEDGE_HALF_OPENING_TOL = 1e-9  # |half_opening - pi/2| accepted for a wedge in a scene file
 WEDGE_TOL = 1e-9  # slack of path_within_wedge on arcs, apex and corners
 REFLECTION_TOL = 1e-12  # |wrap(2 mu - pi)| up to which a reference angle mu is j-invariant
-SHEET_TIE = 1e-15  # margin by which a later sheet must be closer in standard_wedge_path
 # Separation certificate (cones): <= SEP_ZERO separated, >= SEP_AMBIGUOUS causal, else raises
 SEP_ZERO = 1e-10  # dimensionless violation read as contact
 SEP_AMBIGUOUS = 1e-7  # dimensionless violation read as a causal pair
 SEP_DEGENERATE = 1e-14  # largest component up to which a vector counts as zero
 SEP_NAPPE_SLACK = 1e-9  # Minkowski square down to -this still lies in the light cone
-# Largest minimiser-only violation that settles a lane without the full certificate.
+# Largest minimiser-only violation that settles a lane without the full certificate,
+# in `cones._decide` and in the generators' `cones._cones_separated`, which rejects
+# every lane it does not settle.
 # The 4n minimisers (+-1, cos psi, sin psi) have max-norm exactly 1 and are admitted
 # in their own nappe; the certificate pairs the same psi with each row scaled to
 # max-norm 1 in a 3-term product, so its value differs from the filter's by under
 # 1e-14 (a few eps).  A minimiser at <= SEP_ZERO / 2 in both nappes therefore keeps
 # the certificate's minima <= SEP_ZERO: separated, never in the band, as it would say.
 SEP_FILTER = SEP_ZERO / 2.0
-# Smallest primal witness phi = (|x0| - |x_s|) / D above which the generators reject a
-# lane without the certificate.  x = d + s g, s >= 0, lies in the difference set, and
-# x / D with D = |d|max + s |g|max is a convex combination of the rows scaled to max-norm
-# 1, so every covector w the certificate admits has violation >= w.x / D.  An admitted w
-# in x's nappe (e = SEP_NAPPE_SLACK) has max-norm 1, w.w >= -e and w0 of the nappe's sign
-# up to SEP_ZERO, hence |w0| >= sqrt(1 - e) and |w_s| <= |w0| + e / (2 |w0|); with
-# |x_s| / D <= sqrt(2) that gives w.x / D >= sqrt(1 - e) phi - e / sqrt(2 (1 - e)).  Above
-# (SEP_ZERO + e / sqrt(2)) / (1 - e) = 8.07e-10, plus a few eps of rounding of phi and of
-# the kernel, that nappe's minimum is > SEP_ZERO: causal or in the band, which the
-# generators reject alike.  Any value up to SEP_AMBIGUOUS is sound; this keeps 1.9e-10.
-SEP_WITNESS = 1e-9
 # Primal oracle (cones.find_causal_pair), kept apart from the certificate
 ORACLE_COMMON_APEX = 1e-12  # |apex difference| per max(1, |apexes|) read as a common apex
 ORACLE_CONTACT = 1e-9  # max of +-t0 - |t_s| over the max-norm hull read as contact

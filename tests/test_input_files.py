@@ -16,6 +16,8 @@ from plektonlab.sectors import load_model
 from tests.conftest import ASSETS
 from tests.test_golden_report import GOLDEN_DIR
 
+TWO_PI = 2.0 * math.pi
+
 
 def _scene(first: dict, frame: dict | None = None) -> dict:
     doc = {"cones": [
@@ -44,6 +46,8 @@ def _run(capsys, *argv):
     (_scene({}, frame={"reference_angle": math.nan}), "reference_angle must be a finite number"),
     (_scene({"half_opening": 0.0}), "cones[0]: half_opening must lie in (0, pi/2)"),
     (_scene({"half_opening": math.pi / 2.0}), "cones[0]: half_opening must lie in (0, pi/2)"),
+    (_scene({"center_angle": 1e300}),
+     "cones[0]: center_angle + 2 pi sheet = 1e+300 is too far from 0 (sheet 0)"),
 ])
 def test_scene_rejects_bad_numbers(tmp_path, capsys, doc, named):
     path = tmp_path / "scene.json"
@@ -83,6 +87,10 @@ def test_model_rejects_non_finite_numbers(tmp_path, capsys, change, named):
     ({"group": {"ZN": 3.5}}, "group.ZN must be an integer, got 3.5"),
     ({"group": {"ZN": True}}, "group.ZN must be an integer, got True"),
     ({"omega": {"k": 1.9, "M": 3}}, "omega.k must be an integer, got 1.9"),
+    ({"spin": {"p": 1, "q": 0}}, "spin.q must be nonzero, got 0"),
+    ({"omega": {"k": 1, "M": 0}}, "omega.M must be positive, got 0"),
+    ({"omega_sqrt": {"k": 1, "M": -3}}, "omega_sqrt.M must be positive, got -3"),
+    ({"group": {"ZN": 0}}, "group.ZN must be positive, got 0"),
 ])
 def test_model_rejects_non_integer_fields(tmp_path, capsys, change, named):
     doc = json.loads((ASSETS / "z3_anyon.json").read_text())
@@ -92,7 +100,7 @@ def test_model_rejects_non_integer_fields(tmp_path, capsys, change, named):
     for argv in (["model-validate"], ["verify", "--suite", "wigner", "--seed", "1"]):
         code, err = _run(capsys, *argv, "--model", str(path))
         assert code == 2
-        assert named in err
+        assert f"{path}: {named}" in err
 
 
 def test_scene_rejects_a_fractional_sheet(tmp_path, capsys):
@@ -111,6 +119,8 @@ def test_scene_rejects_a_fractional_sheet(tmp_path, capsys):
     ("charge", math.nan, "factors[0].charge must be a finite number, got nan"),
     ("k", 0.5, "coeff.k must be an integer, got 0.5"),
     ("M", 2.5, "coeff.M must be an integer, got 2.5"),
+    ("M", 0, "coeff.M must be positive, got 0"),
+    ("M", -3, "coeff.M must be positive, got -3"),
 ])
 def test_word_rejects_bad_integer_fields(tmp_path, field, value, named):
     doc = json.loads((ASSETS / "example_word.json").read_text())
@@ -174,7 +184,8 @@ def test_scene_names_a_sheet_that_rounds_the_arc(tmp_path, capsys, entry):
     path.write_text(json.dumps(_scene({"sheet": 10 ** 15, **entry})))
     code, err = _run(capsys, "winding", "--scene", str(path))
     assert code == 2
-    assert f"cones[0]: sheet {10 ** 15} is too far from 0" in err
+    assert (f"cones[0]: center_angle + 2 pi sheet = {TWO_PI * 10 ** 15!r} is too far from 0 "
+            f"(sheet {10 ** 15})") in err
 
 
 @pytest.mark.parametrize("mass, named", [

@@ -11,9 +11,10 @@ from plektonlab import cones, suites
 from plektonlab.cones import SeparationError, causally_separated, cone_path
 from plektonlab.minkowski import (CoveringLorentz, CoveringPoincare, LorentzMatrix, MVec3,
                                   cover_boost1, cover_compose, cover_rotation)
+from plektonlab.report import ERROR
 from plektonlab.scenes import load_scene
 from plektonlab.sectors import load_model
-from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_ZERO
+from plektonlab.tolerances import SEP_AMBIGUOUS, SEP_FILTER, SEP_ZERO
 from tests import su11
 from tests.conftest import ASSETS
 from tests.test_cones import certificate
@@ -21,15 +22,15 @@ from tests.test_cones import certificate
 TWO_PI = 2.0 * math.pi
 
 
-def _recording_certificates(monkeypatch, band=lambda p: np.zeros(p, bool)):
-    """Patch `cones._decide` to record every row set it decides.
+def _recording_filter(monkeypatch, band=lambda p: np.zeros(p, bool)):
+    """Patch `cones._minimiser_margins` to record every row set it filters.
 
     Lanes picked by ``band`` get a future margin inside the ambiguity band;
     returns (all recorded row bytes, banded row bytes)."""
-    real = cones._decide
+    real = cones._minimiser_margins
     seen, banded = set(), set()
 
-    def certificates(rows):
+    def margins(rows):
         viol = real(rows)
         pick = band(len(rows))
         viol[pick, 0] = math.sqrt(SEP_ZERO * SEP_AMBIGUOUS)
@@ -37,7 +38,7 @@ def _recording_certificates(monkeypatch, band=lambda p: np.zeros(p, bool)):
         banded.update(r.tobytes() for r in rows[pick])
         return viol
 
-    monkeypatch.setattr(cones, "_decide", certificates)
+    monkeypatch.setattr(cones, "_minimiser_margins", margins)
     return seen, banded
 
 
@@ -59,7 +60,7 @@ def _cell(c2, c1):
 
 @pytest.mark.parametrize("count", [1, 7, 300])
 def test_certified_rows_are_the_returned_pairs_rows(monkeypatch, count):
-    seen, _ = _recording_certificates(monkeypatch)
+    seen, _ = _recording_filter(monkeypatch)
     rng = np.random.default_rng(500 + count)
     pairs = [p for _ in range(300 // count) for p in suites.random_separated_pairs(rng, count)]
     assert len(pairs) == 300 // count * count
@@ -76,7 +77,7 @@ def test_returned_pairs_redecide_separated():
 
 
 def test_in_band_margins_are_never_accepted(monkeypatch):
-    seen, banded = _recording_certificates(monkeypatch, lambda p: np.arange(p) % 2 == 0)
+    seen, banded = _recording_filter(monkeypatch, lambda p: np.arange(p) % 2 == 0)
     pairs = list(suites.random_separated_pairs(np.random.default_rng(700), 200))
     returned = {cones._separation_rows(c1, c2).tobytes() for c2, c1 in pairs}
     assert returned <= seen and not returned & banded
@@ -86,41 +87,25 @@ def test_in_band_margins_are_never_accepted(monkeypatch):
                for b in banded)
 
 
-def _witness_counts(monkeypatch):
-    """Patch `cones._plainly_causal` to record (lanes given, lanes it rejects)
-    per call."""
-    real, counts = cones._plainly_causal, []
-
-    def plainly_causal(rows):
-        causal = real(rows)
-        counts.append((len(rows), int(causal.sum())))
-        return causal
-
-    monkeypatch.setattr(cones, "_plainly_causal", plainly_causal)
-    return counts
-
-
 def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
-    real = cones._decide
+    real = cones._minimiser_margins
     stacks, banded = [], []
 
-    def certificates(rows):
+    def margins(rows):
         viol = real(rows)
-        if not banded and len(rows) == 6 and (viol <= SEP_ZERO).all():
-            # the first fan whose 6 pairs all reach _decide separated gets
-            # one pair in the band
+        if not banded and (viol <= SEP_FILTER).all():
+            # the first fan whose 6 pairs all pass the filter gets one pair
+            # in the band
             banded.append(rows[0].tobytes())
             viol[0, 0] = math.sqrt(SEP_ZERO * SEP_AMBIGUOUS)
         stacks.append(rows)
         return viol
 
-    monkeypatch.setattr(cones, "_decide", certificates)
-    witnessed = _witness_counts(monkeypatch)
+    monkeypatch.setattr(cones, "_minimiser_margins", margins)
     fan = suites._separated_fan(np.random.default_rng(800), 4)
-    # six fans of 6 pairs, the fifth banded; the witness rejects 8 of their
-    # 36 lanes, and only the rest reach _decide, one stack per fan
-    assert witnessed == [(6, 3), (6, 0), (6, 1), (6, 4), (6, 0), (6, 0)]
-    assert banded and [rows.shape for rows in stacks] == [(6 - k, 9, 3) for _, k in witnessed]
+    # six tries, each filtering its 6 pairs in one call, the fifth banded
+    assert banded and [rows.shape for rows in stacks] == [(6, 9, 3)] * 6
+    assert banded[0] == stacks[4][0].tobytes()
     rows = [cones._separation_rows(a, b).tobytes()
             for i, a in enumerate(fan) for b in fan[i + 1:]]
     assert rows == [r.tobytes() for r in stacks[-1]]
@@ -129,11 +114,15 @@ def test_fan_regenerates_when_a_pair_is_in_band(monkeypatch):
 
 def test_stacked_verdicts_match_single_decisions():
     # random cone pairs at overlap and separation, a third sharing their apex
-    # (the apex-gap row dropped); a raise counts as not separated
+    # (exactly, or to under SEP_DEGENERATE, so the apex-gap row is dropped);
+    # a raise counts as not separated.  A lane with a gap is accepted iff it
+    # is separated; a lane without one is rejected, separated or not
     rng = np.random.default_rng(900)
     p = 240
     apex1 = rng.normal(0.0, 0.3, (p, 3))
-    apex2 = np.where((np.arange(p) % 3 == 0)[:, None], apex1, rng.normal(0.0, 0.3, (p, 3)))
+    shared = np.arange(p) % 3 == 0
+    apex2 = np.where(shared[:, None], apex1, rng.normal(0.0, 0.3, (p, 3)))
+    apex2[shared & (np.arange(p) % 2 == 0), 1] += 2e-15
     center1, center2 = rng.uniform(-4.0, 4.0, p), rng.uniform(-4.0, 4.0, p)
     half1, half2 = rng.uniform(0.05, 1.2, p), rng.uniform(0.05, 1.2, p)
     stacked = cones._cones_separated(apex1, cones._cone_rays(center1, half1),
@@ -144,12 +133,18 @@ def test_stacked_verdicts_match_single_decisions():
         c2 = cone_path(MVec3(*apex2[i].tolist()), float(center2[i]), float(half2[i]))
         assert (cones._cone_rays(center1[i:i + 1], half1[i:i + 1])[0].tobytes()
                 == c1.closure_rays.tobytes())
+        assert len(cones._separation_rows(c1, c2)) == (8 if shared[i] else 9)
         try:
             single.append(causally_separated(c1, c2))
         except SeparationError:
             single.append(False)
-    assert stacked.tolist() == single
-    assert 0 < sum(single) < p
+    single = np.array(single)
+    assert (stacked[~shared] == single[~shared]).all() and not stacked[shared].any()
+    assert 0 < single[~shared].sum() < (~shared).sum()
+    # among the shared-apex lanes, exact and sub-SEP_DEGENERATE gaps alike,
+    # are separated ones
+    assert single[shared & (np.arange(p) % 2 == 0)].any()
+    assert single[shared & (np.arange(p) % 2 == 1)].any()
 
 
 class _RecordingRng:
@@ -276,6 +271,13 @@ def test_suites_draw_from_their_own_streams(monkeypatch, z3):
     assert len(set(draws)) == len(draws)
 
 
+@pytest.mark.parametrize("seed", [12, 49])
+def test_braid_runs_where_a_fan_needs_more_than_32_tries(z3, seed):
+    # at these seeds a fan of the braid suite took more than 32 tries
+    rep = suites.run_suite("braid", z3, None, seed)
+    assert rep.checks and all(c.status != ERROR for c in rep.checks)
+
+
 def test_longest_first_order_names_every_suite_once():
     assert sorted(suites._LONGEST_FIRST) == sorted(suites.SUITES[:-1])
 
@@ -353,20 +355,21 @@ def test_geometry_meets_stacked_verdicts_where_its_loops_did(monkeypatch, z3):
                 suites.geometry_suite(z3, None, 7)
 
 
-def test_generator_batches_certify_in_stacks_of_at_most_32(monkeypatch):
-    real, stacks = cones._decide, []
-    monkeypatch.setattr(cones, "_decide", lambda rows: stacks.append(len(rows)) or real(rows))
-    witnessed = _witness_counts(monkeypatch)
-    rng = np.random.default_rng(1100)
-    apex = rng.normal(0.0, 0.05, (2, 128, 3))
-    apex[1, :5] = apex[0, :5]  # five lanes without an apex gap
-    center = rng.uniform(-math.pi, math.pi, 128)
-    cones._cones_separated(apex[0], cones._cone_rays(center, np.full(128, 0.2)),
-                           apex[1], cones._cone_rays(center + 2.0, np.full(128, 0.3)))
-    # the witness sees the 123 lanes with a gap and rejects 67; the other 56
-    # reach _decide in stacks of 32 and 24, the 5 without a gap in their own
-    assert witnessed == [(123, 67)]
-    assert stacks == [32, 24, 5] and cones._STACK == 32
+def test_generator_batches_filter_once_and_reach_no_kernel(monkeypatch):
+    # one filter call per batch of at most 64 lanes; no generator lane
+    # reaches _decide or _certificates
+    filtered, batches, kernel = [], [], []
+    for name, log in (("_minimiser_margins", filtered), ("_cones_separated", batches),
+                      ("_decide", kernel), ("_certificates", kernel)):
+        real = getattr(cones, name)
+        monkeypatch.setattr(cones, name, lambda *args, real=real, log=log:
+                            log.append(len(args[0])) or real(*args))
+    pairs = list(suites.random_separated_pairs(np.random.default_rng(1100), 300))
+    assert len(pairs) == 300 and len(batches) > 1
+    for seed in range(1100, 1120):
+        suites._separated_fan(np.random.default_rng(seed), 4)
+    assert filtered == batches and max(batches) <= 64 and 6 in batches
+    assert kernel == []
 
 
 class _EndsRng:
